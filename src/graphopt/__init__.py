@@ -27,6 +27,7 @@ from .bandit import (
     sr_bound_loose,
     sr_error_bound,
     successive_reject,
+    uniform_best_arm,
 )
 from .convexity import (
     NearConvexityReport,

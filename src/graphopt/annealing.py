@@ -32,8 +32,8 @@ class SAConfig:
     minimize: bool = True
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not math.isfinite(self.gamma) or self.gamma < 0:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.s < 1:
             raise ValueError("samples per estimate must be >= 1")
         if self.steps < 0:

@@ -71,37 +71,60 @@ def successive_reject(
 
     Each phase tops every surviving arm up to the schedule's cumulative
     pull count, then rejects the arm with the worst empirical mean (ties
-    reject the higher index). If the sampler's source dries up mid-run the
-    remaining eliminations use the means collected so far.
+    reject the higher index; an arm never pulled counts as -inf). If the
+    sampler's source dries up mid-run the remaining eliminations use the
+    means collected so far.
     """
     sched = budget_schedule(K, B)
-    sums = np.zeros(K)
-    counts = np.zeros(K, dtype=np.int64)
-    remaining = list(range(K))
+    sums = [0.0] * K
+    counts = [0] * K
+    means = [-math.inf] * K
+    # Survivors ranked by (mean, -arm), best first, so the next arm to
+    # reject is always the last one. Means change only in phases that
+    # pull, so the ranking is rebuilt only there.
+    order = list(range(K))
     exhausted = False
     for k in range(1, K):
         pulls = sched.phase_pulls(k)
         if pulls > 0 and not exhausted:
-            for arm in remaining:
+            for arm in sorted(order):
                 try:
                     mean, taken = sampler(arm, pulls, rng)
                 except BudgetExhaustedError:
                     exhausted = True
                     break
-                sums[arm] += mean * taken
+                sums[arm] += float(mean) * taken
                 counts[arm] += taken
+                if counts[arm]:
+                    means[arm] = sums[arm] / counts[arm]
                 if taken < pulls:
                     exhausted = True
                     break
+            order.sort(key=lambda a: (means[a], -a), reverse=True)
+        order.pop()
+    return order[0]
 
-        def empirical(arm: int) -> float:
-            if counts[arm] == 0:
-                return -math.inf
-            return sums[arm] / counts[arm]
 
-        worst = min(remaining, key=lambda a: (empirical(a), -a))
-        remaining.remove(worst)
-    return remaining[0]
+def uniform_best_arm(
+    K: int, sampler: Sampler, B: int, rng: np.random.Generator
+) -> int:
+    """Best-arm guess for budgets B <= K, too small for eliminations.
+
+    Pulls arms 0,1,2,... once each until the budget stops the sweep, then
+    returns the best empirical mean (ties to the lowest id). This is the
+    first elimination phase truncated by exhaustion.
+    """
+    best_arm = 0
+    best_mean = -math.inf
+    for arm in range(min(K, B)):
+        try:
+            mean, _ = sampler(arm, 1, rng)
+        except BudgetExhaustedError:
+            break
+        if mean > best_mean:
+            best_mean = mean
+            best_arm = arm
+    return best_arm
 
 
 def oracle_sampler(

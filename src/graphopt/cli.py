@@ -19,7 +19,6 @@ from .convexity import certify_nearly_convex, certify_strongly_convex
 from .graphs import GridSpec, load_graph, make_grid_graph, make_knn_graph, save_graph
 from .harness import ExperimentConfig, gap_statistics, records_to_csv, run_trials, stats_to_csv
 from .nnsearch import (
-    DistanceCache,
     classify_majority,
     default_rounds,
     exact_nn,
@@ -27,7 +26,6 @@ from .nnsearch import (
     recall_at_k,
     sgnn_query,
 )
-from .values import load_values
 
 
 class UsageError(Exception):

@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .annealing import SAConfig, simulated_annealing
-from .bandit import oracle_sampler, successive_reject
+from .bandit import oracle_sampler, successive_reject, uniform_best_arm
 from .descend import explore_descend_restarts
 from .graphs import Graph
 from .oracle import BudgetExhaustedError, NoisyOracle
@@ -68,28 +68,6 @@ def trial_rng(seed: int, budget: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, budget, trial])))
 
 
-def _uniform_best_arm(
-    oracle: NoisyOracle, n: int, budget: int, rng: np.random.Generator, sign: float
-) -> int:
-    """Degenerate best-arm pass for budgets too small to run eliminations.
-
-    Pulls arms 0,1,2,... once each until the budget stops the sweep, then
-    returns the best empirical mean (ties to the lowest id). This is the
-    first elimination round truncated by exhaustion.
-    """
-    best_arm = 0
-    best_mean = -math.inf
-    for arm in range(min(n, budget)):
-        try:
-            mean, _ = oracle.sample_mean(arm, 1, rng)
-        except BudgetExhaustedError:
-            break
-        if sign * mean > best_mean:
-            best_mean = sign * mean
-            best_arm = arm
-    return best_arm
-
-
 def _run_one(cfg: ExperimentConfig, budget: int, rng: np.random.Generator) -> TrialRecord:
     oracle = NoisyOracle(cfg.values, noise=cfg.noise, R=cfg.noise_scale, budget=budget)
     n = cfg.graph.n
@@ -97,11 +75,8 @@ def _run_one(cfg: ExperimentConfig, budget: int, rng: np.random.Generator) -> Tr
     minimize = not cfg.maximize
     if cfg.algo == "sr":
         t0 = time.perf_counter()
-        if budget > n:
-            arms = oracle_sampler(oracle, list(range(n)), sign=sign)
-            node = successive_reject(n, arms, budget, rng)
-        else:
-            node = _uniform_best_arm(oracle, n, budget, rng, sign)
+        best_arm = successive_reject if budget > n else uniform_best_arm
+        node = best_arm(n, oracle_sampler(oracle, range(n), sign=sign), budget, rng)
         return TrialRecord(
             node=node,
             gap=cfg.values.gap_to_best(node, maximize=cfg.maximize),
@@ -134,9 +109,10 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     """All (budget, trial) runs of the experiment, each on a fresh
     budget-capped oracle and its own rng stream.
 
-    A trial that raises is recorded as a failed row (node -1, gap NaN)
-    and the sweep continues. Records come back sorted by
-    (algo, budget, trial).
+    A trial that runs out of budget or rejects its parameters
+    (BudgetExhaustedError, ValueError) is recorded as a failed row (node
+    -1, gap NaN) and the sweep continues; any other exception propagates.
+    Records come back sorted by (algo, budget, trial).
     """
     records = []
     for budget in cfg.budgets:
@@ -144,7 +120,7 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
             rng = trial_rng(cfg.seed, budget, trial)
             try:
                 rec = _run_one(cfg, budget, rng)
-            except Exception:
+            except (BudgetExhaustedError, ValueError):
                 rec = TrialRecord(node=-1, gap=math.nan, samples=0, time_ms=0.0)
             records.append(rec.tagged(trial, cfg.algo, budget))
     records.sort(key=lambda r: (r.algo, r.budget, r.trial))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,8 @@ class NoisyOracle:
             lo, hi = self.values.means.min(), self.values.means.max()
             if lo < 0.0 or hi > 1.0:
                 raise ValueError("bernoulli noise needs values in [0, 1]")
+        if not math.isfinite(self.R):
+            raise ValueError(f"noise scale R must be finite, got {self.R}")
         if self.noise == "gaussian" and self.R < 0:
             raise ValueError("gaussian noise scale R must be >= 0")
         if self.budget is not None and self.budget < 0:

@@ -31,6 +31,12 @@ def test_config_validation():
         SAConfig(gamma=1.0, steps=-1)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_non_finite_gamma_rejected(gamma):
+    with pytest.raises(ValueError, match="finite"):
+        SAConfig(gamma=gamma)
+
+
 def test_transition_rows_sum_to_one():
     g = cycle_graph(7)
     rng = np.random.default_rng(0)

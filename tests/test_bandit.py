@@ -17,6 +17,7 @@ from graphopt import (
     successive_reject,
 )
 from graphopt.bandit import bernoulli_sampler
+from graphopt.oracle import BudgetExhaustedError
 
 
 def test_log_bar_values():
@@ -101,6 +102,93 @@ def test_exhaustion_mid_run_still_returns_an_arm():
     arm = successive_reject(3, sampler, 200, rng)
     assert arm in (0, 1, 2)
     assert o.used <= 20
+
+
+def keyed_min_successive_reject(K, sampler, B, rng):
+    """Reference: successive rejects that rescans every survivor with a
+    keyed min in every phase, on float64/int64 arrays."""
+    sched = budget_schedule(K, B)
+    sums = np.zeros(K)
+    counts = np.zeros(K, dtype=np.int64)
+    remaining = list(range(K))
+    exhausted = False
+    for k in range(1, K):
+        pulls = sched.phase_pulls(k)
+        if pulls > 0 and not exhausted:
+            for arm in remaining:
+                try:
+                    mean, taken = sampler(arm, pulls, rng)
+                except BudgetExhaustedError:
+                    exhausted = True
+                    break
+                sums[arm] += mean * taken
+                counts[arm] += taken
+                if taken < pulls:
+                    exhausted = True
+                    break
+
+        def empirical(arm):
+            if counts[arm] == 0:
+                return -math.inf
+            return sums[arm] / counts[arm]
+
+        worst = min(remaining, key=lambda a: (empirical(a), -a))
+        remaining.remove(worst)
+    return remaining[0]
+
+
+@st.composite
+def sr_cases(draw):
+    K = draw(st.integers(2, 60))
+    kind = draw(st.sampled_from(["random", "lattice", "equal"]))
+    if kind == "random":
+        values = draw(st.lists(st.floats(0, 1), min_size=K, max_size=K))
+    elif kind == "lattice":
+        values = draw(st.lists(st.sampled_from([0, 1 / 3, 2 / 3, 1]), min_size=K, max_size=K))
+    else:
+        values = [draw(st.floats(0, 1))] * K
+    B = K + draw(st.integers(1, 3000))
+    return dict(
+        K=K,
+        values=values,
+        noise=draw(st.sampled_from(["bernoulli", "gaussian"])),
+        R=draw(st.sampled_from([0.0, 0.5])),
+        B=B,
+        oracle_budget=draw(st.none() | st.integers(0, B)),
+        sign=draw(st.sampled_from([1.0, -1.0])),
+        # the sampler call that comes back empty (taken == 0), if any
+        empty_call=draw(st.none() | st.integers(0, 3 * K)),
+        empty_mean=draw(st.floats(-1, 1)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def run_case(case, algorithm):
+    oracle = NoisyOracle(
+        ValueTable(np.array(case["values"])),
+        noise=case["noise"],
+        R=case["R"],
+        budget=case["oracle_budget"],
+    )
+    pull = oracle_sampler(oracle, range(case["K"]), sign=case["sign"])
+    calls = []
+
+    def sampler(arm, count, rng):
+        calls.append((arm, count))
+        if len(calls) - 1 == case["empty_call"]:
+            return case["empty_mean"], 0
+        return pull(arm, count, rng)
+
+    rng = np.random.default_rng(case["seed"])
+    winner = algorithm(case["K"], sampler, case["B"], rng)
+    return winner, oracle.used, calls, rng.random()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sr_cases())
+def test_successive_reject_matches_keyed_min_reference(case):
+    # same winner, same sampler calls in the same order, same draws
+    assert run_case(case, successive_reject) == run_case(case, keyed_min_successive_reject)
 
 
 def test_hardness_pseudo_gap():

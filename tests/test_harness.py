@@ -15,7 +15,7 @@ from graphopt import (
     stats_to_csv,
     trial_rng,
 )
-from graphopt import GridSpec
+from graphopt import GridSpec, harness
 from graphopt.harness import CSV_HEADER
 
 
@@ -102,6 +102,19 @@ def test_failed_trials_become_nan_rows():
     assert all(r.node == -1 and math.isnan(r.gap) for r in recs)
     text = records_to_csv(recs)
     assert "nan" in text
+
+
+def test_unexpected_trial_errors_propagate(monkeypatch):
+    # only budget exhaustion and rejected parameters become failed rows;
+    # a programming error must not turn into a silent NaN row
+    def broken(*args):
+        raise IndexError("bug in the elimination loop")
+
+    monkeypatch.setattr(harness, "successive_reject", broken)
+    g, t = small_instance()
+    cfg = ExperimentConfig(g, t, "sr", (20,), 2, seed=3)
+    with pytest.raises(IndexError):
+        run_trials(cfg)
 
 
 def test_records_sorted_by_algo_budget_trial():

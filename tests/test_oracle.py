@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,13 @@ def test_partial_batch_at_the_cap():
 def test_invalid_noise_name():
     with pytest.raises(ValueError):
         NoisyOracle(ValueTable(np.array([0.5])), noise="cauchy")
+
+
+@pytest.mark.parametrize("noise", ["gaussian", "bernoulli"])
+@pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+def test_non_finite_noise_scale_rejected(noise, R):
+    with pytest.raises(ValueError, match="finite"):
+        NoisyOracle(ValueTable(np.array([0.5])), noise=noise, R=R)
 
 
 def test_smoothed_sample_meters_one_draw():
