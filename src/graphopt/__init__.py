@@ -87,7 +87,7 @@ from .nnsearch import (
 )
 from .oracle import BudgetExhaustedError, NoisyOracle, smoothed_sample
 from .records import TrialRecord
-from .values import ValueFormatError, ValueTable, load_values, save_values
+from .values import ValueFormatError, ValueTable, load_values, parse_values, save_values
 
 __version__ = "0.1.0"
 

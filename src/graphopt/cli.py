@@ -26,6 +26,7 @@ from .nnsearch import (
     recall_at_k,
     sgnn_query,
 )
+from .values import parse_values
 
 
 class UsageError(Exception):
@@ -68,28 +69,6 @@ def _load_instance(graph_path: str, values_path: str | None):
     return g, table
 
 
-def _load_exact_values(values_path: str, n: int, negate: bool) -> list[Fraction]:
-    """Value file parsed as exact decimals for knife-edge certification."""
-    vals: list[Fraction] = []
-    with open(values_path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            node_txt, _, val_txt = line.partition(",")
-            try:
-                node = int(node_txt)
-                val = Fraction(val_txt)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"{values_path}:{lineno}: {exc}")
-            if node != len(vals):
-                raise ValueError(f"{values_path}:{lineno}: node ids must ascend from 0")
-            vals.append(-val if negate else val)
-    if len(vals) != n:
-        raise ValueError(f"{values_path}: expected {n} values, found {len(vals)}")
-    return vals
-
-
 def _cmd_gen_grid(args) -> int:
     spec = GridSpec(D=args.D, target_degree=args.target_degree, seed=args.seed)
     g, table = make_grid_graph(spec)
@@ -105,9 +84,12 @@ def _cmd_gen_knn(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    g, _ = load_graph(args.graph, None)
+    g, _ = load_graph(args.graph, with_values=False)
     values_path = args.values if args.values else f"{args.graph}.values"
-    vals = _load_exact_values(values_path, g.n, args.negate)
+    # exact decimals, so knife-edge instances certify exactly
+    vals = parse_values(values_path, g.n, number=Fraction)
+    if args.negate:
+        vals = [-v for v in vals]
     lines = []
     if args.nearly:
         if args.alpha is None or args.c is None:

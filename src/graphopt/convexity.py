@@ -1,9 +1,12 @@
 """Certificates of graph convexity for minimization instances.
 
-A value table here is any indexable sequence of numbers; arithmetic is done
-with plain Python operators so exact types (fractions.Fraction, Decimal)
-certify knife-edge instances exactly. ValueTable inputs are unwrapped to
-Python floats.
+A value table here is any indexable sequence of numbers. When the values
+and the parameters are all ``numbers.Rational`` (int, fractions.Fraction),
+the certificates map them once to Python ints over their common
+denominator and decide knife-edge instances exactly on those integers.
+Any other input (floats, Decimal, a mix of floats and Fractions) keeps its
+own arithmetic through plain Python operators. ValueTable inputs are
+unwrapped to Python floats.
 
 All definitions are oriented toward minimization: a step x -> z improves
 when f(x) - f(z) > 0. Negate the values to reason about maximization.
@@ -11,7 +14,10 @@ when f(x) - f(z) > 0. Negate the values to reason about maximization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 from .graphs import Graph, Path
@@ -22,6 +28,23 @@ def _vals(values) -> Sequence:
     if isinstance(values, ValueTable):
         return values.means.tolist()
     return values
+
+
+def _on_integers(vals, ratio, c=0):
+    """One normalisation at entry: (values, L, (num, den) of ratio, c).
+
+    When the values, ``ratio`` and ``c`` are all Rational, the values and
+    c come back as ints over L, the lcm of their denominators, and ratio as
+    its numerator and denominator, so every comparison is integer-exact. A
+    value v maps back as Fraction(v, L). Any other input comes back
+    unchanged, with L None and ratio as (ratio, 1).
+    """
+    if not all(isinstance(v, Rational) for v in (ratio, c, *vals)):
+        return vals, None, (ratio, 1), c
+    L = math.lcm(c.denominator, *{v.denominator for v in vals})
+    ints = [int(v.numerator) * (L // int(v.denominator)) for v in vals]
+    scaled_c = int(c.numerator) * (L // int(c.denominator))
+    return ints, L, (int(ratio.numerator), int(ratio.denominator)), scaled_c
 
 
 def improvement_delta(g: Graph, values, x: int, z: int):
@@ -107,10 +130,11 @@ def certify_strongly_convex(g: Graph, values, m) -> StrongConvexityCertificate:
     n = g.n
     if len(vals) != n:
         raise ValueError("value table size does not match graph")
+    # (1+m) * M(z) <= delta is tested as p * M(z) <= q * delta, p/q = 1+m
+    vals, L, (p, q), _ = _on_integers(vals, 1 + m)
     best_value = min(vals)
     tied = tuple(x for x in range(n) if vals[x] == best_value)
     x_star = tied[0]
-    one_plus_m = 1 + m
 
     order = sorted(range(n), key=lambda x: (vals[x], x))
     first_step: dict = {x_star: 0}
@@ -118,21 +142,24 @@ def certify_strongly_convex(g: Graph, values, m) -> StrongConvexityCertificate:
     for x in order:
         if x == x_star:
             continue
+        vx = vals[x]
         best = None
         best_z = None
-        for z in g.neighbors(x):
-            delta = vals[x] - vals[z]
+        for z in g.adjacency[x]:
+            delta = vx - vals[z]
             if delta <= 0:
                 continue
             mz = first_step.get(z)
             if mz is None:
                 continue
-            if one_plus_m * mz <= delta and (best is None or delta < best):
+            if p * mz <= q * delta and (best is None or delta < best):
                 best = delta
                 best_z = z
         if best is not None:
             first_step[x] = best
             next_node[x] = best_z
+    if L is not None:
+        first_step = {x: Fraction(v, L) for x, v in first_step.items()}
     uncertifiable = tuple(x for x in range(n) if x not in first_step)
     return StrongConvexityCertificate(
         g, m, x_star, tied, first_step, next_node, uncertifiable
@@ -188,14 +215,19 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
     n = g.n
     if len(vals) != n:
         raise ValueError("value table size does not match graph")
+    # best >= alpha * gap is tested as den * best >= num * gap
+    vals, L, (num, den), climb = _on_integers(vals, alpha, c)
     best_value = min(vals)
     x_star = min(x for x in range(n) if vals[x] == best_value)
+    v_star = vals[x_star]
 
     core = {x_star}
     for x in range(n):
-        if x == x_star or not g.neighbors(x):
+        nbrs = g.adjacency[x]
+        if x == x_star or not nbrs:
             continue
-        if best_improvement(g, vals, x) >= alpha * (vals[x] - vals[x_star]):
+        vx = vals[x]
+        if den * max(vx - vals[z] for z in nbrs) >= num * (vx - v_star):
             core.add(x)
 
     hops: dict = {}
@@ -205,7 +237,7 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
     for x in range(n):
         if x in core:
             continue
-        cap = vals[x] + c
+        cap = vals[x] + climb
         parent = {x: None}
         frontier = [x]
         found = None
@@ -214,7 +246,7 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
             depth += 1
             nxt = []
             for u in frontier:
-                for z in g.neighbors(u):
+                for z in g.adjacency[u]:
                     if z in parent or vals[z] > cap:
                         continue
                     parent[z] = u
@@ -235,6 +267,8 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
         hops[x] = depth
         elevation[x] = max(vals[z] for z in nodes) - vals[x]
         witness[x] = tuple(nodes)
+    if L is not None:
+        elevation = {x: Fraction(v, L) for x, v in elevation.items()}
     return NearConvexityReport(
         g, alpha, c, x_star, frozenset(core), hops, elevation, witness, tuple(infeasible)
     )

@@ -262,24 +262,36 @@ def make_knn_graph(points, N: int) -> Graph:
     """Directed graph linking each point to its N nearest others.
 
     Distance is Euclidean; ties prefer the lower node id. ``points`` is an
-    (n, dim) float array (or anything exposing ``coords`` shaped that way).
+    (n, dim) finite float array (or anything exposing ``coords`` shaped
+    that way).
     """
     coords = np.asarray(getattr(points, "coords", points), dtype=float)
     if coords.ndim != 2 or coords.shape[0] < 2:
         raise ValueError("points must be an (n, dim) array with n >= 2")
-    n = coords.shape[0]
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("coordinates must be finite")
+    n, dim = coords.shape
     if not 0 < N < n:
         raise ValueError(f"N must be in 1..{n - 1}")
-    adjacency = []
-    chunk = max(1, min(n, 2_000_000 // n))
+    adjacency: list[tuple[int, ...]] = []
+    # rows per block: the (rows, n, dim) difference stays near 2M floats
+    chunk = max(1, 2_000_000 // (n * max(dim, 1)))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         diff = coords[lo:hi, None, :] - coords[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        for row in range(hi - lo):
-            d2[row, lo + row] = np.inf
-            order = np.argsort(d2[row], kind="stable")[:N]
-            adjacency.append(tuple(sorted(int(v) for v in order)))
+        rows = np.arange(hi - lo)
+        d2[rows, lo + rows] = np.inf
+        # the N-th smallest distance per row; everything below it is taken,
+        # then ties at it fill up the row lowest id first, which is exactly
+        # the set a stable argsort(...)[:N] selects
+        kth = np.partition(d2, N - 1, axis=1)[:, N - 1 : N]
+        below = d2 < kth
+        ties = d2 == kth
+        room = N - np.count_nonzero(below, axis=1)
+        take = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
+        ids = np.nonzero(take)[1].reshape(hi - lo, N)
+        adjacency.extend(map(tuple, ids.tolist()))
     return Graph(n, True, tuple(adjacency))
 
 
@@ -307,14 +319,18 @@ def save_graph(g: Graph, path, values: ValueTable | None = None, values_path=Non
         fh.writelines(lines)
 
 
-def load_graph(path, values_path=None) -> tuple[Graph, ValueTable | None]:
+def load_graph(
+    path, values_path=None, *, with_values: bool = True
+) -> tuple[Graph, ValueTable | None]:
     """Parse a graph file; raises GraphFormatError with the line number.
 
     Values are loaded from ``values_path`` when given, else from
     ``<path>.values`` when that file exists; otherwise None is returned
-    in their place.
+    in their place. ``with_values=False`` parses the graph file alone.
     """
     g = _parse_graph(path)
+    if not with_values:
+        return g, None
     if values_path is None:
         default = f"{path}.values"
         values_path = default if os.path.exists(default) else None

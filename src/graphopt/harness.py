@@ -8,6 +8,7 @@ import io
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Rational, Real
 from typing import Iterable
 
 import numpy as np
@@ -60,6 +61,13 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed is None:
             raise ValueError("a master seed is required; no wall-clock seeding")
+        if not math.isfinite(self.noise_scale):
+            raise ValueError(f"noise_scale must be finite, got {self.noise_scale}")
+        for key, value in self.params.items():
+            # exact rationals are always finite and may be too large for a float
+            inexact = isinstance(value, Real) and not isinstance(value, Rational)
+            if inexact and not math.isfinite(value):
+                raise ValueError(f"params[{key!r}] must be finite, got {value}")
 
 
 def trial_rng(seed: int, budget: int, trial: int) -> np.random.Generator:

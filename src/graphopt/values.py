@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,12 +63,14 @@ def save_values(table: ValueTable | Sequence[float], path) -> None:
             fh.write(f"{i},{float(v):.17g}\n")
 
 
-def load_values(path, n: int | None = None) -> ValueTable:
-    """Parse a ``node,value`` file; ids must be 0..n-1 ascending, no gaps.
+def parse_values(path, n: int | None = None, number: Callable = float) -> list:
+    """Parse a ``node,value`` file into a list of ``number(text)`` values.
 
-    Raises ValueFormatError with the offending line number on any defect.
+    Ids must be 0..n-1 ascending, no gaps; values must be finite. Pass
+    ``number=fractions.Fraction`` to read the decimals exactly. Raises
+    ValueFormatError with the offending line number on any defect.
     """
-    means: list[float] = []
+    vals: list = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -78,19 +81,25 @@ def load_values(path, n: int | None = None) -> ValueTable:
                 raise ValueFormatError(f"{path}:{lineno}: expected 'node,value', got {line!r}")
             try:
                 node = int(parts[0])
-                val = float(parts[1])
-            except ValueError as exc:
+                val = number(parts[1])
+            except (ValueError, ZeroDivisionError) as exc:
                 raise ValueFormatError(f"{path}:{lineno}: {exc}") from exc
-            if node != len(means):
+            if node != len(vals):
                 raise ValueFormatError(
                     f"{path}:{lineno}: node ids must ascend without gaps "
-                    f"(expected {len(means)}, got {node})"
+                    f"(expected {len(vals)}, got {node})"
                 )
-            if not np.isfinite(val):
+            # exact numbers such as Fraction are always finite
+            if isinstance(val, float) and not math.isfinite(val):
                 raise ValueFormatError(f"{path}:{lineno}: non-finite value")
-            means.append(val)
-    if not means:
+            vals.append(val)
+    if not vals:
         raise ValueFormatError(f"{path}: empty value file")
-    if n is not None and len(means) != n:
-        raise ValueFormatError(f"{path}: expected {n} values, found {len(means)}")
-    return ValueTable(np.array(means))
+    if n is not None and len(vals) != n:
+        raise ValueFormatError(f"{path}: expected {n} values, found {len(vals)}")
+    return vals
+
+
+def load_values(path, n: int | None = None) -> ValueTable:
+    """Read a ``node,value`` file (see parse_values) into a ValueTable."""
+    return ValueTable(np.array(parse_values(path, n)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphopt import PointSet, load_graph, save_points
+from graphopt import Graph, PointSet, load_graph, save_graph, save_points
 from graphopt.cli import cli
 
 
@@ -65,6 +65,25 @@ def test_certify_nearly_mode(tmp_path, capsys):
     assert "nearly convex" in stderr
 
 
+def test_certify_reads_the_value_file_once_and_exactly(tmp_path, capsys):
+    # certify parses <graph>.values once, as Fractions: "1/3" is no float
+    # literal, and steps 4/9 then 1/3 certify exactly up to m = 1/3
+    out = tmp_path / "path.txt"
+    save_graph(Graph.from_edges(3, [(0, 1), (1, 2)]), out)
+    values = tmp_path / "path.txt.values"
+    values.write_text("0,0\n1,1/3\n2,7/9\n")
+    code, stdout, stderr = run_cli(capsys, "certify", "--graph", str(out), "--m", "1/3")
+    assert code == 0, stderr
+    assert stdout == "node,M\n0,0.0\n1,0.3333333333333333\n2,0.4444444444444444\n"
+    above = f"{10**30 + 3}/{3 * 10**30}"  # 1/3 + 1e-30
+    code, _, stderr = run_cli(capsys, "certify", "--graph", str(out), "--m", above)
+    assert code == 1 and "not certifiable" in stderr
+    values.write_text("0,0\n1,one third\n2,7/9\n")
+    code, _, stderr = run_cli(capsys, "certify", "--graph", str(out), "--m", "1/3")
+    assert code == 1
+    assert f"{values}:2:" in stderr
+
+
 def test_certify_needs_parameters(tmp_path, capsys):
     out = tmp_path / "grid.txt"
     run_cli(capsys, "gen-grid", "--D", "2", "--target-degree", "8", "--seed", "3", "--out", str(out))
@@ -104,6 +123,22 @@ def test_run_sa_needs_gamma(tmp_path, capsys):
     )
     assert code == 2
     assert "gamma" in err
+
+
+def test_run_rejects_non_finite_settings(tmp_path, capsys):
+    out = tmp_path / "grid.txt"
+    run_cli(capsys, "gen-grid", "--D", "2", "--target-degree", "8", "--seed", "5", "--out", str(out))
+    for extra in (
+        ("--algo", "sr", "--noise", "gaussian", "--noise-scale", "nan"),
+        ("--algo", "sa", "--gamma", "inf"),
+    ):
+        code, stdout, err = run_cli(
+            capsys, "run", "--graph", str(out), "--budget", "100", "--trials", "2",
+            "--seed", "1", *extra,
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "must be finite" in err
+        assert stdout == ""
 
 
 def test_run_rejects_malformed_graph_file(tmp_path, capsys):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphopt import (
     Graph,
@@ -179,3 +181,152 @@ def test_lemma1_gap_bound():
     assert lemma1_gap_bound(2.0, 1.0) == pytest.approx(1.5)
     with pytest.raises(ValueError):
         lemma1_gap_bound(0.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the direct Fraction-arithmetic certificates.
+#
+# The certificates map Rational inputs to ints over a common denominator;
+# the references below do every step in the inputs' own arithmetic.
+
+
+def reference_strong(g, vals, m):
+    best_value = min(vals)
+    tied = tuple(x for x in range(g.n) if vals[x] == best_value)
+    x_star = tied[0]
+    first_step, next_node = {x_star: 0}, {}
+    for x in sorted(range(g.n), key=lambda x: (vals[x], x)):
+        if x == x_star:
+            continue
+        best = best_z = None
+        for z in g.neighbors(x):
+            delta = vals[x] - vals[z]
+            if delta <= 0 or z not in first_step:
+                continue
+            if (1 + m) * first_step[z] <= delta and (best is None or delta < best):
+                best, best_z = delta, z
+        if best is not None:
+            first_step[x], next_node[x] = best, best_z
+    uncertifiable = tuple(x for x in range(g.n) if x not in first_step)
+    return dict(
+        certified=not uncertifiable, minimizer=x_star, tied_minima=tied,
+        first_step=first_step, next_node=next_node, uncertifiable=uncertifiable,
+    )
+
+
+def reference_near(g, vals, alpha, c):
+    best_value = min(vals)
+    x_star = min(x for x in range(g.n) if vals[x] == best_value)
+    core = {x_star}
+    for x in range(g.n):
+        if x != x_star and g.neighbors(x):
+            if best_improvement(g, vals, x) >= alpha * (vals[x] - vals[x_star]):
+                core.add(x)
+    hops, elevation, witness, infeasible = {}, {}, {}, []
+    for x in range(g.n):
+        if x in core:
+            continue
+        parent, frontier, found, depth = {x: None}, [x], None, 0
+        while frontier and found is None:
+            depth += 1
+            nxt = []
+            for u in frontier:
+                for z in g.neighbors(u):
+                    if z in parent or vals[z] > vals[x] + c:
+                        continue
+                    parent[z] = u
+                    if z in core:
+                        found = z
+                        break
+                    nxt.append(z)
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is None:
+            infeasible.append(x)
+            continue
+        nodes = [found]
+        while parent[nodes[-1]] is not None:
+            nodes.append(parent[nodes[-1]])
+        nodes.reverse()
+        hops[x] = depth
+        elevation[x] = max(vals[z] for z in nodes) - vals[x]
+        witness[x] = tuple(nodes)
+    return dict(
+        certified=not infeasible, minimizer=x_star, core=frozenset(core), hops=hops,
+        elevation=elevation, witness=witness, infeasible=tuple(infeasible),
+    )
+
+
+def assert_same_certificates(g, vals, m, alpha, c, same_types=False):
+    cert = certify_strongly_convex(g, vals, m)
+    want = reference_strong(g, vals, m)
+    assert {key: getattr(cert, key) for key in want} == want
+    rep = certify_nearly_convex(g, vals, alpha, c)
+    want_near = reference_near(g, vals, alpha, c)
+    assert {key: getattr(rep, key) for key in want_near} == want_near
+    if same_types:
+        # non-Rational inputs keep their own arithmetic, result types included
+        assert [type(v) for v in cert.first_step.values()] == [
+            type(v) for v in want["first_step"].values()
+        ]
+        assert [type(v) for v in rep.elevation.values()] == [
+            type(v) for v in want_near["elevation"].values()
+        ]
+
+
+@st.composite
+def rational_instances(draw):
+    n = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}  # a random tree
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    g = Graph.from_edges(n, sorted(edges))
+    dens = draw(st.sampled_from([(1,), (2, 3), (10, 100, 1000), tuple(range(1, 13))]))
+    value = st.builds(Fraction, st.integers(-30, 30), st.sampled_from(dens))
+    if draw(st.booleans()):
+        vals = draw(st.lists(value, min_size=n, max_size=n))
+    else:  # a small pool of values: tied minima and equal steps
+        pool = draw(st.lists(value, min_size=1, max_size=3))
+        vals = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if dens == (1,) and draw(st.booleans()):
+        vals = [int(v) for v in vals]
+    ratio = st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))
+    m = draw(ratio)
+    deltas = sorted({vals[a] - vals[b] for a, b in edges if vals[a] != vals[b]}, key=abs)
+    if len(deltas) >= 2 and draw(st.booleans()):
+        # knife edge: 1+m is exactly (or 1e-40 off) a ratio of two steps
+        d1, d2 = draw(st.permutations([abs(d) for d in deltas]))[:2]
+        eps = draw(st.sampled_from([0, Fraction(1, 10**40), -Fraction(1, 10**40)]))
+        if d1 / d2 - 1 + eps > 0:
+            m = d1 / d2 - 1 + eps
+    alpha = draw(ratio)
+    # c's denominator need not divide any value's denominator
+    c = Fraction(draw(st.integers(0, 20)), draw(st.sampled_from([1, 7, 11, 97, 10**40])))
+    return g, vals, m, alpha, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=rational_instances())
+def test_integer_certificates_match_fraction_reference(case):
+    assert_same_certificates(*case)
+
+
+def test_integer_certificates_match_reference_at_the_knife_edge():
+    g, vals = grid_fractions(4)
+    eps = Fraction(1, 10**40)
+    for m in (Fraction(2, 5) - eps, Fraction(2, 5), Fraction(2, 5) + eps):
+        for c in (Fraction(0), Fraction(1, 3), Fraction(1, 7) + eps):
+            assert_same_certificates(g, vals, m, m / (1 + m), c)
+            assert_same_certificates(g, vals, m, m / (1 + m) + eps, c)
+
+
+def test_float_and_mixed_inputs_keep_their_arithmetic():
+    g, exact = grid_fractions(4)
+    floats = [float(v) for v in exact]
+    mixed = [v if i % 2 else float(v) for i, v in enumerate(exact)]
+    for vals in (floats, mixed):
+        for m, alpha, c in ((0.4, 0.3, 0.1), (Fraction(2, 5), Fraction(2, 7), Fraction(1, 7))):
+            assert_same_certificates(g, vals, m, alpha, c, same_types=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphopt import (
     Graph,
@@ -139,6 +141,70 @@ def test_knn_graph_tie_prefers_lower_id():
     g = make_knn_graph(PointSet(coords), 1)
     # nodes 1 and 2 are equidistant from 0; lower id wins
     assert g.neighbors(0) == (1,)
+
+
+def argsort_knn(coords, N):
+    """The per-row stable-argsort selection the block selection replaced."""
+    n = coords.shape[0]
+    adjacency = []
+    chunk = max(1, min(n, 2_000_000 // n))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        diff = coords[lo:hi, None, :] - coords[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        for row in range(hi - lo):
+            d2[row, lo + row] = np.inf
+            order = np.argsort(d2[row], kind="stable")[:N]
+            adjacency.append(tuple(sorted(int(v) for v in order)))
+    return Graph(n, True, tuple(adjacency))
+
+
+@st.composite
+def point_clouds(draw):
+    kind = draw(st.sampled_from(["gaussian", "lattice", "line", "wide"]))
+    n = draw(st.integers(2, 60))
+    dim = draw(st.integers(1, 6))
+    if kind == "line":
+        dim = 1
+    elif kind == "wide":
+        # (rows, n, dim) blocks of about 2M floats: these span several blocks
+        n, dim = draw(st.integers(60, 120)), draw(st.integers(400, 800))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        # few distinct coordinates: many exact distance ties
+        coords = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    elif kind == "line":
+        coords = rng.integers(-5, 6, size=(n, 1)) * 0.5
+    else:
+        coords = rng.normal(size=(n, dim))
+    N = draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+    return coords, N
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=point_clouds())
+def test_knn_block_selection_matches_stable_argsort(case, tmp_path_factory):
+    coords, N = case
+    g = make_knn_graph(coords, N)
+    want = argsort_knn(coords, N)
+    assert g.adjacency == want.adjacency
+    out = tmp_path_factory.mktemp("knn")
+    save_graph(g, out / "new.txt")
+    save_graph(want, out / "old.txt")
+    assert (out / "new.txt").read_bytes() == (out / "old.txt").read_bytes()
+
+
+def test_knn_block_selection_matches_stable_argsort_across_tall_blocks():
+    # n^2 * dim above 2M floats: several row blocks, ties from the lattice
+    rng = np.random.default_rng(5)
+    for coords in (rng.normal(size=(640, 8)), rng.integers(-3, 4, size=(640, 8)) * 1.0):
+        assert make_knn_graph(coords, 10).adjacency == argsort_knn(coords, 10).adjacency
+
+
+def test_knn_graph_rejects_non_finite_points():
+    coords = np.array([[0.0], [1.0], [np.nan]])
+    with pytest.raises(ValueError, match="finite"):
+        make_knn_graph(coords, 1)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -44,6 +44,21 @@ def test_config_validation():
         ExperimentConfig(g, t, "sr", (10,), 1, None)
 
 
+def test_non_finite_settings_rejected_up_front():
+    # a NaN/inf setting must be refused, not surface as node=-1, gap=nan rows
+    g, t = small_instance()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="noise_scale"):
+            ExperimentConfig(g, t, "sr", (20,), 2, 3, noise="gaussian", noise_scale=bad)
+        with pytest.raises(ValueError, match="gamma"):
+            ExperimentConfig(g, t, "sa", (20,), 2, 3, params={"gamma": bad})
+        with pytest.raises(ValueError, match="steps"):
+            ExperimentConfig(g, t, "sa", (20,), 2, 3, params={"gamma": 1.0, "steps": bad})
+    # finite settings, restarts=None and exact numbers still pass
+    ExperimentConfig(g, t, "ed", (20,), 2, 3, params={"path_len": 4, "restarts": None})
+    ExperimentConfig(g, t, "sa", (20,), 2, 3, params={"gamma": np.float32(2.0), "s": 3})
+
+
 def test_trial_rng_streams_are_distinct():
     a = trial_rng(1, 100, 0).random(4)
     b = trial_rng(1, 100, 1).random(4)

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from graphopt import ValueFormatError, ValueTable, load_values, save_values
+from graphopt import ValueFormatError, ValueTable, load_values, parse_values, save_values
 
 
 def test_table_basics():
@@ -53,3 +55,22 @@ def test_load_reports_line_numbers(tmp_path):
     with pytest.raises(ValueFormatError) as err:
         load_values(p)
     assert ":2:" in str(err.value)
+
+
+def test_load_rejects_non_finite_values(tmp_path):
+    p = tmp_path / "v.txt"
+    for bad in ("nan", "inf", "-inf"):
+        p.write_text(f"0,1.0\n1,{bad}\n")
+        with pytest.raises(ValueFormatError, match=":2: non-finite"):
+            load_values(p)
+
+
+def test_parse_values_reads_exact_numbers(tmp_path):
+    p = tmp_path / "v.txt"
+    p.write_text("0,0.1\n1,1/3\n2,1e400\n")
+    assert parse_values(p, 3, number=Fraction) == [Fraction(1, 10), Fraction(1, 3), 10**400]
+    with pytest.raises(ValueFormatError, match=":2:"):
+        parse_values(p, 3)  # "1/3" is no float literal
+    p.write_text("0,0.1\n1,1/0\n")
+    with pytest.raises(ValueFormatError, match=":2:"):
+        parse_values(p, number=Fraction)
