@@ -8,6 +8,7 @@ go to stdout unless --out names a file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -40,10 +41,20 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
+        return [_finite_float(tok) for tok in text.split(",") if tok]
+    except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {exc}")
 
 
@@ -289,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = bsub.add_parser("sr")
     b.add_argument("--K", type=int, required=True)
-    b.add_argument("--H", type=float, required=True)
+    b.add_argument("--H", type=_finite_float, required=True)
     b.add_argument("--B", type=int, required=True)
     b.add_argument("--out")
     b.set_defaults(fn=_cmd_bound)
 
     b = bsub.add_parser("sr-loose")
     b.add_argument("--n", type=int, required=True)
-    b.add_argument("--delta1", type=float, required=True)
+    b.add_argument("--delta1", type=_finite_float, required=True)
     b.add_argument("--B", type=int, required=True)
     b.add_argument("--out")
     b.set_defaults(fn=_cmd_bound)
@@ -309,26 +320,26 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=_cmd_bound)
 
     b = bsub.add_parser("sa-convex")
-    b.add_argument("--alpha", type=float, required=True)
+    b.add_argument("--alpha", type=_finite_float, required=True)
     b.add_argument("--d", type=int, required=True)
-    b.add_argument("--eps", type=float, required=True)
-    b.add_argument("--gap", type=float, required=True)
+    b.add_argument("--eps", type=_finite_float, required=True)
+    b.add_argument("--gap", type=_finite_float, required=True)
     b.add_argument("--out")
     b.set_defaults(fn=_cmd_bound)
 
     b = bsub.add_parser("sa-nearly")
-    b.add_argument("--alpha", type=float, required=True)
-    b.add_argument("--c", type=float, required=True)
+    b.add_argument("--alpha", type=_finite_float, required=True)
+    b.add_argument("--c", type=_finite_float, required=True)
     b.add_argument("--r", type=int, required=True)
     b.add_argument("--d", type=int, required=True)
-    b.add_argument("--F", type=float, required=True)
+    b.add_argument("--F", type=_finite_float, required=True)
     b.add_argument("--out")
     b.set_defaults(fn=_cmd_bound)
 
     b = bsub.add_parser("sa-samples")
     b.add_argument("--r", type=int, required=True)
-    b.add_argument("--gamma", type=float, required=True)
-    b.add_argument("--R", type=float, required=True)
+    b.add_argument("--gamma", type=_finite_float, required=True)
+    b.add_argument("--R", type=_finite_float, required=True)
     b.add_argument("--out")
     b.set_defaults(fn=_cmd_bound)
 

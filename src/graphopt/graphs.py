@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -33,40 +34,34 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __post_init__(self):
-        if self.n <= 0:
+        n = self.n
+        if n <= 0:
             raise ValueError("graph must have at least one node")
-        if len(self.adjacency) != self.n:
+        if len(self.adjacency) != n:
             raise ValueError("adjacency length must equal n")
-        for u, nbrs in enumerate(self.adjacency):
-            seen = set()
-            for v in nbrs:
-                if not 0 <= v < self.n:
-                    raise ValueError(f"node {u}: neighbor {v} out of range")
-                if v == u:
-                    raise ValueError(f"self-loop at node {u}")
-                if v in seen:
-                    raise ValueError(f"duplicate edge {u}->{v}")
-                seen.add(v)
-            if tuple(sorted(nbrs)) != tuple(nbrs):
-                raise ValueError(f"adjacency of node {u} not sorted")
+        lens = np.fromiter(map(len, self.adjacency), dtype=np.intp, count=n)
+        dst = _int_array(list(chain.from_iterable(self.adjacency)))
+        src = np.repeat(np.arange(n), lens)
+        fault = (dst < 0) | (dst >= n) | (dst == src)
+        # a row that rises strictly is sorted and free of duplicates
+        fault[1:] |= (dst[1:] <= dst[:-1]) & (src[1:] == src[:-1])
+        if fault.any():
+            u = int(src[np.argmax(fault)])
+            raise ValueError(_row_fault(u, self.adjacency[u], n))
         if not self.directed:
-            for u, nbrs in enumerate(self.adjacency):
-                for v in nbrs:
-                    if u not in self.adjacency[v]:
-                        raise ValueError(f"asymmetric undirected edge {u}-{v}")
+            # keys u*n+v ascend already (rows in order, each rising); the
+            # graph is symmetric iff they equal the reversed keys v*n+u
+            keys = src * n + dst
+            back = np.sort(dst * n + src)
+            if not np.array_equal(keys, back):
+                i = int(np.argmax(~np.isin(keys, back)))
+                raise ValueError(f"asymmetric undirected edge {src[i]}-{dst[i]}")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]], directed: bool = False) -> "Graph":
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            adj[u].add(v)
-            if not directed:
-                adj[v].add(u)
-        return Graph(n, directed, tuple(tuple(sorted(s)) for s in adj))
+        """Graph on the set of ``edges``; a repeated edge is allowed."""
+        pairs = _int_array(list(edges)).reshape(-1, 2)
+        return _from_pairs(n, directed, pairs[:, 0], pairs[:, 1])
 
     def neighbors(self, x: int) -> tuple[int, ...]:
         return self.adjacency[x]
@@ -81,6 +76,53 @@ class Graph:
     def edge_count(self) -> int:
         total = sum(len(nbrs) for nbrs in self.adjacency)
         return total if self.directed else total // 2
+
+
+def _int_array(values: list) -> np.ndarray:
+    """``values`` as int64, or as exact Python ints when one lies beyond
+    int64 (and so out of range of any graph)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _row_fault(u: int, nbrs, n: int) -> str:
+    """The first fault in a faulty adjacency row, in the order it is checked."""
+    seen = set()
+    for v in nbrs:
+        if not 0 <= v < n:
+            return f"node {u}: neighbor {v} out of range"
+        if v == u:
+            return f"self-loop at node {u}"
+        if v in seen:
+            return f"duplicate edge {u}->{v}"
+        seen.add(v)
+    return f"adjacency of node {u} not sorted"
+
+
+def _from_pairs(n: int, directed: bool, u: np.ndarray, v: np.ndarray) -> Graph:
+    """Graph on the edges (u[i], v[i]), both directions when undirected.
+
+    Raises on the first edge out of range or looping back to its source.
+    """
+    out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    bad = out | (u == v)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if out[i]:
+            raise ValueError(f"edge ({u[i]},{v[i]}) out of range")
+        raise ValueError(f"self-loop at node {u[i]}")
+    keys = u * n + v
+    if not directed:
+        keys = np.concatenate((keys, v * n + u))
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # each edge once
+    src, dst = np.divmod(keys, n)
+    ends = np.cumsum(np.bincount(src, minlength=max(n, 0))).tolist()  # Graph rejects n <= 0
+    dst = dst.tolist()
+    starts = [0, *ends[:-1]]
+    return Graph(n, directed, tuple(tuple(dst[a:b]) for a, b in zip(starts, ends)))
 
 
 @dataclass(frozen=True)
@@ -175,20 +217,13 @@ def make_plain_grid(D: int) -> tuple[Graph, ValueTable]:
     if D < 1:
         raise ValueError("D must be >= 1")
     side = 2 * D + 1
-    edges = []
-    for x in range(-D, D + 1):
-        for y in range(-D, D + 1):
-            u = grid_node_id(x, y, D)
-            for dx, dy in ((0, 1), (1, -1), (1, 0), (1, 1)):
-                nx, ny = x + dx, y + dy
-                if -D <= nx <= D and -D <= ny <= D:
-                    edges.append((u, grid_node_id(nx, ny, D)))
-    g = Graph.from_edges(side * side, edges, directed=False)
-    means = np.empty(side * side)
-    for x in range(-D, D + 1):
-        for y in range(-D, D + 1):
-            means[grid_node_id(x, y, D)] = grid_value(x, y, D)
-    return g, ValueTable(means)
+    ids = np.arange(side * side).reshape(side, side)  # ids[x + D, y + D]
+    # each node to its (0,1), (1,-1), (1,0) and (1,1) neighbours
+    u = np.concatenate([ids[:, :-1], ids[:-1, 1:], ids[:-1, :], ids[:-1, :-1]], axis=None)
+    v = np.concatenate([ids[:, 1:], ids[1:, :-1], ids[1:, :], ids[1:, 1:]], axis=None)
+    g = _from_pairs(side * side, False, u, v)
+    c = np.arange(-D, D + 1)
+    return g, ValueTable(grid_value(c[:, None], c[None, :], D).ravel())
 
 
 def make_grid_graph(spec: GridSpec) -> tuple[Graph, ValueTable]:
@@ -257,6 +292,10 @@ def make_grid_graph(spec: GridSpec) -> tuple[Graph, ValueTable]:
 # ---------------------------------------------------------------------------
 # k-nearest-neighbor graphs over point clouds
 
+# rows per kNN block: the (rows, n, dim) difference holds about this many
+# floats (2 MB), so it stays in cache between the subtraction and the einsum
+_KNN_BLOCK_FLOATS = 1 << 18
+
 
 def make_knn_graph(points, N: int) -> Graph:
     """Directed graph linking each point to its N nearest others.
@@ -274,22 +313,24 @@ def make_knn_graph(points, N: int) -> Graph:
     if not 0 < N < n:
         raise ValueError(f"N must be in 1..{n - 1}")
     adjacency: list[tuple[int, ...]] = []
-    # rows per block: the (rows, n, dim) difference stays near 2M floats
-    chunk = max(1, 2_000_000 // (n * max(dim, 1)))
+    chunk = max(1, _KNN_BLOCK_FLOATS // (n * max(dim, 1)))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         diff = coords[lo:hi, None, :] - coords[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         rows = np.arange(hi - lo)
         d2[rows, lo + rows] = np.inf
-        # the N-th smallest distance per row; everything below it is taken,
-        # then ties at it fill up the row lowest id first, which is exactly
-        # the set a stable argsort(...)[:N] selects
+        # everything up to each row's N-th smallest distance is taken; a row
+        # with ties there keeps all below it, then the ties lowest id first,
+        # which is exactly the set a stable argsort(...)[:N] selects
         kth = np.partition(d2, N - 1, axis=1)[:, N - 1 : N]
-        below = d2 < kth
-        ties = d2 == kth
-        room = N - np.count_nonzero(below, axis=1)
-        take = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
+        take = d2 <= kth
+        tied = np.flatnonzero(np.count_nonzero(take, axis=1) > N)
+        if tied.size:
+            d, k = d2[tied], kth[tied]
+            below, ties = d < k, d == k
+            room = N - np.count_nonzero(below, axis=1)
+            take[tied] = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
         ids = np.nonzero(take)[1].reshape(hi - lo, N)
         adjacency.extend(map(tuple, ids.tolist()))
     return Graph(n, True, tuple(adjacency))
@@ -309,12 +350,13 @@ def save_graph(g: Graph, path, values: ValueTable | None = None, values_path=Non
     if values is not None:
         save_values(values, values_path if values_path is not None else f"{path}.values")
     lines = [f"n {g.n} directed {1 if g.directed else 0}\n"]
-    if g.directed:
-        pairs = [(u, v) for u in range(g.n) for v in g.adjacency[u]]
-    else:
-        pairs = [(u, v) for u in range(g.n) for v in g.adjacency[u] if u < v]
-    for u, v in sorted(pairs):
-        lines.append(f"{u} {v}\n")
+    # rows are sorted, so this is ascending (u, v) order
+    lines += [
+        f"{u} {v}\n"
+        for u, nbrs in enumerate(g.adjacency)
+        for v in nbrs
+        if g.directed or u < v
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
@@ -328,7 +370,7 @@ def load_graph(
     ``<path>.values`` when that file exists; otherwise None is returned
     in their place. ``with_values=False`` parses the graph file alone.
     """
-    g = _parse_graph(path)
+    g = _from_pairs(*_parse_edges(path))
     if not with_values:
         return g, None
     if values_path is None:
@@ -338,51 +380,81 @@ def load_graph(
     return g, table
 
 
-def _parse_graph(path) -> Graph:
+def _parse_edges(path) -> tuple[int, bool, np.ndarray, np.ndarray]:
+    """n, directed and the edge arrays of a graph file, checked line by line
+    in bulk; its text is freed before the graph is built from them."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.readlines()
-    header = None
-    edges: list[tuple[int, int]] = []
-    n = 0
-    directed = False
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if header is None:
-            parts = line.split()
-            if len(parts) != 4 or parts[0] != "n" or parts[2] != "directed":
-                raise GraphFormatError(f"{path}:{lineno}: bad header {line!r}")
-            try:
-                n = int(parts[1])
-                flag = int(parts[3])
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
-            if n <= 0 or flag not in (0, 1):
-                raise GraphFormatError(f"{path}:{lineno}: bad header values")
-            directed = bool(flag)
-            header = line
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"{path}:{lineno}: edge ({u},{v}) out of range")
-        if u == v:
-            raise GraphFormatError(f"{path}:{lineno}: self-loop at {u}")
-        if not directed and u >= v:
-            raise GraphFormatError(f"{path}:{lineno}: undirected edges need u < v")
-        edges.append((u, v))
-    if header is None:
+        lines = fh.read().split("\n")  # the lines readlines() gives, unterminated
+    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp, count=len(lines))
+    filled = np.flatnonzero(counts)
+    if not filled.size:
         raise GraphFormatError(f"{path}: missing header line")
-    if len(set(edges)) != len(edges):
-        dup = next(e for e in edges if edges.count(e) > 1)
-        raise GraphFormatError(f"{path}: duplicate edge {dup}")
+    head = int(filled[0])
+    parts = lines[head].split()
+    where = f"{path}:{head + 1}"
+    if len(parts) != 4 or parts[0] != "n" or parts[2] != "directed":
+        raise GraphFormatError(f"{where}: bad header {lines[head].strip()!r}")
     try:
-        return Graph.from_edges(n, edges, directed=directed)
+        n = int(parts[1])
+        flag = int(parts[3])
     except ValueError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from exc
+        raise GraphFormatError(f"{where}: {exc}") from exc
+    if n <= 0 or flag not in (0, 1):
+        raise GraphFormatError(f"{where}: bad header values")
+    directed = bool(flag)
+
+    # Every later line is blank or 'u v'. The first that is not, or that
+    # holds a non-integer, ends the edges read; it is the fault reported
+    # unless an edge before it is faulty. stop and edge_lines index lines.
+    body = counts[head + 1 :]
+    edge_lines = head + 1 + np.flatnonzero(body == 2)
+    misshapen = np.flatnonzero((body != 0) & (body != 2))
+    stop, stop_error = len(lines), None
+    if misshapen.size:
+        stop = head + 1 + int(misshapen[0])
+        stop_error = f"expected 'u v', got {lines[stop].strip()!r}"
+    tokens = "\n".join(lines[head + 1 : stop]).split()
+    try:
+        ints = list(map(int, tokens))
+    except ValueError:
+        k, exc = _first_non_integer(tokens)
+        stop, stop_error = int(edge_lines[k // 2]), str(exc)
+        ints = list(map(int, tokens[: k - k % 2]))
+    pairs = _int_array(ints).reshape(-1, 2)
+    u, v = pairs[:, 0], pairs[:, 1]
+
+    out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    loop = u == v
+    bad = out | loop
+    if not directed:
+        bad |= u > v
+    if bad.any():
+        i = int(np.argmax(bad))
+        stop = int(edge_lines[i])
+        if out[i]:
+            stop_error = f"edge ({u[i]},{v[i]}) out of range"
+        elif loop[i]:
+            stop_error = f"self-loop at {u[i]}"
+        else:
+            stop_error = "undirected edges need u < v"
+    if stop_error is not None:
+        raise GraphFormatError(f"{path}:{stop + 1}: {stop_error}")
+
+    keys = u * n + v
+    order = np.argsort(keys, kind="stable")
+    repeat = np.flatnonzero(np.diff(keys[order]) == 0)
+    if repeat.size:
+        # order[repeat] holds every repeated edge's first occurrence
+        i = int(order[repeat].min())
+        raise GraphFormatError(f"{path}: duplicate edge {(int(u[i]), int(v[i]))}")
+    return n, directed, u, v
+
+
+def _first_non_integer(tokens: list[str]) -> tuple[int, ValueError]:
+    """Position of the first token int() rejects, and its error."""
+    for k, token in enumerate(tokens):
+        try:
+            int(token)
+        except ValueError as exc:
+            return k, exc
+    raise AssertionError("every token is an integer")

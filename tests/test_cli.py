@@ -259,3 +259,23 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert stdout == ""
     assert dest.read_text().strip() == "0.504579"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sr", "--K", "4", "--H", "nan", "--B", "100"),
+        ("sr-loose", "--n", "10", "--delta1", "inf", "--B", "100"),
+        ("ed", "--d", "8", "--schedule", "500,500", "--gaps", "nan,0.1"),
+        ("sa-convex", "--alpha", "0.3", "--d", "9", "--eps=-inf", "--gap", "0.8"),
+        ("sa-nearly", "--alpha", "0.3", "--c", "nan", "--r", "2", "--d", "9", "--F", "1"),
+        ("sa-samples", "--r", "2", "--gamma", "inf", "--R", "0.5"),
+    ],
+)
+def test_bound_rejects_non_finite_inputs(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli(["bound", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code != 0
+    assert "must be finite" in captured.err
+    assert captured.out == ""

@@ -167,7 +167,7 @@ def point_clouds(draw):
     if kind == "line":
         dim = 1
     elif kind == "wide":
-        # (rows, n, dim) blocks of about 2M floats: these span several blocks
+        # n * dim of 24K-96K floats per row: these span several 256K-float blocks
         n, dim = draw(st.integers(60, 120)), draw(st.integers(400, 800))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "lattice":
@@ -195,7 +195,7 @@ def test_knn_block_selection_matches_stable_argsort(case, tmp_path_factory):
 
 
 def test_knn_block_selection_matches_stable_argsort_across_tall_blocks():
-    # n^2 * dim above 2M floats: several row blocks, ties from the lattice
+    # n^2 * dim far above one block's 256K floats: many row blocks, ties from the lattice
     rng = np.random.default_rng(5)
     for coords in (rng.normal(size=(640, 8)), rng.integers(-3, 4, size=(640, 8)) * 1.0):
         assert make_knn_graph(coords, 10).adjacency == argsort_knn(coords, 10).adjacency
@@ -234,3 +234,294 @@ def test_load_graph_reports_bad_lines(tmp_path):
     p.write_text("3 directed=0\n0: 1\n1: 0 zzz\n2:\n")
     with pytest.raises(GraphFormatError):
         load_graph(p)
+
+
+# ---------------------------------------------------------------------------
+# Graph validation, edge building and the graph file format against the
+# per-element loops they replaced
+
+
+def reference_validate(n, directed, adjacency):
+    """Graph.__post_init__ as a per-element loop."""
+    if n <= 0:
+        raise ValueError("graph must have at least one node")
+    if len(adjacency) != n:
+        raise ValueError("adjacency length must equal n")
+    for u, nbrs in enumerate(adjacency):
+        seen = set()
+        for v in nbrs:
+            if not 0 <= v < n:
+                raise ValueError(f"node {u}: neighbor {v} out of range")
+            if v == u:
+                raise ValueError(f"self-loop at node {u}")
+            if v in seen:
+                raise ValueError(f"duplicate edge {u}->{v}")
+            seen.add(v)
+        if tuple(sorted(nbrs)) != tuple(nbrs):
+            raise ValueError(f"adjacency of node {u} not sorted")
+    if not directed:
+        for u, nbrs in enumerate(adjacency):
+            for v in nbrs:
+                if u not in adjacency[v]:
+                    raise ValueError(f"asymmetric undirected edge {u}-{v}")
+
+
+def reference_from_edges(n, edges, directed):
+    """Graph.from_edges as a per-edge loop over neighbour sets."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range")
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        adj[u].add(v)
+        if not directed:
+            adj[v].add(u)
+    return tuple(tuple(sorted(s)) for s in adj)
+
+
+def outcome(fn, *args):
+    """(exception type, message) of a call, or (None, result)."""
+    try:
+        return None, fn(*args)
+    except Exception as exc:  # compared with the reference, not swallowed
+        return type(exc), str(exc)
+
+
+# values out of range of every node; 2**70 does not fit in int64
+FAR = st.sampled_from([-1, -7, 2**70, -(2**70)])
+
+
+@st.composite
+def valid_adjacency(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    rows = [[] for _ in range(n)]
+    for u, v in sorted(edges):
+        rows[u].append(v)
+        if not directed:
+            rows[v].append(u)
+    return n, directed, [sorted(row) for row in rows]
+
+
+@st.composite
+def faulty_adjacency(draw):
+    n, directed, rows = draw(valid_adjacency())
+    for _ in range(draw(st.integers(0, 3))):
+        u = draw(st.integers(0, n - 1))
+        row = rows[u]
+        at = draw(st.integers(0, len(row)))
+        kind = draw(st.sampled_from(["range", "loop", "dup", "unsorted", "drop", "one-way"]))
+        if kind == "range":
+            row.insert(at, draw(FAR | st.integers(n, n + 3)))
+        elif kind == "loop":
+            row.insert(at, u)
+        elif kind == "dup" and row:
+            row.insert(at, draw(st.sampled_from(row)))
+        elif kind == "unsorted" and len(row) > 1:
+            i = draw(st.integers(0, len(row) - 2))
+            row[i], row[i + 1] = row[i + 1], row[i]
+        elif kind == "drop" and row:
+            del row[min(at, len(row) - 1)]
+        elif kind == "one-way":
+            v = draw(st.integers(0, n - 1))
+            if v != u and v not in row:
+                row.append(v)
+                row.sort()
+    return n, directed, tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=faulty_adjacency())
+def test_validation_matches_the_per_element_loop(case):
+    n, directed, adjacency = case
+    want = outcome(reference_validate, n, directed, adjacency)
+    got = outcome(Graph, n, directed, adjacency)
+    assert got[0] == want[0]
+    if want[0] is not None:
+        assert got[1] == want[1]
+
+
+def test_validation_reports_the_lowest_faulty_node():
+    # node 1 has a duplicate and node 0 is unsorted: node 0 comes first
+    with pytest.raises(ValueError, match="^adjacency of node 0 not sorted$"):
+        Graph(3, True, ((2, 1), (2, 2), ()))
+    # within a node the first faulty entry wins, range before self-loop
+    with pytest.raises(ValueError, match="^node 1: neighbor 9 out of range$"):
+        Graph(3, True, ((), (9, 1), ()))
+    with pytest.raises(ValueError, match=r"^node 0: neighbor 1180591620717411303424 out of range$"):
+        Graph(2, True, ((2**70,), ()))
+    with pytest.raises(ValueError, match="^asymmetric undirected edge 0-2$"):
+        Graph(3, False, ((1, 2), (0,), ()))
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    edge = st.tuples(node, node) | st.tuples(node, FAR) | st.tuples(FAR, node)
+    # mostly valid lists, with repeats and both directions of an edge
+    edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=20))
+    if draw(st.booleans()):
+        edges.insert(draw(st.integers(0, len(edges))), draw(edge))
+    if edges:
+        edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=5))]
+    return n, edges, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=edge_lists())
+def test_from_edges_matches_set_semantics(case):
+    n, edges, directed = case
+    want = outcome(reference_from_edges, n, edges, directed)
+    got = outcome(lambda: Graph.from_edges(n, edges, directed=directed).adjacency)
+    assert got == want
+
+
+def test_from_edges_keeps_repeated_and_reversed_edges_once():
+    edges = [(0, 1), (1, 0), (0, 1), (2, 3), (3, 2), (1, 2), (1, 2)]
+    g = Graph.from_edges(4, edges)
+    assert g.adjacency == ((1,), (0, 2), (1, 3), (2,)) == reference_from_edges(4, edges, False)
+    d = Graph.from_edges(4, edges, directed=True)
+    assert d.adjacency == ((1,), (0, 2), (3,), (2,)) == reference_from_edges(4, edges, True)
+
+
+@st.composite
+def reformatted(draw, text):
+    """The same graph file with blank lines, surrounding whitespace and CRLF ends."""
+    pad = st.sampled_from(["", " ", "\t", "  \t "])
+    out = []
+    for line in text.splitlines():
+        out.extend(draw(pad) for _ in range(draw(st.integers(0, 1))))
+        u, *rest = line.split(" ")
+        sep = draw(st.sampled_from([" ", "\t", "   "]))
+        out.append(draw(pad) + sep.join([u, *rest]) + draw(pad))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(out) + draw(st.sampled_from(["", end, end + end]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=valid_adjacency(max_n=14), data=st.data())
+def test_graph_file_round_trip(case, data, tmp_path_factory):
+    n, directed, rows = case
+    g = Graph(n, directed, tuple(map(tuple, rows)))
+    out = tmp_path_factory.mktemp("roundtrip")
+    save_graph(g, out / "g.txt")
+    back, _ = load_graph(out / "g.txt")
+    assert (back.n, back.directed, back.adjacency) == (g.n, g.directed, g.adjacency)
+    save_graph(back, out / "again.txt")
+    assert (out / "again.txt").read_bytes() == (out / "g.txt").read_bytes()
+    messy = data.draw(reformatted((out / "g.txt").read_text()))
+    (out / "messy.txt").write_bytes(messy.encode())
+    assert load_graph(out / "messy.txt")[0].adjacency == g.adjacency
+
+
+GRAPH_FILE_FAULTS = [
+    # (file text, error after "<path>")
+    ("\n  \n\t\n", ": missing header line"),
+    ("\n\nn 3 undirected 0\n0 1\n", ":3: bad header 'n 3 undirected 0'"),
+    ("n 3 directed\n", ":1: bad header 'n 3 directed'"),
+    ("n x directed 0\n", ":1: invalid literal for int() with base 10: 'x'"),
+    ("n 0 directed 0\n", ":1: bad header values"),
+    ("n 3 directed 2\n", ":1: bad header values"),
+    ("n 3 directed 0\n0 1\n2\n", ":3: expected 'u v', got '2'"),
+    ("n 3 directed 0\n0 1\n\n  0 1 2 \n", ":4: expected 'u v', got '0 1 2'"),
+    ("n 3 directed 0\n0 1\n1 zz\n", ":3: invalid literal for int() with base 10: 'zz'"),
+    ("n 3 directed 1\n0 3\n", ":2: edge (0,3) out of range"),
+    ("n 3 directed 1\n-1 2\n", ":2: edge (-1,2) out of range"),
+    ("n 3 directed 0\n0 99999999999999999999999\n", ":2: edge (0,99999999999999999999999) out of range"),
+    ("n 3 directed 1\n0 1\n1 1\n", ":3: self-loop at 1"),
+    ("n 3 directed 0\n0 1\n2 1\n", ":3: undirected edges need u < v"),
+    ("n 3 directed 0\n0 1\n1 2\n0 1\n", ": duplicate edge (0, 1)"),
+    ("n 4 directed 1\n2 3\n0 1\n1 0\n0 1\n2 3\n", ": duplicate edge (2, 3)"),
+    # two defects: the earlier line is the one reported
+    ("n 3 directed 0\n0 1\n1 1\n0 1 2\n", ":3: self-loop at 1"),
+    ("n 3 directed 0\n0 1 2\n1 1\n", ":2: expected 'u v', got '0 1 2'"),
+    ("n 3 directed 0\n0 x\n0 5\n", ":2: invalid literal for int() with base 10: 'x'"),
+    ("n 3 directed 0\n0 5\n0 x\n", ":2: edge (0,5) out of range"),
+    ("n 3 directed 0\n0 1\n0 1\n2 1\n", ":4: undirected edges need u < v"),
+]
+
+
+@pytest.mark.parametrize("text,error", GRAPH_FILE_FAULTS)
+def test_graph_file_errors_name_the_earliest_fault(tmp_path, text, error):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(p)
+    assert str(exc.value) == f"{p}{error}"
+
+
+def reference_parse(path):
+    """The graph file parser as a per-line loop: its adjacency, or its error."""
+    header = None
+    edges = []
+    n = 0
+    directed = False
+    with open(path, "r", encoding="utf-8") as fh:
+        raw_lines = fh.readlines()
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if header is None:
+            parts = line.split()
+            if len(parts) != 4 or parts[0] != "n" or parts[2] != "directed":
+                raise GraphFormatError(f"{path}:{lineno}: bad header {line!r}")
+            try:
+                n = int(parts[1])
+                flag = int(parts[3])
+            except ValueError as exc:
+                raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
+            if n <= 0 or flag not in (0, 1):
+                raise GraphFormatError(f"{path}:{lineno}: bad header values")
+            directed = bool(flag)
+            header = line
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"{path}:{lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"{path}:{lineno}: edge ({u},{v}) out of range")
+        if u == v:
+            raise GraphFormatError(f"{path}:{lineno}: self-loop at {u}")
+        if not directed and u >= v:
+            raise GraphFormatError(f"{path}:{lineno}: undirected edges need u < v")
+        edges.append((u, v))
+    if header is None:
+        raise GraphFormatError(f"{path}: missing header line")
+    if len(set(edges)) != len(edges):
+        dup = next(e for e in edges if edges.count(e) > 1)
+        raise GraphFormatError(f"{path}: duplicate edge {dup}")
+    return reference_from_edges(n, edges, directed)
+
+
+@st.composite
+def graph_files(draw):
+    """Long edge lists, mostly well formed, with a few faulty lines."""
+    n = draw(st.integers(2, 30))
+    directed = draw(st.booleans())
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=300))
+    lines = [f"{min(e)} {max(e)}" if not directed else f"{e[0]} {e[1]}" for e in edges]
+    faults = st.sampled_from(
+        ["", "7", "1 2 3", "0 x", "x 0", "1 1", f"0 {n}", "-1 0", "1 0", "0 1", "+1  0_1"]
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(faults | st.sampled_from(lines or ["0 1"])))
+    return f"n {n} directed {int(directed)}\n" + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=graph_files())
+def test_graph_file_parse_matches_the_per_line_loop(text, tmp_path_factory):
+    p = tmp_path_factory.mktemp("parse") / "g.txt"
+    p.write_text(text)
+    assert outcome(lambda: load_graph(p)[0].adjacency) == outcome(reference_parse, p)
