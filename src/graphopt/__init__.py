@@ -10,7 +10,6 @@ theory, and a seeded harness produces gap-vs-budget CSVs.
 
 from .annealing import (
     SAConfig,
-    estimate_value,
     sa_round_bound_convex,
     sa_round_bound_nearly,
     sa_step,
@@ -66,6 +65,7 @@ from .graphs import (
 from .harness import (
     ExperimentConfig,
     GapStats,
+    TrialRecord,
     gap_statistics,
     records_to_csv,
     run_trials,
@@ -85,8 +85,7 @@ from .nnsearch import (
     sgnn_query,
     smoothed_sa_search,
 )
-from .oracle import BudgetExhaustedError, NoisyOracle, smoothed_sample
-from .records import TrialRecord
+from .oracle import BudgetExhaustedError, NoisyOracle
 from .values import ValueFormatError, ValueTable, load_values, parse_values, save_values
 
 __version__ = "0.1.0"

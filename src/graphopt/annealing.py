@@ -5,7 +5,6 @@ its sample-size rule, and the closed-form round/accuracy calculators.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -14,7 +13,6 @@ import numpy as np
 
 from .graphs import Graph
 from .oracle import BudgetExhaustedError, NoisyOracle
-from .records import TrialRecord
 
 
 @dataclass(frozen=True)
@@ -38,18 +36,6 @@ class SAConfig:
             raise ValueError("samples per estimate must be >= 1")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-
-
-def estimate_value(oracle: NoisyOracle, x: int, s: int, rng: np.random.Generator) -> float:
-    """Mean of s fresh metered samples of x.
-
-    Near the budget cap the mean covers only the samples still available;
-    with nothing left the oracle's BudgetExhaustedError propagates.
-    """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    mean, _ = oracle.sample_mean(x, s, rng)
-    return mean
 
 
 def _min1exp(z: float) -> float:
@@ -82,15 +68,16 @@ def sa_step(g: Graph, oracle: NoisyOracle, x: int, cfg: SAConfig, rng: np.random
 
     Both endpoints are estimated fresh with cfg.s samples (no caching
     across steps; reusing estimates would correlate acceptance decisions).
-    Raises BudgetExhaustedError, leaving the state at x, when the
-    estimates cannot be made at all.
+    Near the budget cap an estimate covers only the samples still
+    available; raises BudgetExhaustedError, leaving the state at x, when
+    the estimates cannot be made at all.
     """
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"node {x} has no neighbors")
     y = nbrs[int(rng.integers(len(nbrs)))]
-    fx = estimate_value(oracle, x, cfg.s, rng)
-    fy = estimate_value(oracle, y, cfg.s, rng)
+    fx, _ = oracle.sample_mean(x, cfg.s, rng)
+    fy, _ = oracle.sample_mean(y, cfg.s, rng)
     diff = fx - fy if cfg.minimize else fy - fx
     if diff >= 0 or rng.random() < math.exp(cfg.gamma * diff):
         return y
@@ -103,34 +90,20 @@ def simulated_annealing(
     x0: int,
     cfg: SAConfig,
     rng: np.random.Generator,
-    record_path: bool = False,
-):
-    """Run cfg.steps annealing steps from x0.
+) -> int:
+    """Run cfg.steps annealing steps from x0 and return the final node.
 
-    Returns a TrialRecord; with record_path=True, a (record, trajectory)
-    pair where the trajectory starts at x0 and appends each step's state.
     Budget exhaustion stops the chain where it stands.
     """
     if not 0 <= x0 < g.n:
         raise ValueError(f"start node {x0} out of range")
-    t0 = time.perf_counter()
-    used0 = oracle.used
     x = x0
-    path = [x0]
     for _ in range(cfg.steps):
         try:
             x = sa_step(g, oracle, x, cfg, rng)
         except BudgetExhaustedError:
             break
-        if record_path:
-            path.append(x)
-    record = TrialRecord(
-        node=x,
-        gap=oracle.values.gap_to_best(x, maximize=not cfg.minimize),
-        samples=oracle.used - used0,
-        time_ms=(time.perf_counter() - t0) * 1000.0,
-    )
-    return (record, path) if record_path else record
+    return x
 
 
 def theory_sample_size(r: int, gamma: float, R: float) -> int:

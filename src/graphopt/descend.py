@@ -6,7 +6,6 @@ closed-form error bound for the descent path.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +13,6 @@ import numpy as np
 from .bandit import log_bar, oracle_sampler, successive_reject
 from .graphs import Graph
 from .oracle import BudgetExhaustedError, NoisyOracle
-from .records import TrialRecord
 
 
 @dataclass(frozen=True)
@@ -27,29 +25,22 @@ class DescendConfig:
     """
 
     schedule: tuple[int, ...]
-    restarts: int = 1
     minimize: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", tuple(int(t) for t in self.schedule))
         if any(t <= 0 for t in self.schedule):
             raise ValueError("round budgets must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-
-    @property
-    def max_path_length(self) -> int:
-        return len(self.schedule)
 
     @staticmethod
-    def equal_split(budget: int, rounds: int, restarts: int = 1, minimize: bool = True) -> "DescendConfig":
+    def equal_split(budget: int, rounds: int, minimize: bool = True) -> "DescendConfig":
         """Schedule of ``rounds`` equal budgets floor(budget/rounds)."""
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
         per = budget // rounds
         if per < 1:
             raise ValueError(f"budget {budget} too small for {rounds} rounds")
-        return DescendConfig((per,) * rounds, restarts=restarts, minimize=minimize)
+        return DescendConfig((per,) * rounds, minimize=minimize)
 
 
 def descent_oracle(
@@ -82,8 +73,9 @@ def explore_descend(
     x0: int,
     cfg: DescendConfig,
     rng: np.random.Generator,
-) -> TrialRecord:
-    """Follow descent_oracle moves through the round schedule.
+) -> int:
+    """Follow descent_oracle moves through the round schedule and return
+    the final node.
 
     Rounds too small for the current node's neighborhood absorb budgets
     from the tail of the schedule; if even the merged remainder is too
@@ -91,8 +83,6 @@ def explore_descend(
     """
     if not 0 <= x0 < g.n:
         raise ValueError(f"start node {x0} out of range")
-    t0 = time.perf_counter()
-    used0 = oracle.used
     x = x0
     pending = list(cfg.schedule)
     while pending:
@@ -105,12 +95,7 @@ def explore_descend(
         if oracle.remaining == 0:
             break
         x = descent_oracle(g, oracle, x, t, rng, minimize=cfg.minimize)
-    return TrialRecord(
-        node=x,
-        gap=oracle.values.gap_to_best(x, maximize=not cfg.minimize),
-        samples=oracle.used - used0,
-        time_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return x
 
 
 def default_restarts(budget: int) -> int:
@@ -138,8 +123,9 @@ def explore_descend_restarts(
     path_len: int = 4,
     restarts: int | None = None,
     minimize: bool = True,
-) -> TrialRecord:
-    """Independent uniform-start descents sharing the budget equally.
+) -> int:
+    """Independent uniform-start descents sharing the budget equally;
+    returns the chosen terminal node.
 
     With one restart this is exactly explore_descend on a uniform start.
     With several, each restart's share reserves its slice of 5% of the
@@ -147,8 +133,6 @@ def explore_descend_restarts(
     re-estimated with that reserve and the best estimate wins (ties to
     the lowest node id).
     """
-    t0 = time.perf_counter()
-    used0 = oracle.used
     r, per_restart = restart_allocation(budget, restarts)
     if path_len < 1:
         raise ValueError("path_len must be >= 1")
@@ -168,7 +152,7 @@ def explore_descend_restarts(
 
     finals: list[int] = []
     for _ in range(r):
-        finals.append(explore_descend(g, oracle, start(), cfg, rng).node)
+        finals.append(explore_descend(g, oracle, start(), cfg, rng))
 
     best_node = finals[0]
     best_est = None
@@ -182,12 +166,7 @@ def explore_descend_restarts(
         if best_est is None or est < best_est or (est == best_est and node < best_node):
             best_est = est
             best_node = node
-    return TrialRecord(
-        node=best_node,
-        gap=oracle.values.gap_to_best(best_node, maximize=not minimize),
-        samples=oracle.used - used0,
-        time_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return best_node
 
 
 def ed_error_bound(d: int, schedule, per_round_smallest_gaps) -> float:

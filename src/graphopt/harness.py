@@ -18,7 +18,6 @@ from .bandit import oracle_sampler, successive_reject, uniform_best_arm
 from .descend import explore_descend_restarts
 from .graphs import Graph
 from .oracle import BudgetExhaustedError, NoisyOracle
-from .records import TrialRecord
 from .values import ValueTable
 
 CSV_HEADER = "trial,algo,budget,node,gap,samples,time_ms"
@@ -27,13 +26,41 @@ ALGORITHMS = ("sr", "ed", "sa")
 
 
 @dataclass(frozen=True)
+class TrialRecord:
+    """One row of a sweep: the node a trial returned (-1 when it failed),
+    its true suboptimality (NaN when failed), the oracle observations it
+    consumed and its wall time."""
+
+    trial: int
+    algo: str
+    budget: int
+    node: int
+    gap: float
+    samples: int
+    time_ms: float
+
+
+# Each algorithm's parameters and their defaults; None for gamma means required.
+_PARAM_DEFAULTS = {
+    "sr": {},
+    "ed": {"path_len": 4, "restarts": None},
+    "sa": {"gamma": None, "s": 30, "steps": None},
+}
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One algorithm swept over budgets, repeated over seeded trials.
 
-    ``params`` carries the per-algorithm knobs: ed takes path_len and
-    restarts (None means the 1 + budget/1000 rule, int pins a count); sa
-    takes gamma (required), s, and optionally steps (default: spend the
-    budget, budget // (2 s)).
+    ``params`` carries the per-algorithm knobs: ed takes path_len (>= 1)
+    and restarts (None means the 1 + budget/1000 rule, an int >= 1 pins a
+    count); sa takes gamma (required, finite, >= 0), s (>= 1), and
+    optionally steps (>= 0; default: spend the budget, budget // (2 s)).
+
+    Every setting is checked here, once, and ``params`` is replaced by the
+    resolved values with defaults filled in. The oracle settings are
+    checked by building a NoisyOracle, and ed and sa need a neighbour at
+    every node. A bad setting raises ValueError before any trial runs.
     """
 
     graph: Graph
@@ -61,13 +88,45 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed is None:
             raise ValueError("a master seed is required; no wall-clock seeding")
-        if not math.isfinite(self.noise_scale):
-            raise ValueError(f"noise_scale must be finite, got {self.noise_scale}")
+        try:
+            NoisyOracle(self.values, noise=self.noise, R=self.noise_scale)
+        except ValueError as exc:
+            raise ValueError(f"noise={self.noise!r}, noise_scale={self.noise_scale}: {exc}") from None
+        if self.algo != "sr":
+            # a descent or annealing run cannot move from a node without neighbours
+            lonely = [x for x, nbrs in enumerate(self.graph.adjacency) if not nbrs]
+            if lonely:
+                raise ValueError(f"{self.algo} needs a neighbour at every node; {lonely[:10]} have none")
+        object.__setattr__(self, "params", self._resolve_params())
+
+    def _resolve_params(self) -> dict:
+        defaults = _PARAM_DEFAULTS[self.algo]
+        unknown = sorted(set(self.params) - set(defaults))
+        if unknown:
+            raise ValueError(f"{self.algo} takes no parameter(s) {unknown}; it takes {sorted(defaults)}")
         for key, value in self.params.items():
             # exact rationals are always finite and may be too large for a float
             inexact = isinstance(value, Real) and not isinstance(value, Rational)
             if inexact and not math.isfinite(value):
                 raise ValueError(f"params[{key!r}] must be finite, got {value}")
+        p = {**defaults, **self.params}
+        if self.algo == "ed":
+            p["path_len"] = int(p["path_len"])
+            if p["path_len"] < 1:
+                raise ValueError(f"path_len must be >= 1, got {p['path_len']}")
+            if p["restarts"] is not None:
+                p["restarts"] = int(p["restarts"])
+                if p["restarts"] < 1:
+                    raise ValueError(f"restarts must be >= 1, got {p['restarts']}")
+        elif self.algo == "sa":
+            if p["gamma"] is None:
+                raise ValueError("sa requires params['gamma']")
+            p["gamma"], p["s"] = float(p["gamma"]), int(p["s"])
+            if p["steps"] is not None:
+                p["steps"] = int(p["steps"])
+            # SAConfig holds the rules for gamma, s and steps
+            SAConfig(gamma=p["gamma"], s=p["s"], steps=p["steps"] or 0)
+        return p
 
 
 def trial_rng(seed: int, budget: int, trial: int) -> np.random.Generator:
@@ -76,61 +135,52 @@ def trial_rng(seed: int, budget: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, budget, trial])))
 
 
-def _run_one(cfg: ExperimentConfig, budget: int, rng: np.random.Generator) -> TrialRecord:
-    oracle = NoisyOracle(cfg.values, noise=cfg.noise, R=cfg.noise_scale, budget=budget)
+def _run_one(cfg: ExperimentConfig, oracle: NoisyOracle, budget: int, rng: np.random.Generator) -> int:
+    """The node one trial of cfg.algo returns."""
     n = cfg.graph.n
-    sign = 1.0 if cfg.maximize else -1.0
+    p = cfg.params
     minimize = not cfg.maximize
     if cfg.algo == "sr":
-        t0 = time.perf_counter()
         best_arm = successive_reject if budget > n else uniform_best_arm
-        node = best_arm(n, oracle_sampler(oracle, range(n), sign=sign), budget, rng)
-        return TrialRecord(
-            node=node,
-            gap=cfg.values.gap_to_best(node, maximize=cfg.maximize),
-            samples=oracle.used,
-            time_ms=(time.perf_counter() - t0) * 1000.0,
-        )
+        sign = -1.0 if minimize else 1.0
+        return best_arm(n, oracle_sampler(oracle, range(n), sign=sign), budget, rng)
     if cfg.algo == "ed":
         return explore_descend_restarts(
-            cfg.graph,
-            oracle,
-            budget,
-            rng,
-            path_len=int(cfg.params.get("path_len", 4)),
-            restarts=cfg.params.get("restarts"),
-            minimize=minimize,
+            cfg.graph, oracle, budget, rng,
+            path_len=p["path_len"], restarts=p["restarts"], minimize=minimize,
         )
-    sa_params = cfg.params
-    if "gamma" not in sa_params:
-        raise ValueError("sa requires params['gamma']")
-    s = int(sa_params.get("s", 30))
-    steps = sa_params.get("steps")
-    if steps is None:
-        steps = budget // (2 * s)
-    sa_cfg = SAConfig(gamma=float(sa_params["gamma"]), s=s, steps=int(steps), minimize=minimize)
-    x0 = int(rng.integers(n))
-    return simulated_annealing(cfg.graph, oracle, x0, sa_cfg, rng)
+    steps = budget // (2 * p["s"]) if p["steps"] is None else p["steps"]
+    sa_cfg = SAConfig(gamma=p["gamma"], s=p["s"], steps=steps, minimize=minimize)
+    return simulated_annealing(cfg.graph, oracle, int(rng.integers(n)), sa_cfg, rng)
 
 
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     """All (budget, trial) runs of the experiment, each on a fresh
     budget-capped oracle and its own rng stream.
 
-    A trial that runs out of budget or rejects its parameters
-    (BudgetExhaustedError, ValueError) is recorded as a failed row (node
-    -1, gap NaN) and the sweep continues; any other exception propagates.
-    Records come back sorted by (algo, budget, trial).
+    This is the one place a run is accounted: each trial's record holds
+    the node the algorithm returned, its gap to the best value, the
+    oracle's sample count and the wall time. ExperimentConfig has checked
+    the settings, so the one trial expected to fail is an ed trial whose
+    budget is too small to split into its rounds or restarts. A trial
+    that raises ValueError or BudgetExhaustedError is recorded as a
+    failed row (node -1, gap NaN, samples 0) and the sweep continues; any
+    other exception propagates. Records come back sorted by (algo,
+    budget, trial).
     """
     records = []
     for budget in cfg.budgets:
         for trial in range(cfg.trials):
             rng = trial_rng(cfg.seed, budget, trial)
+            oracle = NoisyOracle(cfg.values, noise=cfg.noise, R=cfg.noise_scale, budget=budget)
+            t0 = time.perf_counter()
             try:
-                rec = _run_one(cfg, budget, rng)
+                node = _run_one(cfg, oracle, budget, rng)
+                gap, samples = cfg.values.gap_to_best(node, maximize=cfg.maximize), oracle.used
             except (BudgetExhaustedError, ValueError):
-                rec = TrialRecord(node=-1, gap=math.nan, samples=0, time_ms=0.0)
-            records.append(rec.tagged(trial, cfg.algo, budget))
+                node, gap, samples = -1, math.nan, 0
+            time_ms = (time.perf_counter() - t0) * 1000.0
+            records.append(TrialRecord(trial, cfg.algo, budget, node, gap, samples, time_ms))
     records.sort(key=lambda r: (r.algo, r.budget, r.trial))
     return records
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, random_walk
 from .values import ValueTable
 
 
@@ -82,19 +81,3 @@ class NoisyOracle:
         if self.noise == "bernoulli":
             return float(rng.binomial(k, f)) / k, k
         return f + self.R / np.sqrt(k) * float(rng.standard_normal()), k
-
-    def true_mean(self, x: int) -> float:
-        """Noise-free value of x; does not touch the meter."""
-        return self.values.value(x)
-
-
-def smoothed_sample(
-    oracle: NoisyOracle, g: Graph, x: int, T: int, rng: np.random.Generator
-) -> tuple[float, int]:
-    """Observe the endpoint of a T-step random walk from x.
-
-    The walk itself is free; the single endpoint observation is metered.
-    Returns (observation, endpoint).
-    """
-    end = random_walk(g, x, T, rng)
-    return oracle.sample(end, rng), end

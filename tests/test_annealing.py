@@ -8,7 +8,6 @@ from graphopt import (
     NoisyOracle,
     SAConfig,
     ValueTable,
-    estimate_value,
     sa_round_bound_convex,
     sa_round_bound_nearly,
     sa_step,
@@ -108,25 +107,18 @@ def test_run_meters_two_estimates_per_step():
     g = cycle_graph(9)
     o = NoisyOracle(ValueTable(np.linspace(0, 1, 9)))
     cfg = SAConfig(gamma=1.0, s=4, steps=25)
-    rec = simulated_annealing(g, o, 0, cfg, np.random.default_rng(4))
-    assert rec.samples == 2 * 4 * 25
-    assert o.used == rec.samples
+    simulated_annealing(g, o, 0, cfg, np.random.default_rng(4))
+    assert o.used == 2 * 4 * 25
 
 
 def test_budget_exhaustion_stops_the_chain():
     g = cycle_graph(9)
     o = NoisyOracle(ValueTable(np.linspace(0, 1, 9)), budget=37)
     cfg = SAConfig(gamma=1.0, s=4, steps=25)
-    rec, path = simulated_annealing(g, o, 0, cfg, np.random.default_rng(5), record_path=True)
-    assert rec.samples <= 37
-    assert len(path) - 1 < 25  # stopped early
-    assert 0 <= rec.node < 9
-
-
-def test_estimate_value_is_noiseless_mean():
-    o = NoisyOracle(ValueTable(np.array([0.7])), noise="gaussian", R=0.0)
-    assert estimate_value(o, 0, 5, np.random.default_rng(6)) == pytest.approx(0.7)
-    assert o.used == 5
+    node = simulated_annealing(g, o, 0, cfg, np.random.default_rng(5))
+    # 25 full steps would need 200 samples; the chain stops where it stands
+    assert o.used == 37
+    assert 0 <= node < 9
 
 
 def test_theory_sample_size():

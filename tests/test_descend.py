@@ -54,10 +54,10 @@ def test_noiseless_descent_reaches_center():
     o = NoisyOracle(table, noise="gaussian", R=0.0)
     rng = np.random.default_rng(2)
     cfg = DescendConfig.equal_split(400, 4)
-    rec = explore_descend(g, o, grid_node_id(-3, -3, 3), cfg, rng)
-    assert rec.node == grid_node_id(0, 0, 3)
-    assert rec.gap == 0.0
-    assert rec.samples <= 400
+    node = explore_descend(g, o, grid_node_id(-3, -3, 3), cfg, rng)
+    assert node == grid_node_id(0, 0, 3)
+    assert table.gap_to_best(node) == 0.0
+    assert o.used <= 400
 
 
 def test_tail_merge_when_rounds_fall_short():
@@ -66,9 +66,9 @@ def test_tail_merge_when_rounds_fall_short():
     rng = np.random.default_rng(3)
     # per-round slice of 4 cannot cover a corner's 4 arms; merged it can
     cfg = DescendConfig((4, 4, 4, 4))
-    rec = explore_descend(g, o, grid_node_id(-3, -3, 3), cfg, rng)
-    assert rec.node != grid_node_id(-3, -3, 3)
-    assert rec.samples <= 16
+    node = explore_descend(g, o, grid_node_id(-3, -3, 3), cfg, rng)
+    assert node != grid_node_id(-3, -3, 3)
+    assert o.used <= 16
 
 
 def test_budget_below_first_round_keeps_start():
@@ -76,9 +76,9 @@ def test_budget_below_first_round_keeps_start():
     o = NoisyOracle(table, noise="gaussian", R=0.0)
     rng = np.random.default_rng(4)
     start = grid_node_id(0, 0, 3)  # degree 8, needs 10 samples
-    rec = explore_descend(g, o, start, DescendConfig((5,)), rng)
-    assert rec.node == start
-    assert rec.samples == 0
+    node = explore_descend(g, o, start, DescendConfig((5,)), rng)
+    assert node == start
+    assert o.used == 0
 
 
 def test_restart_rules():
@@ -101,17 +101,17 @@ def test_single_restart_delegates_verbatim():
     start = int(np.random.default_rng(123).integers(g.n))
     # replay by hand: one uniform start then a plain descent
     b = explore_descend(g, o2, int(r2.integers(g.n)), DescendConfig.equal_split(600, 4), r2)
-    assert a.node == b.node
-    assert a.samples == b.samples
+    assert a == b
+    assert o1.used == o2.used
 
 
 def test_restart_budgets_never_overspend():
     g, table = bowl_instance(3)
     o = NoisyOracle(table, budget=3000)
     rng = np.random.default_rng(5)
-    rec = explore_descend_restarts(g, o, 3000, rng)
-    assert rec.samples <= 3000
-    assert o.used == rec.samples
+    node = explore_descend_restarts(g, o, 3000, rng)
+    assert 0 <= node < g.n
+    assert o.used <= 3000
 
 
 def double_well():
@@ -131,14 +131,14 @@ def test_restarts_escape_the_wrong_valley():
     for t in range(trials):
         o1 = NoisyOracle(table, noise="gaussian", R=0.05, budget=960)
         o2 = NoisyOracle(table, noise="gaussian", R=0.05, budget=960)
-        rec1 = explore_descend_restarts(
+        node1 = explore_descend_restarts(
             g, o1, 960, np.random.default_rng((7, t)), path_len=8, restarts=1
         )
-        rec8 = explore_descend_restarts(
+        node8 = explore_descend_restarts(
             g, o2, 960, np.random.default_rng((7, t)), path_len=8, restarts=8
         )
-        hits_single += rec1.gap == 0.0
-        hits_multi += rec8.gap == 0.0
+        hits_single += table.gap_to_best(node1) == 0.0
+        hits_multi += table.gap_to_best(node8) == 0.0
     assert hits_multi > hits_single
     assert hits_multi >= 0.9 * trials
 

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphopt import (
     ExperimentConfig,
     Graph,
     TrialRecord,
     ValueTable,
+    default_restarts,
     gap_statistics,
     make_grid_graph,
     records_to_csv,
@@ -15,8 +18,9 @@ from graphopt import (
     stats_to_csv,
     trial_rng,
 )
-from graphopt import GridSpec, harness
-from graphopt.harness import CSV_HEADER
+from graphopt import GridSpec, harness, save_graph
+from graphopt.cli import cli
+from graphopt.harness import ALGORITHMS, CSV_HEADER
 
 
 def small_instance():
@@ -59,6 +63,58 @@ def test_non_finite_settings_rejected_up_front():
     ExperimentConfig(g, t, "sa", (20,), 2, 3, params={"gamma": np.float32(2.0), "s": 3})
 
 
+@pytest.mark.parametrize(
+    "settings, flags",
+    [
+        pytest.param({"algo": "ed", "params": {"path_len": 0}},
+                     ["--algo", "ed", "--path-len", "0"], id="path-len-0"),
+        pytest.param({"algo": "ed", "params": {"restarts": 0}},
+                     ["--algo", "ed", "--restarts", "0"], id="restarts-0"),
+        pytest.param({"algo": "ed", "params": {"restarts": -3}},
+                     ["--algo", "ed", "--restarts", "-3"], id="restarts-negative"),
+        pytest.param({"algo": "sa", "params": {"gamma": 1.0, "steps": -1}},
+                     ["--algo", "sa", "--gamma", "1", "--steps", "-1"], id="steps-negative"),
+        pytest.param({"algo": "sa", "params": {"gamma": -1.0}},
+                     ["--algo", "sa", "--gamma", "-1"], id="gamma-negative"),
+        pytest.param({"algo": "sa", "params": {"gamma": 1.0, "s": 0}},
+                     ["--algo", "sa", "--gamma", "1", "--samples-per-eval", "0"],
+                     id="samples-per-eval-0"),
+        pytest.param({"algo": "sr", "values": ValueTable(np.array([0.5, 1.5, 0.9, 0.0, 0.1]))},
+                     ["--algo", "sr"], id="bernoulli-values-outside-unit-interval"),
+        pytest.param({"algo": "sr", "noise": "gaussian", "noise_scale": -1.0},
+                     ["--algo", "sr", "--noise", "gaussian", "--noise-scale", "-1"],
+                     id="gaussian-scale-negative"),
+        pytest.param({"algo": "sa", "params": {"gamma": 1.0},
+                      "graph": Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])},
+                     ["--algo", "sa", "--gamma", "1"], id="node-without-neighbours"),
+        # argparse already refuses these on the command line
+        pytest.param({"algo": "sr", "noise": "cauchy"}, None, id="unknown-noise-kind"),
+        pytest.param({"algo": "ed", "params": {"path_length": 8}}, None, id="unknown-parameter"),
+    ],
+)
+def test_bad_settings_refused_before_any_trial(tmp_path, capsys, settings, flags):
+    # each used to give all-NaN rows with exit 0, or a traceback
+    g, t = small_instance()
+    settings = {"graph": g, "values": t, **settings}
+    with pytest.raises(ValueError):
+        ExperimentConfig(budgets=(20,), trials=2, seed=3, **settings)
+    if flags is None:
+        return
+    path = tmp_path / "path.txt"
+    save_graph(settings["graph"], path, values=settings["values"])
+    code = cli(["run", "--graph", str(path), "--budget", "20", "--trials", "2", "--seed", "3", *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_missing_gamma_is_refused_at_construction():
+    g, t = small_instance()
+    with pytest.raises(ValueError, match="gamma"):
+        ExperimentConfig(g, t, "sa", (20,), 3, seed=3)
+
+
 def test_trial_rng_streams_are_distinct():
     a = trial_rng(1, 100, 0).random(4)
     b = trial_rng(1, 100, 1).random(4)
@@ -87,6 +143,50 @@ def test_budget_honesty():
             assert rec.samples <= rec.budget
 
 
+@st.composite
+def sweeps(draw):
+    """A random connected graph with values in [0, 1] and one sweep on it."""
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}  # spanning tree
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(a, b) for a, b in draw(st.lists(pairs, max_size=2 * n)) if a < b}
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    algo = draw(st.sampled_from(ALGORITHMS))
+    if algo == "ed":
+        restarts = draw(st.one_of(st.none(), st.just(1), st.integers(2, 4)))
+        params = {"path_len": draw(st.integers(1, 4)), "restarts": restarts}
+    elif algo == "sa":
+        steps = draw(st.one_of(st.none(), st.integers(0, 30)))
+        params = {"gamma": draw(st.floats(0.0, 50.0)), "s": draw(st.integers(1, 5)), "steps": steps}
+    else:
+        params = {}
+    # small budgets half the time, so budget-capped and unsplittable runs are common
+    budget = st.one_of(st.integers(1, 60), st.integers(61, 2500))
+    budgets = sorted(draw(st.lists(budget, min_size=1, max_size=3, unique=True)))
+    return ExperimentConfig(
+        Graph.from_edges(n, sorted(edges)), ValueTable(np.array(values)), algo, budgets,
+        trials=2, seed=draw(st.integers(0, 2**16)), maximize=draw(st.booleans()),
+        noise=draw(st.sampled_from(["bernoulli", "gaussian"])), params=params,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=sweeps())
+def test_budget_honesty_property(cfg):
+    p = cfg.params
+    for rec in run_trials(cfg):
+        assert rec.samples <= rec.budget
+        if rec.node == -1:
+            # only an ed budget too small to split into rounds or restarts fails
+            assert cfg.algo == "ed"
+            r = default_restarts(rec.budget) if p["restarts"] is None else p["restarts"]
+            assert rec.budget < 2 * r * (p["path_len"] + 2)
+        elif cfg.algo == "sa":
+            steps = rec.budget // (2 * p["s"]) if p["steps"] is None else p["steps"]
+            # a chain with budget to spare spends exactly 2 s per step
+            assert rec.samples == min(rec.budget, 2 * p["s"] * steps)
+
+
 def test_sr_fallback_below_node_count():
     # budget 3 covers a single pull of arms 0..2 only; noiseless minimize
     g, t = small_instance()
@@ -111,7 +211,8 @@ def test_sr_full_run_above_node_count():
 
 def test_failed_trials_become_nan_rows():
     g, t = small_instance()
-    cfg = ExperimentConfig(g, t, "sa", (20,), 3, seed=3)  # gamma missing
+    # 3 samples cannot be split into 4 descent rounds
+    cfg = ExperimentConfig(g, t, "ed", (3,), 3, seed=3, params={"path_len": 4})
     recs = run_trials(cfg)
     assert len(recs) == 3
     assert all(r.node == -1 and math.isnan(r.gap) for r in recs)

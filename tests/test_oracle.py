@@ -5,10 +5,8 @@ import pytest
 
 from graphopt import (
     BudgetExhaustedError,
-    Graph,
     NoisyOracle,
     ValueTable,
-    smoothed_sample,
 )
 
 
@@ -18,7 +16,7 @@ def make_oracle(**kw):
 
 def test_true_mean_and_remaining():
     o = make_oracle(budget=10)
-    assert o.true_mean(1) == 0.5
+    assert o.values.value(1) == 0.5
     assert o.remaining == 10
     o.sample(0, np.random.default_rng(0))
     assert o.used == 1
@@ -100,22 +98,3 @@ def test_invalid_noise_name():
 def test_non_finite_noise_scale_rejected(noise, R):
     with pytest.raises(ValueError, match="finite"):
         NoisyOracle(ValueTable(np.array([0.5])), noise=noise, R=R)
-
-
-def test_smoothed_sample_meters_one_draw():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    o = NoisyOracle(ValueTable(np.array([0.1, 0.5, 0.9])), noise="gaussian", R=0.0)
-    rng = np.random.default_rng(7)
-    obs, endpoint = smoothed_sample(o, g, 0, 1, rng)
-    assert o.used == 1
-    assert endpoint == 1  # only neighbor of node 0
-    assert obs == pytest.approx(0.5)
-
-
-def test_smoothed_sample_zero_steps_reads_the_node():
-    g = Graph.from_edges(2, [(0, 1)])
-    o = NoisyOracle(ValueTable(np.array([0.3, 0.6])), noise="gaussian", R=0.0)
-    rng = np.random.default_rng(8)
-    obs, endpoint = smoothed_sample(o, g, 0, 0, rng)
-    assert endpoint == 0
-    assert obs == pytest.approx(0.3)
