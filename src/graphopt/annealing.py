@@ -21,13 +21,13 @@ class SAConfig:
 
     gamma is fixed for the whole run. Each step re-estimates both the
     current node and the proposed neighbor with ``s`` fresh samples, so a
-    full run costs 2*s*steps observations.
+    full run costs 2*s*steps observations. The chain minimizes what the
+    oracle observes (see NoisyOracle's ``maximize``).
     """
 
     gamma: float
     s: int = 1
     steps: int = 0
-    minimize: bool = True
 
     def __post_init__(self):
         if not math.isfinite(self.gamma) or self.gamma < 0:
@@ -78,7 +78,7 @@ def sa_step(g: Graph, oracle: NoisyOracle, x: int, cfg: SAConfig, rng: np.random
     y = nbrs[int(rng.integers(len(nbrs)))]
     fx, _ = oracle.sample_mean(x, cfg.s, rng)
     fy, _ = oracle.sample_mean(y, cfg.s, rng)
-    diff = fx - fy if cfg.minimize else fy - fx
+    diff = fx - fy
     if diff >= 0 or rng.random() < math.exp(cfg.gamma * diff):
         return y
     return x

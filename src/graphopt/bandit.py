@@ -4,7 +4,8 @@ Arms are indexed 0..K-1. A sampler is any callable
 ``sampler(arm, count, rng) -> (mean, taken)`` returning the empirical mean
 of up to ``count`` pulls and how many were actually taken (fewer once an
 underlying budget runs dry; it may raise BudgetExhaustedError when nothing
-is left). The algorithm always maximizes; negate rewards to minimize.
+is left). The algorithm picks the highest reward; ``oracle_sampler``
+negates observations, which the optimizers minimize, into rewards.
 """
 
 from __future__ import annotations
@@ -127,18 +128,17 @@ def uniform_best_arm(
     return best_arm
 
 
-def oracle_sampler(
-    oracle: NoisyOracle, arms: Sequence[int], sign: float = 1.0
-) -> Sampler:
+def oracle_sampler(oracle: NoisyOracle, arms: Sequence[int]) -> Sampler:
     """Adapt a NoisyOracle to the sampler protocol.
 
-    ``arms[i]`` is the node behind arm i; sign=-1 turns minimization of
-    the oracle's values into reward maximization.
+    ``arms[i]`` is the node behind arm i, and its reward is the negated
+    observation, so the lowest observed value wins. An oracle built with
+    ``maximize=True`` already negates, so there the highest value wins.
     """
 
     def pull(arm: int, count: int, rng: np.random.Generator) -> tuple[float, int]:
         mean, taken = oracle.sample_mean(arms[arm], count, rng)
-        return sign * mean, taken
+        return -mean, taken
 
     return pull
 

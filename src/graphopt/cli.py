@@ -58,6 +58,11 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {exc}")
 
 
+def _restarts(text: str) -> int | None:
+    """'auto' (None, the 1 + budget/1000 rule) or a restart count."""
+    return None if text == "auto" else int(text)
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -145,18 +150,10 @@ def _cmd_certify(args) -> int:
 
 def _cmd_run(args) -> int:
     g, table = _load_instance(args.graph, args.values)
-    params: dict = {}
-    if args.algo == "ed":
-        params["path_len"] = args.path_len
-        if args.restarts != "auto":
-            params["restarts"] = int(args.restarts)
-    elif args.algo == "sa":
-        if args.gamma is None:
-            raise UsageError("--algo sa needs --gamma")
-        params["gamma"] = args.gamma
-        params["s"] = args.samples_per_eval
-        if args.steps is not None:
-            params["steps"] = args.steps
+    # ExperimentConfig fills in defaults and refuses options the algorithm does not take
+    params = {k: getattr(args, k) for k in ("path_len", "restarts", "gamma", "s", "steps") if k in args}
+    if args.algo == "sa" and "gamma" not in params:
+        raise UsageError("--algo sa needs --gamma")
     cfg = ExperimentConfig(
         graph=g,
         values=table,
@@ -272,11 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maximize", action="store_true")
     p.add_argument("--noise", choices=("bernoulli", "gaussian"), default="bernoulli")
     p.add_argument("--noise-scale", type=float, default=0.5)
-    p.add_argument("--path-len", type=int, default=4)
-    p.add_argument("--restarts", default="auto", help="'auto' for 1+budget/1000, or a count")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--samples-per-eval", type=int, default=30)
-    p.add_argument("--steps", type=int)
+    unset = argparse.SUPPRESS  # an algorithm option is passed on only when given
+    p.add_argument("--path-len", type=int, default=unset)
+    p.add_argument("--restarts", type=_restarts, default=unset, help="'auto' (1+budget/1000) or a count")
+    p.add_argument("--gamma", type=float, default=unset)
+    p.add_argument("--samples-per-eval", dest="s", type=int, default=unset)
+    p.add_argument("--steps", type=int, default=unset)
     p.add_argument("--aggregate", action="store_true", help="emit per-budget stats instead of rows")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_run)
@@ -361,3 +359,7 @@ def cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli())
+
+
+if __name__ == "__main__":
+    main()

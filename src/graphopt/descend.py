@@ -17,15 +17,15 @@ from .oracle import BudgetExhaustedError, NoisyOracle
 
 @dataclass(frozen=True)
 class DescendConfig:
-    """Round budgets and sense for one descent run.
+    """Round budgets for one descent run.
 
     ``schedule`` holds the per-round sample budgets T_1..T_S. A round at
     node x needs at least deg(x)+2 samples to be meaningful; the runner
     merges rounds from the tail of the schedule when one falls short.
+    The descent minimizes what the oracle observes.
     """
 
     schedule: tuple[int, ...]
-    minimize: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", tuple(int(t) for t in self.schedule))
@@ -33,14 +33,14 @@ class DescendConfig:
             raise ValueError("round budgets must be positive")
 
     @staticmethod
-    def equal_split(budget: int, rounds: int, minimize: bool = True) -> "DescendConfig":
+    def equal_split(budget: int, rounds: int) -> "DescendConfig":
         """Schedule of ``rounds`` equal budgets floor(budget/rounds)."""
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
         per = budget // rounds
         if per < 1:
             raise ValueError(f"budget {budget} too small for {rounds} rounds")
-        return DescendConfig((per,) * rounds, minimize=minimize)
+        return DescendConfig((per,) * rounds)
 
 
 def descent_oracle(
@@ -49,21 +49,20 @@ def descent_oracle(
     x: int,
     round_budget: int,
     rng: np.random.Generator,
-    minimize: bool = True,
 ) -> int:
     """One descent move: best arm among {x} and its neighbors.
 
     Arm 0 is x itself (so ties favor staying put), arms 1.. are the
     neighbors in ascending id order. Pulling an arm draws one noisy
-    sample of that node; for minimization the maximized reward is the
-    negated sample. Returns the winning node. If the oracle runs dry
-    mid-round the current empirical winner is returned.
+    sample of that node, and the lowest observed mean wins. Returns the
+    winning node. If the oracle runs dry mid-round the current empirical
+    winner is returned.
     """
     arms = (x,) + g.neighbors(x)
     K = len(arms)
     if round_budget <= K:
         raise ValueError(f"round budget {round_budget} must exceed deg(x)+1 = {K}")
-    sampler = oracle_sampler(oracle, arms, sign=-1.0 if minimize else 1.0)
+    sampler = oracle_sampler(oracle, arms)
     return arms[successive_reject(K, sampler, round_budget, rng)]
 
 
@@ -94,7 +93,7 @@ def explore_descend(
             break
         if oracle.remaining == 0:
             break
-        x = descent_oracle(g, oracle, x, t, rng, minimize=cfg.minimize)
+        x = descent_oracle(g, oracle, x, t, rng)
     return x
 
 
@@ -122,7 +121,6 @@ def explore_descend_restarts(
     rng: np.random.Generator,
     path_len: int = 4,
     restarts: int | None = None,
-    minimize: bool = True,
 ) -> int:
     """Independent uniform-start descents sharing the budget equally;
     returns the chosen terminal node.
@@ -130,7 +128,7 @@ def explore_descend_restarts(
     With one restart this is exactly explore_descend on a uniform start.
     With several, each restart's share reserves its slice of 5% of the
     total budget; after all descents finish, every terminal node is
-    re-estimated with that reserve and the best estimate wins (ties to
+    re-estimated with that reserve and the lowest estimate wins (ties to
     the lowest node id).
     """
     r, per_restart = restart_allocation(budget, restarts)
@@ -141,14 +139,14 @@ def explore_descend_restarts(
         return int(rng.integers(g.n))
 
     if r == 1:
-        cfg = DescendConfig.equal_split(budget, path_len, minimize=minimize)
+        cfg = DescendConfig.equal_split(budget, path_len)
         return explore_descend(g, oracle, start(), cfg, rng)
 
     eval_per = max(1, (budget // 20) // r)
     descend_per = per_restart - eval_per
     if descend_per < path_len:
         raise ValueError(f"budget {budget} too small for {r} restarts of {path_len} rounds")
-    cfg = DescendConfig.equal_split(descend_per, path_len, minimize=minimize)
+    cfg = DescendConfig.equal_split(descend_per, path_len)
 
     finals: list[int] = []
     for _ in range(r):
@@ -161,8 +159,6 @@ def explore_descend_restarts(
             est, _ = oracle.sample_mean(node, eval_per, rng)
         except BudgetExhaustedError:
             break
-        if not minimize:
-            est = -est
         if best_est is None or est < best_est or (est == best_est and node < best_node):
             best_est = est
             best_node = node

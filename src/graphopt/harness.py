@@ -52,10 +52,12 @@ _PARAM_DEFAULTS = {
 class ExperimentConfig:
     """One algorithm swept over budgets, repeated over seeded trials.
 
+    Budgets strictly ascend; ``maximize`` sets each trial oracle's sense.
     ``params`` carries the per-algorithm knobs: ed takes path_len (>= 1)
     and restarts (None means the 1 + budget/1000 rule, an int >= 1 pins a
     count); sa takes gamma (required, finite, >= 0), s (>= 1), and
     optionally steps (>= 0; default: spend the budget, budget // (2 s)).
+    Integer knobs must be whole (4.0 is taken as 4).
 
     Every setting is checked here, once, and ``params`` is replaced by the
     resolved values with defaults filled in. The oracle settings are
@@ -82,8 +84,9 @@ class ExperimentConfig:
             raise ValueError("need at least one budget")
         if any(b <= 0 for b in self.budgets):
             raise ValueError("budgets must be positive")
-        if list(self.budgets) != sorted(self.budgets):
-            raise ValueError("budgets must be ascending")
+        if any(a >= b for a, b in zip(self.budgets, self.budgets[1:])):
+            # a repeated budget would replay the same trial streams
+            raise ValueError(f"budgets must be strictly ascending, got {list(self.budgets)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed is None:
@@ -110,20 +113,20 @@ class ExperimentConfig:
             if inexact and not math.isfinite(value):
                 raise ValueError(f"params[{key!r}] must be finite, got {value}")
         p = {**defaults, **self.params}
+        for key in ("path_len", "restarts", "s", "steps"):
+            if p.get(key) is not None:
+                if int(p[key]) != p[key]:
+                    raise ValueError(f"{key} must be a whole number, got {p[key]}")
+                p[key] = int(p[key])
         if self.algo == "ed":
-            p["path_len"] = int(p["path_len"])
             if p["path_len"] < 1:
                 raise ValueError(f"path_len must be >= 1, got {p['path_len']}")
-            if p["restarts"] is not None:
-                p["restarts"] = int(p["restarts"])
-                if p["restarts"] < 1:
-                    raise ValueError(f"restarts must be >= 1, got {p['restarts']}")
+            if p["restarts"] is not None and p["restarts"] < 1:
+                raise ValueError(f"restarts must be >= 1, got {p['restarts']}")
         elif self.algo == "sa":
             if p["gamma"] is None:
                 raise ValueError("sa requires params['gamma']")
-            p["gamma"], p["s"] = float(p["gamma"]), int(p["s"])
-            if p["steps"] is not None:
-                p["steps"] = int(p["steps"])
+            p["gamma"] = float(p["gamma"])
             # SAConfig holds the rules for gamma, s and steps
             SAConfig(gamma=p["gamma"], s=p["s"], steps=p["steps"] or 0)
         return p
@@ -139,18 +142,15 @@ def _run_one(cfg: ExperimentConfig, oracle: NoisyOracle, budget: int, rng: np.ra
     """The node one trial of cfg.algo returns."""
     n = cfg.graph.n
     p = cfg.params
-    minimize = not cfg.maximize
     if cfg.algo == "sr":
         best_arm = successive_reject if budget > n else uniform_best_arm
-        sign = -1.0 if minimize else 1.0
-        return best_arm(n, oracle_sampler(oracle, range(n), sign=sign), budget, rng)
+        return best_arm(n, oracle_sampler(oracle, range(n)), budget, rng)
     if cfg.algo == "ed":
         return explore_descend_restarts(
-            cfg.graph, oracle, budget, rng,
-            path_len=p["path_len"], restarts=p["restarts"], minimize=minimize,
+            cfg.graph, oracle, budget, rng, path_len=p["path_len"], restarts=p["restarts"]
         )
     steps = budget // (2 * p["s"]) if p["steps"] is None else p["steps"]
-    sa_cfg = SAConfig(gamma=p["gamma"], s=p["s"], steps=steps, minimize=minimize)
+    sa_cfg = SAConfig(gamma=p["gamma"], s=p["s"], steps=steps)
     return simulated_annealing(cfg.graph, oracle, int(rng.integers(n)), sa_cfg, rng)
 
 
@@ -172,7 +172,9 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     for budget in cfg.budgets:
         for trial in range(cfg.trials):
             rng = trial_rng(cfg.seed, budget, trial)
-            oracle = NoisyOracle(cfg.values, noise=cfg.noise, R=cfg.noise_scale, budget=budget)
+            oracle = NoisyOracle(
+                cfg.values, noise=cfg.noise, R=cfg.noise_scale, budget=budget, maximize=cfg.maximize
+            )
             t0 = time.perf_counter()
             try:
                 node = _run_one(cfg, oracle, budget, rng)

@@ -101,16 +101,9 @@ class DistanceCache:
 
 
 def smoothed_sa_search(
-    g: Graph,
-    points: PointSet,
-    query,
-    start: int,
-    J: int,
-    T: int,
-    rng: np.random.Generator,
-    cache: DistanceCache | None = None,
+    g: Graph, cache: DistanceCache, start: int, J: int, T: int, rng: np.random.Generator
 ) -> int:
-    """Annealed walk toward the query; returns the final node.
+    """Annealed walk toward the cache's query; returns the final node.
 
     Each of the J iterations compares the current node against a uniform
     random neighbor, both scored by the exact distance of a T-step
@@ -123,8 +116,6 @@ def smoothed_sa_search(
         raise ValueError("J must be >= 0")
     if not 0 <= start < g.n:
         raise ValueError(f"start node {start} out of range")
-    if cache is None:
-        cache = DistanceCache(points, query)
     x = start
     for j in range(1, J + 1):
         tau = max(1.0 - j / J, TAU_FLOOR)
@@ -181,7 +172,7 @@ def sgnn_query(
     cache = DistanceCache(points, query)
     for _ in range(I):
         start = int(rng.integers(g.n))
-        x = smoothed_sa_search(g, points, query, start, J, T, rng, cache=cache)
+        x = smoothed_sa_search(g, cache, start, J, T, rng)
         cache.evaluate(x)
     _expand_best_first(g, cache, K)
     top = cache.nearest()[:K]

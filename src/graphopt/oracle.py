@@ -22,12 +22,17 @@ class NoisyOracle:
     (values must then lie in [0, 1]); noise="gaussian" returns
     f(x) + N(0, R^2). Every scalar observation advances ``used`` by one;
     when ``budget`` is set, draws beyond it raise BudgetExhaustedError.
+
+    The optimizers minimize what they observe; with ``maximize`` set the
+    oracle returns negated observations, so they climb f. The sign is
+    applied after the draw and leaves the random stream unchanged.
     """
 
     values: ValueTable
     noise: str = "bernoulli"
     R: float = 0.5
     budget: int | None = None
+    maximize: bool = False
     used: int = field(default=0, init=False)
 
     def __post_init__(self):
@@ -66,8 +71,10 @@ class NoisyOracle:
         self._take(1)
         f = self.values.value(x)
         if self.noise == "bernoulli":
-            return float(rng.random() < f)
-        return f + self.R * float(rng.standard_normal())
+            obs = float(rng.random() < f)
+        else:
+            obs = f + self.R * float(rng.standard_normal())
+        return -obs if self.maximize else obs
 
     def sample_mean(self, x: int, count: int, rng: np.random.Generator) -> tuple[float, int]:
         """Mean of up to ``count`` observations of x, with the number taken.
@@ -79,5 +86,7 @@ class NoisyOracle:
         k = self._take(count)
         f = self.values.value(x)
         if self.noise == "bernoulli":
-            return float(rng.binomial(k, f)) / k, k
-        return f + self.R / np.sqrt(k) * float(rng.standard_normal()), k
+            mean = float(rng.binomial(k, f)) / k
+        else:
+            mean = f + self.R / np.sqrt(k) * float(rng.standard_normal())
+        return (-mean if self.maximize else mean), k

@@ -97,8 +97,8 @@ def test_huge_gamma_blocks_uphill():
 
 def test_maximize_flips_the_direction():
     g = Graph.from_edges(2, [(0, 1)])
-    o = NoisyOracle(ValueTable(np.array([0.1, 0.9])), noise="gaussian", R=0.0)
-    cfg = SAConfig(gamma=1e6, s=1, steps=1, minimize=False)
+    o = NoisyOracle(ValueTable(np.array([0.1, 0.9])), noise="gaussian", R=0.0, maximize=True)
+    cfg = SAConfig(gamma=1e6, s=1, steps=1)
     rng = np.random.default_rng(3)
     assert sa_step(g, o, 0, cfg, rng) == 1
 

@@ -60,7 +60,7 @@ def test_schedule_never_overspends(K, extra):
 
 def test_zero_noise_always_finds_best():
     means = [0.1, 0.9, 0.4, 0.2]
-    o = NoisyOracle(ValueTable(np.array(means)), noise="gaussian", R=0.0)
+    o = NoisyOracle(ValueTable(np.array(means)), noise="gaussian", R=0.0, maximize=True)
     sampler = oracle_sampler(o, [0, 1, 2, 3])
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -70,7 +70,7 @@ def test_zero_noise_always_finds_best():
 def test_zero_noise_minimization_via_sign():
     means = [0.1, 0.9, 0.4, 0.2]
     o = NoisyOracle(ValueTable(np.array(means)), noise="gaussian", R=0.0)
-    sampler = oracle_sampler(o, [0, 1, 2, 3], sign=-1.0)
+    sampler = oracle_sampler(o, [0, 1, 2, 3])
     rng = np.random.default_rng(0)
     assert successive_reject(4, sampler, 60, rng) == 0
 
@@ -155,7 +155,7 @@ def sr_cases(draw):
         R=draw(st.sampled_from([0.0, 0.5])),
         B=B,
         oracle_budget=draw(st.none() | st.integers(0, B)),
-        sign=draw(st.sampled_from([1.0, -1.0])),
+        maximize=draw(st.booleans()),
         # the sampler call that comes back empty (taken == 0), if any
         empty_call=draw(st.none() | st.integers(0, 3 * K)),
         empty_mean=draw(st.floats(-1, 1)),
@@ -169,8 +169,9 @@ def run_case(case, algorithm):
         noise=case["noise"],
         R=case["R"],
         budget=case["oracle_budget"],
+        maximize=case["maximize"],
     )
-    pull = oracle_sampler(oracle, range(case["K"]), sign=case["sign"])
+    pull = oracle_sampler(oracle, range(case["K"]))
     calls = []
 
     def sampler(arm, count, rng):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import graphopt
 from graphopt import Graph, PointSet, load_graph, save_graph, save_points
 from graphopt.cli import cli
 
@@ -123,6 +129,28 @@ def test_run_sa_needs_gamma(tmp_path, capsys):
     )
     assert code == 2
     assert "gamma" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--algo", "sr", "--gamma", "5"),
+        ("--algo", "sr", "--path-len", "0"),
+        ("--algo", "ed", "--steps", "10"),
+        ("--algo", "ed", "--samples-per-eval", "3"),
+        ("--algo", "sa", "--gamma", "5", "--restarts", "auto"),
+    ],
+    ids=["sr-gamma", "sr-path-len", "ed-steps", "ed-samples-per-eval", "sa-restarts"],
+)
+def test_run_refuses_options_the_algorithm_does_not_take(tmp_path, capsys, extra):
+    out = tmp_path / "grid.txt"
+    run_cli(capsys, "gen-grid", "--D", "2", "--target-degree", "8", "--seed", "5", "--out", str(out))
+    code, stdout, err = run_cli(
+        capsys, "run", "--graph", str(out), "--budget", "100", "--trials", "2", "--seed", "1", *extra
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "takes no parameter" in err
+    assert stdout == ""
 
 
 def test_run_rejects_non_finite_settings(tmp_path, capsys):
@@ -279,3 +307,15 @@ def test_bound_rejects_non_finite_inputs(capsys, argv):
     assert exc.value.code != 0
     assert "must be finite" in captured.err
     assert captured.out == ""
+
+
+def test_python_m_graphopt_cli_runs_the_command(tmp_path):
+    src = str(Path(graphopt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphopt.cli", "gen-grid", "--D", "3", "--seed", "0", "--out", "g.txt"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    g, table = load_graph(tmp_path / "g.txt")
+    assert g.n == 49 and table is not None

@@ -90,14 +90,25 @@ def test_non_finite_settings_rejected_up_front():
         # argparse already refuses these on the command line
         pytest.param({"algo": "sr", "noise": "cauchy"}, None, id="unknown-noise-kind"),
         pytest.param({"algo": "ed", "params": {"path_length": 8}}, None, id="unknown-parameter"),
+        # a repeated budget replays the same trial streams
+        pytest.param({"algo": "sr", "budgets": (20, 20)}, ["--algo", "sr", "--budget", "20,20"],
+                     id="repeated-budget"),
+        pytest.param({"algo": "sr", "budgets": (10, 20, 20)}, ["--algo", "sr", "--budget", "10,20,20"],
+                     id="repeated-last-budget"),
+        # integer knobs used to be truncated with int()
+        pytest.param({"algo": "ed", "params": {"path_len": 2.7}}, None, id="fractional-path-len"),
+        pytest.param({"algo": "ed", "params": {"restarts": 1.5}}, None, id="fractional-restarts"),
+        pytest.param({"algo": "sa", "params": {"gamma": 1.0, "s": 2.5}}, None, id="fractional-s"),
+        pytest.param({"algo": "sa", "params": {"gamma": 1.0, "steps": 3.5}}, None,
+                     id="fractional-steps"),
     ],
 )
 def test_bad_settings_refused_before_any_trial(tmp_path, capsys, settings, flags):
     # each used to give all-NaN rows with exit 0, or a traceback
     g, t = small_instance()
-    settings = {"graph": g, "values": t, **settings}
+    settings = {"graph": g, "values": t, "budgets": (20,), **settings}
     with pytest.raises(ValueError):
-        ExperimentConfig(budgets=(20,), trials=2, seed=3, **settings)
+        ExperimentConfig(trials=2, seed=3, **settings)
     if flags is None:
         return
     path = tmp_path / "path.txt"
@@ -107,6 +118,15 @@ def test_bad_settings_refused_before_any_trial(tmp_path, capsys, settings, flags
     assert code == 1
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+def test_whole_float_parameters_are_taken_as_ints():
+    g, t = small_instance()
+    cfg = ExperimentConfig(g, t, "ed", (20,), 2, 3, params={"path_len": 4.0, "restarts": 2.0})
+    assert cfg.params == {"path_len": 4, "restarts": 2}
+    assert type(cfg.params["path_len"]) is int
+    cfg = ExperimentConfig(g, t, "sa", (20,), 2, 3, params={"gamma": 1, "s": 3.0, "steps": 5.0})
+    assert cfg.params == {"gamma": 1.0, "s": 3, "steps": 5}
 
 
 def test_missing_gamma_is_refused_at_construction():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphopt import (
     DistanceCache,
@@ -84,7 +86,7 @@ def test_search_acceptance_probability():
     q = np.array([0.0])
     rng = np.random.default_rng(11)
     reps = 20000
-    ends = sum(smoothed_sa_search(g, ps, q, 0, 2, 0, rng) == 2 for _ in range(reps))
+    ends = sum(smoothed_sa_search(g, DistanceCache(ps, q), 0, 2, 0, rng) == 2 for _ in range(reps))
     want = math.exp(-0.4) / 2
     sigma = math.sqrt(want * (1 - want) / reps)
     assert abs(ends / reps - want) < 3 * sigma
@@ -93,7 +95,8 @@ def test_search_acceptance_probability():
 def test_search_zero_rounds_returns_start():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     ps = PointSet(np.array([[1.0], [1.2], [0.5]]))
-    assert smoothed_sa_search(g, ps, np.array([0.0]), 1, 0, 0, np.random.default_rng(0)) == 1
+    cache = DistanceCache(ps, np.array([0.0]))
+    assert smoothed_sa_search(g, cache, 1, 0, 0, np.random.default_rng(0)) == 1
 
 
 def test_sgnn_single_restart_zero_rounds():
@@ -191,6 +194,38 @@ def test_points_roundtrip(tmp_path):
     save_points(unlabeled, tmp_path / "pts3.csv")
     assert not (tmp_path / "pts3.csv.labels").exists()
     assert load_points(tmp_path / "pts3.csv").labels is None
+
+
+# A label is one line of the labels file, read back stripped: non-empty,
+# no line break (universal newlines also split on a carriage return) and
+# no surrounding whitespace.
+labels_text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8).filter(
+    lambda lab: lab == lab.strip() and "\n" not in lab and "\r" not in lab
+)
+
+
+@st.composite
+def point_files(draw):
+    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    coords = draw(st.lists(st.lists(finite, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    labels = draw(st.none() | st.lists(labels_text, min_size=n, max_size=n).map(tuple))
+    return coords, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=point_files())
+def test_point_file_round_trip(case, tmp_path_factory):
+    coords, labels = case
+    out = tmp_path_factory.mktemp("points")
+    save_points(PointSet(np.array(coords), labels), out / "p.csv")
+    back = load_points(out / "p.csv")
+    assert back.coords.tolist() == coords
+    assert back.labels == labels
+    save_points(back, out / "again.csv")
+    assert (out / "again.csv").read_bytes() == (out / "p.csv").read_bytes()
+    if labels is not None:
+        assert (out / "again.csv.labels").read_bytes() == (out / "p.csv.labels").read_bytes()
 
 
 def test_load_points_label_count_mismatch(tmp_path):

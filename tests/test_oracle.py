@@ -98,3 +98,23 @@ def test_invalid_noise_name():
 def test_non_finite_noise_scale_rejected(noise, R):
     with pytest.raises(ValueError, match="finite"):
         NoisyOracle(ValueTable(np.array([0.5])), noise=noise, R=R)
+
+
+@pytest.mark.parametrize("noise", ["bernoulli", "gaussian"])
+def test_maximize_negates_the_same_draws(noise):
+    # the sense is applied after the draw: same stream, same meter
+    calls = [(0, 1), (2, 7), (1, 1), (1, 40), (2, 1), (0, 3)]
+    seen = []
+    for maximize in (False, True):
+        o = make_oracle(noise=noise, R=0.4, maximize=maximize)
+        rng = np.random.default_rng(31)
+        obs = [
+            (o.sample(x, rng), 1) if count == 1 else o.sample_mean(x, count, rng)
+            for x, count in calls
+        ]
+        seen.append((obs, o.used, rng.random()))
+    (low, used_low, next_low), (high, used_high, next_high) = seen
+    # hex compares bit for bit, so the sign of a zero counts
+    assert [(float(m).hex(), k) for m, k in high] == [(float(-m).hex(), k) for m, k in low]
+    assert used_high == used_low == 53
+    assert next_high == next_low

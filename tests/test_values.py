@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphopt import ValueFormatError, ValueTable, load_values, parse_values, save_values
 
@@ -37,6 +39,17 @@ def test_roundtrip_exact(tmp_path):
     back = load_values(p)
     # %.17g preserves float64 exactly
     assert np.array_equal(back.means, t.means)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_value_file_round_trip(values, tmp_path_factory):
+    out = tmp_path_factory.mktemp("values")
+    save_values(ValueTable(np.array(values)), out / "v.txt")
+    back = load_values(out / "v.txt")
+    assert back.means.tolist() == values
+    save_values(back, out / "again.txt")
+    assert (out / "again.txt").read_bytes() == (out / "v.txt").read_bytes()
 
 
 def test_load_rejects_gaps_and_duplicates(tmp_path):
