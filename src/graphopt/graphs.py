@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import length_hint
 from typing import Iterable
 
 import numpy as np
@@ -153,6 +154,79 @@ class Path:
         return len(self.nodes)
 
 
+# 64-bit words a _Draws fetches per refill; those left unused are rewound
+_DRAW_CHUNK = 256
+
+
+class _Draws:
+    """Context manager standing in for a PCG64 ``Generator``'s scalar
+    ``integers(n)`` and ``random()``: the same values and the same final
+    generator state, drawn from words fetched in bulk with ``random_raw``.
+
+    A scalar numpy call costs a few µs, mostly call overhead. Both
+    algorithms are numpy's own: ``integers(n)`` is Lemire's bounded method
+    (arXiv:1805.10941) on a 32-bit half-word, low half first, the high half
+    kept in the bit generator's ``has_uint32``/``uinteger`` buffer;
+    ``random()`` is ``(w >> 11) * 2**-53`` on a whole word and leaves that
+    buffer alone. On exit the unused words are rewound and the buffer is
+    written back. The generator must take no other draw while the helper
+    is open, so two helpers never nest on one generator.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bg = rng.bit_generator
+        if not isinstance(bg, np.random.PCG64):
+            raise TypeError(f"draws need a PCG64 bit generator, got {type(bg).__name__}")
+        self._bg = bg
+
+    def __enter__(self) -> "_Draws":
+        state = self._bg.state
+        self._has = bool(state["has_uint32"])
+        self._half = state["uinteger"]  # numpy keeps a consumed half here too
+        self._words = iter(())
+        return self
+
+    def __exit__(self, *exc) -> None:
+        unused = length_hint(self._words)
+        if unused:
+            self._bg.advance(2**128 - unused)  # advance() also clears the buffer
+        state = self._bg.state
+        state["has_uint32"] = int(self._has)
+        state["uinteger"] = self._half
+        self._bg.state = state
+
+    def _word(self) -> int:
+        try:
+            return next(self._words)
+        except StopIteration:
+            self._words = iter(self._bg.random_raw(_DRAW_CHUNK).tolist())
+            return next(self._words)
+
+    def integers(self, n: int) -> int:
+        """Uniform on 0..n-1, as ``Generator.integers(n)`` for n in 1..2**32."""
+        if not 1 < n <= 1 << 32:
+            if n == 1:
+                return 0  # numpy draws nothing for a range of one
+            raise ValueError(f"integers(n) needs n in 1..2**32, got {n}")
+        while True:
+            if self._has:
+                self._has = False
+                m = self._half * n
+            else:
+                w = self._word()
+                self._has = True
+                self._half = w >> 32
+                m = (w & 0xFFFFFFFF) * n
+            low = m & 0xFFFFFFFF
+            # reject only low < (2**32 - n) % n, a bound below n: low >= n skips the %
+            if low >= n or low >= ((1 << 32) - n) % n:
+                return m >> 32
+
+    def random(self) -> float:
+        """Uniform on [0, 1), as ``Generator.random()``."""
+        return (self._word() >> 11) * 2.0**-53
+
+
 def random_walk(g: Graph, start: int, T: int, rng: np.random.Generator) -> int:
     """Walk T uniform-neighbor steps from start; return the end node.
 
@@ -239,7 +313,6 @@ def make_grid_graph(spec: GridSpec) -> tuple[Graph, ValueTable]:
     target = spec.target_degree
     adj = [set(nbrs) for nbrs in base.adjacency]
     deg = [len(s) for s in adj]
-    rng = np.random.default_rng(spec.seed)
 
     cands = [u for u in range(n) if deg[u] < target]
     pos = {u: i for i, u in enumerate(cands)}
@@ -259,31 +332,33 @@ def make_grid_graph(spec: GridSpec) -> tuple[Graph, ValueTable]:
             if deg[w] >= target:
                 drop(w)
 
-    while len(cands) >= 2:
-        added = False
-        for _ in range(200):
-            i = int(rng.integers(len(cands)))
-            j = int(rng.integers(len(cands)))
-            if i == j:
+    with _Draws(np.random.default_rng(spec.seed)) as draws:
+        while len(cands) >= 2:
+            added = False
+            for _ in range(200):
+                i = draws.integers(len(cands))
+                j = draws.integers(len(cands))
+                if i == j:
+                    continue
+                u, v = cands[i], cands[j]
+                if v in adj[u]:
+                    continue
+                connect(u, v)
+                added = True
+                break
+            if added:
                 continue
-            u, v = cands[i], cands[j]
-            if v in adj[u]:
-                continue
+            ordered = sorted(cands)
+            pairs = [
+                (u, v)
+                for ii, u in enumerate(ordered)
+                for v in ordered[ii + 1 :]
+                if v not in adj[u]
+            ]
+            if not pairs:
+                break
+            u, v = pairs[draws.integers(len(pairs))]
             connect(u, v)
-            added = True
-            break
-        if added:
-            continue
-        pairs = [
-            (u, v)
-            for ii, u in enumerate(sorted(cands))
-            for v in sorted(cands)[ii + 1 :]
-            if v not in adj[u]
-        ]
-        if not pairs:
-            break
-        u, v = pairs[int(rng.integers(len(pairs)))]
-        connect(u, v)
 
     g = Graph(n, False, tuple(tuple(sorted(s)) for s in adj))
     return g, table

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, random_walk
+from .graphs import Graph, _Draws, random_walk
 
 TAU_FLOOR = 1e-9
 
@@ -160,6 +160,8 @@ def sgnn_query(
     fewer than K are known). The expansion stops when the frontier's
     nearest node is farther than the K-th best, or the frontier is empty.
     It draws no random numbers, so the chains' draws do not depend on it.
+    The chains draw through ``graphs._Draws``: the same numbers as numpy's
+    scalar calls, faster; ``rng`` must therefore be PCG64 (else TypeError).
 
     The K nearest of the final pool are returned; a pool smaller than K
     (the evaluated nodes reach fewer than K) is returned whole and
@@ -170,10 +172,11 @@ def sgnn_query(
     if K < 1:
         raise ValueError("K must be >= 1")
     cache = DistanceCache(points, query)
-    for _ in range(I):
-        start = int(rng.integers(g.n))
-        x = smoothed_sa_search(g, cache, start, J, T, rng)
-        cache.evaluate(x)
+    with _Draws(rng) as draws:
+        for _ in range(I):
+            start = draws.integers(g.n)
+            x = smoothed_sa_search(g, cache, start, J, T, draws)
+            cache.evaluate(x)
     _expand_best_first(g, cache, K)
     top = cache.nearest()[:K]
     return QueryResult(
@@ -265,15 +268,29 @@ def classify_majority(candidates, labels):
 
 
 def save_points(ps: PointSet, path, labels_path=None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in ps.coords:
-            writer.writerow([f"{v:.17g}" for v in row])
+    """Write the points, and their labels when they have any.
+
+    Each label must be a non-empty ``str`` with no line break and no
+    surrounding whitespace, the labels ``load_points`` reads back as
+    written; any other raises ValueError before a file is written.
+    """
     if labels_path is None and ps.labels is not None:
         labels_path = f"{path}.labels"
     if labels_path is not None:
         if ps.labels is None:
             raise ValueError("point set has no labels to save")
+        for i, lab in enumerate(ps.labels):
+            storable = isinstance(lab, str) and lab and lab == lab.strip()
+            if not storable or "\n" in lab or "\r" in lab:
+                raise ValueError(
+                    f"label {i} ({lab!r}) cannot be saved: labels must be non-empty"
+                    " strings with no line break or surrounding whitespace"
+                )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in ps.coords:
+            writer.writerow([f"{v:.17g}" for v in row])
+    if labels_path is not None:
         with open(labels_path, "w", encoding="utf-8") as fh:
             for lab in ps.labels:
                 fh.write(f"{lab}\n")

@@ -1,6 +1,8 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphopt import (
@@ -9,6 +11,7 @@ from graphopt import (
     GridSpec,
     Path,
     PointSet,
+    graphs,
     grid_coords,
     grid_node_id,
     grid_value,
@@ -114,6 +117,61 @@ def test_augmented_grid_deterministic():
     c, _ = make_grid_graph(GridSpec(D=5, target_degree=9, seed=43))
     assert a.adjacency == b.adjacency
     assert a.adjacency != c.adjacency
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GridSpec(D=3, target_degree=15, seed=0),  # reaches the fallback, no pair left
+        GridSpec(D=3, target_degree=47, seed=20),  # the fallback draws a pair
+        GridSpec(D=10, target_degree=15, seed=0),
+        GridSpec(D=25, target_degree=15, seed=7),
+    ],
+)
+def test_grid_augmentation_draws_as_numpy(spec, monkeypatch):
+    """The augmentation loop gives the graph that numpy's own scalar
+    draws on the same seed give."""
+    g, _ = make_grid_graph(spec)
+    monkeypatch.setattr(graphs, "_Draws", nullcontext)  # the plain Generator
+    want, _ = make_grid_graph(spec)
+    assert g.adjacency == want.adjacency
+
+
+# integers(n) ranges: trivial, small, a degree, large, and the 32-bit edges
+_DRAW_RANGES = (1, 2, 3, 10, 2000, 2**31 + 5, 2**32 - 1, 2**32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    lead=st.integers(0, 2),
+    pattern=st.lists(st.sampled_from(_DRAW_RANGES) | st.none(), min_size=1, max_size=12),
+    length=st.integers(0, 6 * graphs._DRAW_CHUNK),
+)
+@example(seed=0, lead=1, pattern=[None, 10, 2**31 + 5], length=5 * graphs._DRAW_CHUNK)
+def test_draws_match_numpy_scalar_calls(seed, lead, pattern, length):
+    """_Draws gives numpy's values and leaves numpy's full state; ``None``
+    in the pattern stands for random(). ``lead`` integers(5) draws before
+    it opens leave a buffered half-word (1) or a consumed one (2)."""
+    ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(lead):
+        for r in (ours, twin):
+            r.integers(5)
+    calls = [pattern[i % len(pattern)] for i in range(length)]
+    with graphs._Draws(ours) as draws:
+        got = [draws.random() if n is None else draws.integers(n) for n in calls]
+    want = [twin.random() if n is None else int(twin.integers(n)) for n in calls]
+    assert got == want
+    assert ours.bit_generator.state == twin.bit_generator.state
+    assert ours.random() == twin.random()
+    assert ours.integers(7) == twin.integers(7)
+
+
+def test_draws_refuse_ranges_beyond_32_bits():
+    with graphs._Draws(np.random.default_rng(0)) as draws:
+        for n in (0, -3, 2**32 + 1):
+            with pytest.raises(ValueError, match="2\\*\\*32"):
+                draws.integers(n)
 
 
 def brute_force_knn(coords, N):

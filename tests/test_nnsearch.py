@@ -19,6 +19,7 @@ from graphopt import (
     sgnn_query,
     smoothed_sa_search,
 )
+from graphopt.nnsearch import _expand_best_first
 
 
 def test_pointset_shape_and_labels():
@@ -152,6 +153,41 @@ def test_sgnn_refinement_is_exact_on_a_path():
     assert starts == set(range(m))
 
 
+def test_sgnn_query_draws_as_numpy_chains():
+    """sgnn_query equals its I chains driven through smoothed_sa_search by
+    a plain Generator, then refined: same result and final generator state."""
+    rng = np.random.default_rng(31)
+    ps = PointSet(rng.normal(size=(300, 4)))
+    g = make_knn_graph(ps, 6)
+    I, J, K = 5, 9, 10
+    for seed in range(24):
+        q = rng.normal(size=4)
+        T = seed % 3
+        ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:  # open on a buffered half-word
+            for r in (ours, twin):
+                r.integers(3)
+        res = sgnn_query(g, ps, q, I=I, J=J, T=T, K=K, rng=ours)
+        cache = DistanceCache(ps, q)
+        for _ in range(I):
+            start = int(twin.integers(g.n))
+            cache.evaluate(smoothed_sa_search(g, cache, start, J, T, twin))
+        _expand_best_first(g, cache, K)
+        top = cache.nearest()[:K]
+        assert res.candidates == tuple(node for _, node in top)
+        assert res.distances == tuple(d for d, _ in top)
+        assert res.distance_evals == cache.evals
+        assert ours.bit_generator.state == twin.bit_generator.state
+
+
+def test_sgnn_query_refuses_a_non_pcg64_generator():
+    ps = PointSet(np.array([[1.0], [1.2], [0.5]]))
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    mt = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="MT19937"):
+        sgnn_query(g, ps, np.array([0.0]), I=1, J=1, T=1, K=1, rng=mt)
+
+
 def test_recall_trend_is_non_decreasing_in_restarts():
     rng = np.random.default_rng(17)
     coords = rng.normal(size=(256, 3))
@@ -226,6 +262,17 @@ def test_point_file_round_trip(case, tmp_path_factory):
     assert (out / "again.csv").read_bytes() == (out / "p.csv").read_bytes()
     if labels is not None:
         assert (out / "again.csv.labels").read_bytes() == (out / "p.csv.labels").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [(0, 1), ("a", ""), ("a\nb", "c"), ("a", "b\rc"), (" a", "b"), ("a", "b\t")],
+    ids=["not-str", "empty", "newline", "carriage-return", "leading-space", "trailing-tab"],
+)
+def test_save_points_refuses_labels_the_file_cannot_hold(labels, tmp_path):
+    with pytest.raises(ValueError, match="label"):
+        save_points(PointSet(np.zeros((2, 1)), labels), tmp_path / "p.csv")
+    assert not list(tmp_path.iterdir())
 
 
 def test_load_points_label_count_mismatch(tmp_path):
