@@ -8,6 +8,7 @@ undirected edge once as ``u v`` with u < v.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import length_hint
@@ -420,9 +421,12 @@ def save_graph(g: Graph, path, values: ValueTable | None = None, values_path=Non
 
     Undirected edges appear once with u < v; lines are sorted ascending,
     so output is byte-stable for a given graph. When ``values`` is given
-    they are written alongside, to ``values_path`` or ``<path>.values``.
+    they are written alongside, to ``values_path`` or ``<path>.values``;
+    a table whose length is not ``g.n`` raises ValueError before any write.
     """
     if values is not None:
+        if values.n != g.n:
+            raise ValueError(f"{values.n} values for a graph of {g.n} nodes")
         save_values(values, values_path if values_path is not None else f"{path}.values")
     lines = [f"n {g.n} directed {1 if g.directed else 0}\n"]
     # rows are sorted, so this is ascending (u, v) order
@@ -445,7 +449,12 @@ def load_graph(
     ``<path>.values`` when that file exists; otherwise None is returned
     in their place. ``with_values=False`` parses the graph file alone.
     """
-    g = _from_pairs(*_parse_edges(path))
+    n, directed, u, v = _parse_edges(path)
+    g = _from_pairs(n, directed, u, v)
+    if g.edge_count() != len(u):
+        # Counter keeps first-seen order: the first edge in the file that repeats
+        dup = next(e for e, k in Counter(zip(u.tolist(), v.tolist())).items() if k > 1)
+        raise GraphFormatError(f"{path}: duplicate edge {dup}")
     if not with_values:
         return g, None
     if values_path is None:
@@ -456,15 +465,17 @@ def load_graph(
 
 
 def _parse_edges(path) -> tuple[int, bool, np.ndarray, np.ndarray]:
-    """n, directed and the edge arrays of a graph file, checked line by line
-    in bulk; its text is freed before the graph is built from them."""
+    """n, directed and the edge arrays of a graph file; its text is freed
+    before the graph is built from them.
+
+    numpy checks all edge lines at once; only when a check fails does a
+    walk over the lines find the first faulty one to report.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")  # the lines readlines() gives, unterminated
-    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp, count=len(lines))
-    filled = np.flatnonzero(counts)
-    if not filled.size:
+    head = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if head is None:
         raise GraphFormatError(f"{path}: missing header line")
-    head = int(filled[0])
     parts = lines[head].split()
     where = f"{path}:{head + 1}"
     if len(parts) != 4 or parts[0] != "n" or parts[2] != "directed":
@@ -474,62 +485,45 @@ def _parse_edges(path) -> tuple[int, bool, np.ndarray, np.ndarray]:
         flag = int(parts[3])
     except ValueError as exc:
         raise GraphFormatError(f"{where}: {exc}") from exc
-    if n <= 0 or flag not in (0, 1):
+    if not 0 < n < 2**63 or flag not in (0, 1):
         raise GraphFormatError(f"{where}: bad header values")
     directed = bool(flag)
 
-    # Every later line is blank or 'u v'. The first that is not, or that
-    # holds a non-integer, ends the edges read; it is the fault reported
-    # unless an edge before it is faulty. stop and edge_lines index lines.
-    body = counts[head + 1 :]
-    edge_lines = head + 1 + np.flatnonzero(body == 2)
-    misshapen = np.flatnonzero((body != 0) & (body != 2))
-    stop, stop_error = len(lines), None
-    if misshapen.size:
-        stop = head + 1 + int(misshapen[0])
-        stop_error = f"expected 'u v', got {lines[stop].strip()!r}"
-    tokens = "\n".join(lines[head + 1 : stop]).split()
+    body = lines[head + 1 :]
     try:
-        ints = list(map(int, tokens))
-    except ValueError:
-        k, exc = _first_non_integer(tokens)
-        stop, stop_error = int(edge_lines[k // 2]), str(exc)
-        ints = list(map(int, tokens[: k - k % 2]))
-    pairs = _int_array(ints).reshape(-1, 2)
-    u, v = pairs[:, 0], pairs[:, 1]
-
-    out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    loop = u == v
-    bad = out | loop
-    if not directed:
-        bad |= u > v
-    if bad.any():
-        i = int(np.argmax(bad))
-        stop = int(edge_lines[i])
-        if out[i]:
-            stop_error = f"edge ({u[i]},{v[i]}) out of range"
-        elif loop[i]:
-            stop_error = f"self-loop at {u[i]}"
-        else:
-            stop_error = "undirected edges need u < v"
-    if stop_error is not None:
-        raise GraphFormatError(f"{path}:{stop + 1}: {stop_error}")
-
-    keys = u * n + v
-    order = np.argsort(keys, kind="stable")
-    repeat = np.flatnonzero(np.diff(keys[order]) == 0)
-    if repeat.size:
-        # order[repeat] holds every repeated edge's first occurrence
-        i = int(order[repeat].min())
-        raise GraphFormatError(f"{path}: duplicate edge {(int(u[i]), int(v[i]))}")
+        if not {0, 2}.issuperset(map(len, map(str.split, body))):
+            raise ValueError("a line is neither blank nor 'u v'")
+        pairs = np.array(list(map(int, " ".join(body).split())), dtype=np.int64)
+        u, v = pairs.reshape(-1, 2).T
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+        if not directed:
+            bad |= u > v
+        faulty = bad.any()
+    except (ValueError, OverflowError):  # a misshapen line, a non-integer or one beyond int64
+        faulty = True
+    if faulty:
+        # n < 2**63, so a token beyond int64 is out of range: some line is at fault
+        for lineno, line in enumerate(body, start=head + 2):
+            if fault := _edge_line_fault(line, n, directed):
+                raise GraphFormatError(f"{path}:{lineno}: {fault}")
     return n, directed, u, v
 
 
-def _first_non_integer(tokens: list[str]) -> tuple[int, ValueError]:
-    """Position of the first token int() rejects, and its error."""
-    for k, token in enumerate(tokens):
-        try:
-            int(token)
-        except ValueError as exc:
-            return k, exc
-    raise AssertionError("every token is an integer")
+def _edge_line_fault(line: str, n: int, directed: bool) -> str | None:
+    """The fault of one line after the header, in the order it is checked."""
+    parts = line.split()
+    if not parts:
+        return None
+    if len(parts) != 2:
+        return f"expected 'u v', got {line.strip()!r}"
+    try:
+        u, v = map(int, parts)
+    except ValueError as exc:
+        return str(exc)
+    if not (0 <= u < n and 0 <= v < n):
+        return f"edge ({u},{v}) out of range"
+    if u == v:
+        return f"self-loop at {u}"
+    if not directed and u > v:
+        return "undirected edges need u < v"
+    return None

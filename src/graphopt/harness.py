@@ -57,7 +57,8 @@ class ExperimentConfig:
     and restarts (None means the 1 + budget/1000 rule, an int >= 1 pins a
     count); sa takes gamma (required, finite, >= 0), s (>= 1), and
     optionally steps (>= 0; default: spend the budget, budget // (2 s)).
-    Integer knobs must be whole (4.0 is taken as 4).
+    Budgets, trials, the seed (>= 0) and the integer knobs must be whole
+    numbers (4.0 is taken as 4).
 
     Every setting is checked here, once, and ``params`` is replaced by the
     resolved values with defaults filled in. The oracle settings are
@@ -79,7 +80,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
-        object.__setattr__(self, "budgets", tuple(int(b) for b in self.budgets))
+        object.__setattr__(self, "budgets", tuple(_whole("budget", b) for b in self.budgets))
         if not self.budgets:
             raise ValueError("need at least one budget")
         if any(b <= 0 for b in self.budgets):
@@ -87,10 +88,14 @@ class ExperimentConfig:
         if any(a >= b for a, b in zip(self.budgets, self.budgets[1:])):
             # a repeated budget would replay the same trial streams
             raise ValueError(f"budgets must be strictly ascending, got {list(self.budgets)}")
+        object.__setattr__(self, "trials", _whole("trials", self.trials))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed is None:
             raise ValueError("a master seed is required; no wall-clock seeding")
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         try:
             NoisyOracle(self.values, noise=self.noise, R=self.noise_scale)
         except ValueError as exc:
@@ -115,9 +120,7 @@ class ExperimentConfig:
         p = {**defaults, **self.params}
         for key in ("path_len", "restarts", "s", "steps"):
             if p.get(key) is not None:
-                if int(p[key]) != p[key]:
-                    raise ValueError(f"{key} must be a whole number, got {p[key]}")
-                p[key] = int(p[key])
+                p[key] = _whole(key, p[key])
         if self.algo == "ed":
             if p["path_len"] < 1:
                 raise ValueError(f"path_len must be >= 1, got {p['path_len']}")
@@ -130,6 +133,16 @@ class ExperimentConfig:
             # SAConfig holds the rules for gamma, s and steps
             SAConfig(gamma=p["gamma"], s=p["s"], steps=p["steps"] or 0)
         return p
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as an int (4.0 is taken as 4); ValueError unless it is whole."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value}")
 
 
 def trial_rng(seed: int, budget: int, trial: int) -> np.random.Generator:
@@ -165,8 +178,8 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     budget is too small to split into its rounds or restarts. A trial
     that raises ValueError or BudgetExhaustedError is recorded as a
     failed row (node -1, gap NaN, samples 0) and the sweep continues; any
-    other exception propagates. Records come back sorted by (algo,
-    budget, trial).
+    other exception propagates. Records come in (budget, trial) order,
+    which is (algo, budget, trial) order: one algo, budgets ascending.
     """
     records = []
     for budget in cfg.budgets:
@@ -183,7 +196,6 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
                 node, gap, samples = -1, math.nan, 0
             time_ms = (time.perf_counter() - t0) * 1000.0
             records.append(TrialRecord(trial, cfg.algo, budget, node, gap, samples, time_ms))
-    records.sort(key=lambda r: (r.algo, r.budget, r.trial))
     return records
 
 
@@ -234,8 +246,6 @@ def gap_statistics(records: Iterable[TrialRecord]) -> list[GapStats]:
 
 def format_float(x: float) -> str:
     """Shortest stable decimal form; full precision, no trailing cruft."""
-    if math.isnan(x):
-        return "nan"
     return repr(float(x))
 
 

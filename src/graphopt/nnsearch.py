@@ -270,9 +270,10 @@ def classify_majority(candidates, labels):
 def save_points(ps: PointSet, path, labels_path=None) -> None:
     """Write the points, and their labels when they have any.
 
-    Each label must be a non-empty ``str`` with no line break and no
-    surrounding whitespace, the labels ``load_points`` reads back as
-    written; any other raises ValueError before a file is written.
+    Each label must be a non-empty ``str`` that encodes as UTF-8, with no
+    line break and no surrounding whitespace: the labels ``load_points``
+    reads back as written. Any other raises ValueError before a file is
+    written.
     """
     if labels_path is None and ps.labels is not None:
         labels_path = f"{path}.labels"
@@ -281,9 +282,11 @@ def save_points(ps: PointSet, path, labels_path=None) -> None:
             raise ValueError("point set has no labels to save")
         for i, lab in enumerate(ps.labels):
             storable = isinstance(lab, str) and lab and lab == lab.strip()
+            # UTF-8 encodes every code point but a lone surrogate, which "replace" swaps out
+            storable = storable and lab.encode("utf-8", "replace").decode("utf-8") == lab
             if not storable or "\n" in lab or "\r" in lab:
                 raise ValueError(
-                    f"label {i} ({lab!r}) cannot be saved: labels must be non-empty"
+                    f"label {i} ({lab!r}) cannot be saved: labels must be non-empty UTF-8"
                     " strings with no line break or surrounding whitespace"
                 )
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -56,10 +56,15 @@ class ValueTable:
 
 
 def save_values(table: ValueTable | Sequence[float], path) -> None:
-    """Write one ``node,value`` line per node, ids ascending from 0."""
-    means = table.means if isinstance(table, ValueTable) else table
+    """Write one ``node,value`` line per node, ids ascending from 0.
+
+    Values that are not a ValueTable become one first, so what the reader
+    would refuse (non-finite, empty) raises ValueError before any write.
+    """
+    if not isinstance(table, ValueTable):
+        table = ValueTable(table)
     with open(path, "w", encoding="utf-8") as fh:
-        for i, v in enumerate(means):
+        for i, v in enumerate(table.means):
             fh.write(f"{i},{float(v):.17g}\n")
 
 

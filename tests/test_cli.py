@@ -71,6 +71,39 @@ def test_certify_nearly_mode(tmp_path, capsys):
     assert "nearly convex" in stderr
 
 
+def test_certify_nearly_rows_and_summaries(tmp_path, capsys):
+    # path 0-1-2-3 valued 0,2,1,3: node 2 is a local minimum outside the
+    # core whose only way in climbs 1, to node 1
+    out = tmp_path / "path.txt"
+    save_graph(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), out)
+    (tmp_path / "path.txt.values").write_text("0,0\n1,2\n2,1\n3,3\n")
+    nearly = ("certify", "--graph", str(out), "--nearly", "--alpha", "1/2")
+    code, stdout, stderr = run_cli(capsys, *nearly, "--c", "1")
+    assert code == 0
+    assert stdout == "node,in_C,r\n0,1,0\n1,1,0\n2,0,1\n3,1,0\n"
+    assert stderr == (
+        "nearly convex: alpha=1/2 c=1 r=1 core=3/4 (minimizer 0 in core by convention)\n"
+    )
+    code, stdout, stderr = run_cli(capsys, *nearly, "--c", "0")
+    assert code == 1
+    assert stdout == "node,in_C,r\n0,1,0\n1,1,0\n2,0,\n3,1,0\n"
+    assert stderr == "not nearly convex: 1 nodes cannot reach the core\n"
+
+
+def test_certify_reports_tied_minima(tmp_path, capsys):
+    # path 0-1-2 valued 0,1,0: certification targets node 0, and the other
+    # minimum, node 2, has no lower neighbour to step to
+    out = tmp_path / "path.txt"
+    save_graph(Graph.from_edges(3, [(0, 1), (1, 2)]), out)
+    (tmp_path / "path.txt.values").write_text("0,0\n1,1\n2,0\n")
+    code, stdout, stderr = run_cli(capsys, "certify", "--graph", str(out), "--m", "1")
+    assert code == 1
+    # node 2's row, an uncertifiable node's, is not pinned here
+    assert stdout.splitlines()[:3] == ["node,M", "0,0.0", "1,1.0"]
+    assert len(stdout.splitlines()) == 4
+    assert stderr == "not certifiable at m=1: nodes [2]; tied minima [0, 2]\n"
+
+
 def test_certify_reads_the_value_file_once_and_exactly(tmp_path, capsys):
     # certify parses <graph>.values once, as Fractions: "1/3" is no float
     # literal, and steps 4/9 then 1/3 certify exactly up to m = 1/3
@@ -269,6 +302,11 @@ def test_bound_commands(capsys):
     assert "t_min=97" in out
     code, out, _ = run_cli(capsys, "bound", "sa-samples", "--r", "2", "--gamma", "10", "--R", "0.5")
     assert out.strip() == "100"
+    code, out, _ = run_cli(
+        capsys, "bound", "sa-nearly", "--alpha", "0.5", "--c", "0.01", "--r", "1", "--d", "2", "--F", "1"
+    )
+    assert code == 0
+    assert out == "gamma=100\nbeta=0.9540150699\nt_min=84\nfinal_bound=0.652388\n"
 
 
 def test_bound_ed_length_mismatch(capsys):

@@ -46,6 +46,15 @@ def test_config_validation():
         ExperimentConfig(g, t, "sr", (10,), 0, 0)
     with pytest.raises(ValueError):
         ExperimentConfig(g, t, "sr", (10,), 1, None)
+    # counts must be whole: these used to be truncated or to fail mid-run
+    with pytest.raises(ValueError, match="budget"):
+        ExperimentConfig(g, t, "sr", (100.7,), 1, 0)
+    with pytest.raises(ValueError, match="trials"):
+        ExperimentConfig(g, t, "sr", (10,), 2.5, 0)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(g, t, "sr", (10,), 1, 1.5)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(g, t, "sr", (10,), 1, -1)
 
 
 def test_non_finite_settings_rejected_up_front():
@@ -101,6 +110,13 @@ def test_non_finite_settings_rejected_up_front():
         pytest.param({"algo": "sa", "params": {"gamma": 1.0, "s": 2.5}}, None, id="fractional-s"),
         pytest.param({"algo": "sa", "params": {"gamma": 1.0, "steps": 3.5}}, None,
                      id="fractional-steps"),
+        # a fractional budget was truncated; a fractional trial count or seed,
+        # or a negative seed, failed inside run_trials
+        pytest.param({"algo": "sr", "budgets": (100.7,)}, None, id="fractional-budget"),
+        pytest.param({"algo": "sr", "trials": 2.5}, None, id="fractional-trials"),
+        pytest.param({"algo": "sr", "seed": 1.5}, None, id="fractional-seed"),
+        pytest.param({"algo": "sr", "seed": -1}, ["--algo", "sr", "--seed", "-1"],
+                     id="negative-seed"),
     ],
 )
 def test_bad_settings_refused_before_any_trial(tmp_path, capsys, settings, flags):
@@ -108,7 +124,7 @@ def test_bad_settings_refused_before_any_trial(tmp_path, capsys, settings, flags
     g, t = small_instance()
     settings = {"graph": g, "values": t, "budgets": (20,), **settings}
     with pytest.raises(ValueError):
-        ExperimentConfig(trials=2, seed=3, **settings)
+        ExperimentConfig(**{"trials": 2, "seed": 3, **settings})
     if flags is None:
         return
     path = tmp_path / "path.txt"
@@ -127,6 +143,9 @@ def test_whole_float_parameters_are_taken_as_ints():
     assert type(cfg.params["path_len"]) is int
     cfg = ExperimentConfig(g, t, "sa", (20,), 2, 3, params={"gamma": 1, "s": 3.0, "steps": 5.0})
     assert cfg.params == {"gamma": 1.0, "s": 3, "steps": 5}
+    cfg = ExperimentConfig(g, t, "sr", (20.0,), 2.0, 3.0)
+    assert (cfg.budgets, cfg.trials, cfg.seed) == ((20,), 2, 3)
+    assert {type(cfg.budgets[0]), type(cfg.trials), type(cfg.seed)} == {int}
 
 
 def test_missing_gamma_is_refused_at_construction():

@@ -266,8 +266,9 @@ def test_point_file_round_trip(case, tmp_path_factory):
 
 @pytest.mark.parametrize(
     "labels",
-    [(0, 1), ("a", ""), ("a\nb", "c"), ("a", "b\rc"), (" a", "b"), ("a", "b\t")],
-    ids=["not-str", "empty", "newline", "carriage-return", "leading-space", "trailing-tab"],
+    [(0, 1), ("a", ""), ("a\nb", "c"), ("a", "b\rc"), (" a", "b"), ("a", "b\t"), ("a", "\ud800")],
+    ids=["not-str", "empty", "newline", "carriage-return", "leading-space", "trailing-tab",
+         "lone-surrogate"],
 )
 def test_save_points_refuses_labels_the_file_cannot_hold(labels, tmp_path):
     with pytest.raises(ValueError, match="label"):

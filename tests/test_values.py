@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphopt import ValueFormatError, ValueTable, load_values, parse_values, save_values
+from graphopt import (
+    Graph,
+    ValueFormatError,
+    ValueTable,
+    load_values,
+    parse_values,
+    save_graph,
+    save_values,
+)
 
 
 def test_table_basics():
@@ -76,6 +85,23 @@ def test_load_rejects_non_finite_values(tmp_path):
         p.write_text(f"0,1.0\n1,{bad}\n")
         with pytest.raises(ValueFormatError, match=":2: non-finite"):
             load_values(p)
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda d: save_values([1.0, math.nan], d / "v.txt"),
+        lambda d: save_values([0.5, -math.inf], d / "v.txt"),
+        lambda d: save_values([], d / "v.txt"),
+        lambda d: save_graph(Graph.from_edges(3, [(0, 1)]), d / "g.txt", values=ValueTable(np.ones(2))),
+    ],
+    ids=["nan", "infinite", "empty", "table-length-not-n"],
+)
+def test_writers_refuse_what_their_readers_refuse(write, tmp_path):
+    # each used to write a file that loading then refused
+    with pytest.raises(ValueError):
+        write(tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 def test_parse_values_reads_exact_numbers(tmp_path):
