@@ -1,11 +1,13 @@
 """Fixed-budget best-arm identification by successive rejects.
 
-Arms are indexed 0..K-1. A sampler is any callable
-``sampler(arm, count, rng) -> (mean, taken)`` returning the empirical mean
-of up to ``count`` pulls and how many were actually taken (fewer once an
-underlying budget runs dry; it may raise BudgetExhaustedError when nothing
-is left). The algorithm picks the highest reward; ``oracle_sampler``
-negates observations, which the optimizers minimize, into rewards.
+Arms are indexed 0..K-1. A sampler serves one phase: any callable
+``sampler(arms, count, rng) -> (means, taken)`` that pulls each listed arm
+up to ``count`` times, in order, and returns per arm served the empirical
+mean and the number of pulls taken. Once an underlying budget runs dry it
+serves a prefix of the list (full batches, then at most one partial one),
+and it may raise BudgetExhaustedError when nothing is left. The algorithm
+picks the highest reward; ``oracle_sampler`` negates observations, which
+the optimizers minimize, into rewards.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import numpy as np
 
 from .oracle import BudgetExhaustedError, NoisyOracle
 
-Sampler = Callable[[int, int, np.random.Generator], tuple[float, int]]
+Sampler = Callable[
+    [Sequence[int], int, np.random.Generator], tuple[Sequence[float], Sequence[int]]
+]
 
 
 def log_bar(K: int) -> float:
@@ -88,20 +92,22 @@ def successive_reject(
     for k in range(1, K):
         pulls = sched.phase_pulls(k)
         if pulls > 0 and not exhausted:
-            for arm in sorted(order):
-                try:
-                    mean, taken = sampler(arm, pulls, rng)
-                except BudgetExhaustedError:
-                    exhausted = True
-                    break
-                sums[arm] += float(mean) * taken
-                counts[arm] += taken
+            arms = sorted(order)
+            try:
+                phase_means, taken = sampler(arms, pulls, rng)
+            except BudgetExhaustedError:
+                phase_means, taken = (), ()
+            exhausted = len(taken) < len(arms)
+            for arm, mean, t in zip(arms, phase_means, taken):
+                sums[arm] += float(mean) * t
+                counts[arm] += t
                 if counts[arm]:
                     means[arm] = sums[arm] / counts[arm]
-                if taken < pulls:
+                if t < pulls:
                     exhausted = True
                     break
-            order.sort(key=lambda a: (means[a], -a), reverse=True)
+            # a stable descending sort of ascending arms ranks ties by id
+            order = sorted(arms, key=means.__getitem__, reverse=True)
         order.pop()
     return order[0]
 
@@ -115,13 +121,13 @@ def uniform_best_arm(
     returns the best empirical mean (ties to the lowest id). This is the
     first elimination phase truncated by exhaustion.
     """
+    try:
+        phase_means, _ = sampler(range(min(K, B)), 1, rng)
+    except BudgetExhaustedError:
+        phase_means = ()
     best_arm = 0
     best_mean = -math.inf
-    for arm in range(min(K, B)):
-        try:
-            mean, _ = sampler(arm, 1, rng)
-        except BudgetExhaustedError:
-            break
+    for arm, mean in enumerate(phase_means):
         if mean > best_mean:
             best_mean = mean
             best_arm = arm
@@ -136,9 +142,9 @@ def oracle_sampler(oracle: NoisyOracle, arms: Sequence[int]) -> Sampler:
     ``maximize=True`` already negates, so there the highest value wins.
     """
 
-    def pull(arm: int, count: int, rng: np.random.Generator) -> tuple[float, int]:
-        mean, taken = oracle.sample_mean(arms[arm], count, rng)
-        return -mean, taken
+    def pull(phase: Sequence[int], count: int, rng: np.random.Generator):
+        means, taken = oracle.sample_means([arms[a] for a in phase], count, rng)
+        return [-m for m in means], taken
 
     return pull
 
@@ -149,8 +155,8 @@ def bernoulli_sampler(means: Sequence[float]) -> Sampler:
     if np.any((p < 0) | (p > 1)):
         raise ValueError("bernoulli means must lie in [0, 1]")
 
-    def pull(arm: int, count: int, rng: np.random.Generator) -> tuple[float, int]:
-        return float(rng.binomial(count, p[arm])) / count, count
+    def pull(phase: Sequence[int], count: int, rng: np.random.Generator):
+        return [float(rng.binomial(count, p[a])) / count for a in phase], [count] * len(phase)
 
     return pull
 

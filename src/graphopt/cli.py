@@ -133,7 +133,7 @@ def _cmd_certify(args) -> int:
         lines.append("node,M\n")
         for x in range(g.n):
             m_x = cert.first_step.get(x)
-            lines.append(f"{x},{'' if m_x is None else float(m_x)!r}\n")
+            lines.append(f"{x},{'' if m_x is None else repr(float(m_x))}\n")
         ok = cert.certified
         summary = (
             f"strongly convex at m={args.m} (minimizer {cert.minimizer})"

@@ -152,13 +152,14 @@ def explore_descend_restarts(
     for _ in range(r):
         finals.append(explore_descend(g, oracle, start(), cfg, rng))
 
+    # a dry oracle re-estimates only a prefix of the finals
+    try:
+        ests, _ = oracle.sample_means(finals, eval_per, rng)
+    except BudgetExhaustedError:
+        ests = []
     best_node = finals[0]
     best_est = None
-    for node in finals:
-        try:
-            est, _ = oracle.sample_mean(node, eval_per, rng)
-        except BudgetExhaustedError:
-            break
+    for node, est in zip(finals, ests):
         if best_est is None or est < best_est or (est == best_est and node < best_node):
             best_est = est
             best_node = node

@@ -485,7 +485,8 @@ def _parse_edges(path) -> tuple[int, bool, np.ndarray, np.ndarray]:
         flag = int(parts[3])
     except ValueError as exc:
         raise GraphFormatError(f"{where}: {exc}") from exc
-    if not 0 < n < 2**63 or flag not in (0, 1):
+    # edge keys u * n + v must fit int64, so n * n may not exceed 2**63 - 1
+    if not 0 < n <= 3037000499 or flag not in (0, 1):
         raise GraphFormatError(f"{where}: bad header values")
     directed = bool(flag)
 
@@ -502,7 +503,7 @@ def _parse_edges(path) -> tuple[int, bool, np.ndarray, np.ndarray]:
     except (ValueError, OverflowError):  # a misshapen line, a non-integer or one beyond int64
         faulty = True
     if faulty:
-        # n < 2**63, so a token beyond int64 is out of range: some line is at fault
+        # n fits int64, so a token beyond int64 is out of range: some line is at fault
         for lineno, line in enumerate(body, start=head + 2):
             if fault := _edge_line_fault(line, n, directed):
                 raise GraphFormatError(f"{path}:{lineno}: {fault}")

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .values import ValueTable
+
+# Phases serving at least this many batches are drawn with one array call.
+# numpy's array binomial costs about 13-16 us plus 0.1 us per batch, its
+# scalar call about 1.2 us, so arrays win from about a dozen batches on.
+ARRAY_DRAW_MIN = 12
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -76,17 +82,44 @@ class NoisyOracle:
             obs = f + self.R * float(rng.standard_normal())
         return -obs if self.maximize else obs
 
+    def _mean(self, f, k, rng: np.random.Generator, size: int | None = None):
+        """Mean of k observations of value f, from one closed-form draw
+        (binomial, or normal with variance R^2/k). With arrays f and k and
+        ``size`` their length, one array call draws what the same scalar
+        calls would, in order."""
+        if self.noise == "bernoulli":
+            mean = rng.binomial(k, f, size) / k
+        else:
+            mean = f + self.R / np.sqrt(k) * rng.standard_normal(size)
+        return -mean if self.maximize else mean
+
     def sample_mean(self, x: int, count: int, rng: np.random.Generator) -> tuple[float, int]:
         """Mean of up to ``count`` observations of x, with the number taken.
 
-        Drawn in one closed-form batch (binomial, or normal with variance
-        R^2/k), which matches the distribution of k independent draws. A
-        nearly spent budget yields a partial batch; a spent one raises.
+        Drawn in one closed-form batch, which matches the distribution of
+        k independent draws. A nearly spent budget yields a partial batch;
+        a spent one raises.
         """
         k = self._take(count)
-        f = self.values.value(x)
-        if self.noise == "bernoulli":
-            mean = float(rng.binomial(k, f)) / k
-        else:
-            mean = f + self.R / np.sqrt(k) * float(rng.standard_normal())
-        return (-mean if self.maximize else mean), k
+        return float(self._mean(self.values.value(x), k, rng)), k
+
+    def sample_means(
+        self, xs: Sequence[int], count: int, rng: np.random.Generator
+    ) -> tuple[list[float], list[int]]:
+        """``sample_mean(x, count, rng)`` for each x in turn, as two lists.
+
+        The budget is reserved once for the whole list. When it runs dry
+        only a prefix is served: full batches, then at most one partial
+        batch; a spent budget raises. Means, draws and meter are those of
+        the one-by-one calls. A phase of at least ARRAY_DRAW_MIN batches is
+        drawn with one array call, a narrower one with scalar calls.
+        """
+        if not xs:
+            return [], []
+        full, part = divmod(self._take(len(xs) * count), count)
+        taken = [count] * full + [part] * (part > 0)
+        if len(taken) < ARRAY_DRAW_MIN:
+            f = self.values.means
+            return [float(self._mean(f[x], k, rng)) for x, k in zip(xs, taken)], taken
+        f = self.values.means[np.asarray(xs[: len(taken)])]
+        return self._mean(f, np.array(taken), rng, len(taken)).tolist(), taken

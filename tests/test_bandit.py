@@ -15,6 +15,7 @@ from graphopt import (
     sr_bound_loose,
     sr_error_bound,
     successive_reject,
+    uniform_best_arm,
 )
 from graphopt.bandit import bernoulli_sampler
 from graphopt.oracle import BudgetExhaustedError
@@ -105,8 +106,9 @@ def test_exhaustion_mid_run_still_returns_an_arm():
 
 
 def keyed_min_successive_reject(K, sampler, B, rng):
-    """Reference: successive rejects that rescans every survivor with a
-    keyed min in every phase, on float64/int64 arrays."""
+    """Reference: successive rejects that pulls one arm per sampler call and
+    rescans every survivor with a keyed min in every phase, on
+    float64/int64 arrays."""
     sched = budget_schedule(K, B)
     sums = np.zeros(K)
     counts = np.zeros(K, dtype=np.int64)
@@ -137,8 +139,34 @@ def keyed_min_successive_reject(K, sampler, B, rng):
     return remaining[0]
 
 
+def per_arm_uniform_best_arm(K, sampler, B, rng):
+    """Reference: the budget-B <= K sweep, one arm per sampler call."""
+    best_arm, best_mean = 0, -math.inf
+    for arm in range(min(K, B)):
+        try:
+            mean, _ = sampler(arm, 1, rng)
+        except BudgetExhaustedError:
+            break
+        if mean > best_mean:
+            best_arm, best_mean = arm, mean
+    return best_arm
+
+
+def one_arm(algorithm):
+    """Run a per-arm reference on a phase sampler, one arm per phase."""
+
+    def run(K, sampler, B, rng):
+        def pull(arm, count, rng):
+            means, taken = sampler([arm], count, rng)
+            return means[0], taken[0]
+
+        return algorithm(K, pull, B, rng)
+
+    return run
+
+
 @st.composite
-def sr_cases(draw):
+def sr_cases(draw, small_budget=False):
     K = draw(st.integers(2, 60))
     kind = draw(st.sampled_from(["random", "lattice", "equal"]))
     if kind == "random":
@@ -147,17 +175,18 @@ def sr_cases(draw):
         values = draw(st.lists(st.sampled_from([0, 1 / 3, 2 / 3, 1]), min_size=K, max_size=K))
     else:
         values = [draw(st.floats(0, 1))] * K
-    B = K + draw(st.integers(1, 3000))
+    B = draw(st.integers(0, K)) if small_budget else K + draw(st.integers(1, 3000))
     return dict(
         K=K,
         values=values,
         noise=draw(st.sampled_from(["bernoulli", "gaussian"])),
         R=draw(st.sampled_from([0.0, 0.5])),
         B=B,
-        oracle_budget=draw(st.none() | st.integers(0, B)),
+        oracle_budget=draw(st.none() | st.integers(0, max(B, K))),
         maximize=draw(st.booleans()),
-        # the sampler call that comes back empty (taken == 0), if any
-        empty_call=draw(st.none() | st.integers(0, 3 * K)),
+        # the served pull that comes back empty (taken == 0), if any; the
+        # one-pull sweep of a small budget has no short pull but the last
+        empty_call=None if small_budget else draw(st.none() | st.integers(0, 3 * K)),
         empty_mean=draw(st.floats(-1, 1)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
@@ -172,13 +201,27 @@ def run_case(case, algorithm):
         maximize=case["maximize"],
     )
     pull = oracle_sampler(oracle, range(case["K"]))
-    calls = []
+    calls = []  # the (arm, count) pairs served, in order
+    dry = []  # set once a call raised or came back short
 
-    def sampler(arm, count, rng):
-        calls.append((arm, count))
-        if len(calls) - 1 == case["empty_call"]:
-            return case["empty_mean"], 0
-        return pull(arm, count, rng)
+    def sampler(arms, count, rng):
+        assert not dry, "sampler called after it ran dry"
+        dry.append(True)  # until the call comes back whole
+        arms = list(arms)
+        cut = None if case["empty_call"] is None else case["empty_call"] - len(calls)
+        if cut is not None and not 0 <= cut < len(arms):
+            cut = None
+        head = arms if cut is None else arms[:cut]
+        means, taken = pull(head, count, rng) if head else ([], [])
+        means, taken = list(means), list(taken)
+        # the empty pull is served only if every pull before it was full
+        if cut is not None and len(taken) == cut and count * cut == sum(taken):
+            means.append(case["empty_mean"])
+            taken.append(0)
+        calls.extend((arm, count) for arm in arms[: len(taken)])
+        if len(taken) == len(arms) and count * len(arms) == sum(taken):
+            dry.clear()
+        return means, taken
 
     rng = np.random.default_rng(case["seed"])
     winner = algorithm(case["K"], sampler, case["B"], rng)
@@ -188,8 +231,16 @@ def run_case(case, algorithm):
 @settings(max_examples=300, deadline=None)
 @given(case=sr_cases())
 def test_successive_reject_matches_keyed_min_reference(case):
-    # same winner, same sampler calls in the same order, same draws
-    assert run_case(case, successive_reject) == run_case(case, keyed_min_successive_reject)
+    # same winner, same pulls served in the same order, same draws
+    reference = one_arm(keyed_min_successive_reject)
+    assert run_case(case, successive_reject) == run_case(case, reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=sr_cases(small_budget=True))
+def test_uniform_best_arm_matches_per_arm_reference(case):
+    reference = one_arm(per_arm_uniform_best_arm)
+    assert run_case(case, uniform_best_arm) == run_case(case, reference)
 
 
 def test_hardness_pseudo_gap():

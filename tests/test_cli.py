@@ -98,9 +98,8 @@ def test_certify_reports_tied_minima(tmp_path, capsys):
     (tmp_path / "path.txt.values").write_text("0,0\n1,1\n2,0\n")
     code, stdout, stderr = run_cli(capsys, "certify", "--graph", str(out), "--m", "1")
     assert code == 1
-    # node 2's row, an uncertifiable node's, is not pinned here
-    assert stdout.splitlines()[:3] == ["node,M", "0,0.0", "1,1.0"]
-    assert len(stdout.splitlines()) == 4
+    # node 2, uncertifiable, gets an empty field as near mode writes
+    assert stdout == "node,M\n0,0.0\n1,1.0\n2,\n"
     assert stderr == "not certifiable at m=1: nodes [2]; tied minima [0, 2]\n"
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphopt import (
+    BudgetExhaustedError,
     DescendConfig,
     Graph,
     NoisyOracle,
@@ -122,6 +123,41 @@ def double_well():
         [((i - 2) ** 2) / 40.0 if i < 10 else ((i - 17) ** 2 - 5.0) / 40.0 for i in range(n)]
     )
     return g, ValueTable(vals)
+
+
+def restarts_one_by_one(g, oracle, budget, rng, path_len, restarts):
+    """Reference: explore_descend_restarts re-estimating the finals with
+    one sample_mean call each, stopping when the oracle runs dry."""
+    r, per_restart = restart_allocation(budget, restarts)
+    eval_per = max(1, (budget // 20) // r)
+    cfg = DescendConfig.equal_split(per_restart - eval_per, path_len)
+    finals = [explore_descend(g, oracle, int(rng.integers(g.n)), cfg, rng) for _ in range(r)]
+    best_node, best_est = finals[0], None
+    for node in finals:
+        try:
+            est, _ = oracle.sample_mean(node, eval_per, rng)
+        except BudgetExhaustedError:
+            break
+        if best_est is None or est < best_est or (est == best_est and node < best_node):
+            best_node, best_est = node, est
+    return best_node
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restart_reestimation_runs_dry_like_the_one_by_one_loop(seed):
+    # 8 restarts of a 960 budget reserve 8 batches of 6 for re-estimation;
+    # caps from the descents' use up to full cover every place it runs dry
+    g, table = double_well()
+    full = NoisyOracle(table, noise="gaussian", R=0.05)
+    explore_descend_restarts(g, full, 960, np.random.default_rng(seed), path_len=8, restarts=8)
+    for cap in range(full.used - 48, full.used + 1):
+        seen = []
+        for run in (explore_descend_restarts, restarts_one_by_one):
+            o = NoisyOracle(table, noise="gaussian", R=0.05, budget=cap)
+            rng = np.random.default_rng(seed)
+            node = run(g, o, 960, rng, path_len=8, restarts=8)
+            seen.append((node, o.used, rng.random()))
+        assert seen[0] == seen[1]
 
 
 def test_restarts_escape_the_wrong_valley():

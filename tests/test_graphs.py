@@ -484,6 +484,10 @@ GRAPH_FILE_FAULTS = [
     ("n x directed 0\n", ":1: invalid literal for int() with base 10: 'x'"),
     ("n 0 directed 0\n", ":1: bad header values"),
     ("n 3 directed 2\n", ":1: bad header values"),
+    # edge keys u * n + v would overflow int64; refused before any allocation
+    ("n 3037000500 directed 1\n", ":1: bad header values"),
+    ("n 9223372036854775807 directed 1\n0 1\n0 1\n", ":1: bad header values"),
+    ("n 9223372036854775808 directed 0\n", ":1: bad header values"),
     ("n 3 directed 0\n0 1\n2\n", ":3: expected 'u v', got '2'"),
     ("n 3 directed 0\n0 1\n\n  0 1 2 \n", ":4: expected 'u v', got '0 1 2'"),
     ("n 3 directed 0\n0 1\n1 zz\n", ":3: invalid literal for int() with base 10: 'zz'"),

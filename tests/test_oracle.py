@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphopt import (
     BudgetExhaustedError,
     NoisyOracle,
     ValueTable,
 )
+from graphopt.oracle import ARRAY_DRAW_MIN
 
 
 def make_oracle(**kw):
@@ -118,3 +121,90 @@ def test_maximize_negates_the_same_draws(noise):
     assert [(float(m).hex(), k) for m, k in high] == [(float(-m).hex(), k) for m, k in low]
     assert used_high == used_low == 53
     assert next_high == next_low
+
+
+def one_by_one(oracle, xs, count, rng):
+    """sample_mean over xs until the budget stops it, as two lists."""
+    means, taken = [], []
+    for x in xs:
+        try:
+            mean, k = oracle.sample_mean(x, count, rng)
+        except BudgetExhaustedError:
+            if not taken:
+                raise
+            break
+        means.append(mean)
+        taken.append(k)
+        if k < count:
+            break
+    return means, taken
+
+
+def observe(oracle, call, xs, count, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        means, taken = call(oracle, xs, count, rng)
+    except BudgetExhaustedError:
+        means, taken = None, None
+    # hex compares bit for bit, so the sign of a zero counts
+    hexed = None if means is None else [float(m).hex() for m in means]
+    return hexed, taken, oracle.used, rng.random()
+
+
+@st.composite
+def phase_cases(draw):
+    values = draw(st.lists(st.floats(0, 1), min_size=1, max_size=8))
+    # list lengths on both sides of the array-draw cutoff
+    n = draw(st.integers(0, 3 * ARRAY_DRAW_MIN))
+    xs = draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))
+    count = draw(st.integers(1, 9))
+    used = draw(st.integers(0, 3))
+    # the budget runs dry before the list, after j full batches, inside
+    # batch j + 1, or not at all
+    dry = draw(st.sampled_from(["before", "at", "inside", "never"]))
+    j = draw(st.integers(0, n))
+    budget = {
+        "before": used,
+        "at": used + j * count,
+        "inside": used + j * count + draw(st.integers(0, count - 1)),
+        "never": None,
+    }[dry]
+    return dict(
+        values=values,
+        xs=xs,
+        count=count,
+        noise=draw(st.sampled_from(["bernoulli", "gaussian"])),
+        maximize=draw(st.booleans()),
+        budget=budget,
+        used=0 if budget is None else used,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=phase_cases())
+def test_sample_means_equals_sample_mean_one_by_one(case):
+    seen = []
+    for call in (NoisyOracle.sample_means, one_by_one):
+        o = NoisyOracle(
+            ValueTable(np.array(case["values"])),
+            noise=case["noise"],
+            R=0.4,
+            budget=case["budget"],
+            maximize=case["maximize"],
+        )
+        o.used = case["used"]
+        seen.append(observe(o, call, case["xs"], case["count"], case["seed"]))
+    assert seen[0] == seen[1]
+
+
+def test_sample_means_serves_a_prefix_then_raises():
+    o = make_oracle(budget=5)
+    rng = np.random.default_rng(7)
+    means, taken = o.sample_means([0, 1, 2, 0, 1], 2, rng)
+    assert taken == [2, 2, 1] and len(means) == 3
+    with pytest.raises(BudgetExhaustedError):
+        o.sample_means([0], 1, rng)
+    with pytest.raises(BudgetExhaustedError):
+        make_oracle(budget=0).sample_means([1] * ARRAY_DRAW_MIN, 3, rng)
+    assert o.used == 5
