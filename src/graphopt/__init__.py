@@ -86,7 +86,14 @@ from .nnsearch import (
     smoothed_sa_search,
 )
 from .oracle import BudgetExhaustedError, NoisyOracle
-from .values import ValueFormatError, ValueTable, load_values, parse_values, save_values
+from .values import (
+    ValueFormatError,
+    ValueTable,
+    exact_ratio,
+    load_values,
+    parse_values,
+    save_values,
+)
 
 __version__ = "0.1.0"
 

@@ -12,6 +12,7 @@ the optimizers minimize, into rewards.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -54,8 +55,13 @@ class BudgetSchedule:
         return sum(self.cumulative[1:]) + self.cumulative[-1]
 
 
+@functools.lru_cache(maxsize=128, typed=True)
 def budget_schedule(K: int, B: int) -> BudgetSchedule:
-    """Phase schedule B_k = ceil((B - K) / (log_bar(K) * (K + 1 - k)))."""
+    """Phase schedule B_k = ceil((B - K) / (log_bar(K) * (K + 1 - k))).
+
+    Memoised: the schedule is frozen, and every trial at one (K, B) needs
+    the same one.
+    """
     if K < 2:
         raise ValueError("need at least two arms")
     if B <= K:
@@ -80,7 +86,7 @@ def successive_reject(
     sampler's source dries up mid-run the remaining eliminations use the
     means collected so far.
     """
-    sched = budget_schedule(K, B)
+    cumulative = budget_schedule(K, B).cumulative
     sums = [0.0] * K
     counts = [0] * K
     means = [-math.inf] * K
@@ -90,7 +96,7 @@ def successive_reject(
     order = list(range(K))
     exhausted = False
     for k in range(1, K):
-        pulls = sched.phase_pulls(k)
+        pulls = cumulative[k] - cumulative[k - 1]
         if pulls > 0 and not exhausted:
             arms = sorted(order)
             try:

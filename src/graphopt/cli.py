@@ -27,7 +27,7 @@ from .nnsearch import (
     recall_at_k,
     sgnn_query,
 )
-from .values import parse_values
+from .values import exact_ratio, parse_values
 
 
 class UsageError(Exception):
@@ -102,15 +102,20 @@ def _cmd_gen_knn(args) -> int:
 def _cmd_certify(args) -> int:
     g, _ = load_graph(args.graph, with_values=False)
     values_path = args.values if args.values else f"{args.graph}.values"
-    # exact decimals, so knife-edge instances certify exactly
-    vals = parse_values(values_path, g.n, number=Fraction)
-    if args.negate:
-        vals = [-v for v in vals]
+    # integer numerators over the common denominator L, so knife-edge
+    # instances certify exactly; --m and --alpha compare values with values
+    # and need no scaling, --c is a value and is scaled by L
+    ratios = parse_values(values_path, g.n, number=exact_ratio)
+    dens = {den for _, den in ratios}
+    L = math.lcm(*dens)
+    sign = -1 if args.negate else 1
+    scale = {den: sign * (L // den) for den in dens}
+    vals = [num * scale[den] for num, den in ratios]
     lines = []
     if args.nearly:
         if args.alpha is None or args.c is None:
             raise UsageError("--nearly needs --alpha and --c")
-        report = certify_nearly_convex(g, vals, args.alpha, args.c)
+        report = certify_nearly_convex(g, vals, args.alpha, args.c * L)
         lines.append("node,in_C,r\n")
         for x in range(g.n):
             if x in report.core:
@@ -133,7 +138,7 @@ def _cmd_certify(args) -> int:
         lines.append("node,M\n")
         for x in range(g.n):
             m_x = cert.first_step.get(x)
-            lines.append(f"{x},{'' if m_x is None else repr(float(m_x))}\n")
+            lines.append(f"{x},{'' if m_x is None else repr(m_x / L)}\n")
         ok = cert.certified
         summary = (
             f"strongly convex at m={args.m} (minimizer {cert.minimizer})"

@@ -3,7 +3,8 @@
 A value table here is any indexable sequence of numbers. When the values
 and the parameters are all ``numbers.Rational`` (int, fractions.Fraction),
 the certificates map them once to Python ints over their common
-denominator and decide knife-edge instances exactly on those integers.
+denominator and decide knife-edge instances exactly on those integers;
+int inputs give int results.
 Any other input (floats, Decimal, a mix of floats and Fractions) keeps its
 own arithmetic through plain Python operators. ValueTable inputs are
 unwrapped to Python floats.
@@ -36,13 +37,18 @@ def _on_integers(vals, ratio, c=0):
     When the values, ``ratio`` and ``c`` are all Rational, the values and
     c come back as ints over L, the lcm of their denominators, and ratio as
     its numerator and denominator, so every comparison is integer-exact. A
-    value v maps back as Fraction(v, L). Any other input comes back
-    unchanged, with L None and ratio as (ratio, 1).
+    value v maps back as Fraction(v, L), or as the int v when L is 1. Any
+    other input comes back unchanged, with L None and ratio as (ratio, 1).
     """
-    if not all(isinstance(v, Rational) for v in (ratio, c, *vals)):
+    kinds = set(map(type, vals))
+    if not all(issubclass(k, Rational) for k in (type(ratio), type(c), *kinds)):
         return vals, None, (ratio, 1), c
-    L = math.lcm(c.denominator, *{v.denominator for v in vals})
-    ints = [int(v.numerator) * (L // int(v.denominator)) for v in vals]
+    if kinds == {int}:  # nothing to take apart
+        L = int(c.denominator)
+        ints = vals if L == 1 else [v * L for v in vals]
+    else:
+        L = math.lcm(c.denominator, *{v.denominator for v in vals})
+        ints = [int(v.numerator) * (L // int(v.denominator)) for v in vals]
     scaled_c = int(c.numerator) * (L // int(c.denominator))
     return ints, L, (int(ratio.numerator), int(ratio.denominator)), scaled_c
 
@@ -158,7 +164,7 @@ def certify_strongly_convex(g: Graph, values, m) -> StrongConvexityCertificate:
         if best is not None:
             first_step[x] = best
             next_node[x] = best_z
-    if L is not None:
+    if L is not None and L != 1:
         first_step = {x: Fraction(v, L) for x, v in first_step.items()}
     uncertifiable = tuple(x for x in range(n) if x not in first_step)
     return StrongConvexityCertificate(
@@ -267,7 +273,7 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
         hops[x] = depth
         elevation[x] = max(vals[z] for z in nodes) - vals[x]
         witness[x] = tuple(nodes)
-    if L is not None:
+    if L is not None and L != 1:
         elevation = {x: Fraction(v, L) for x, v in elevation.items()}
     return NearConvexityReport(
         g, alpha, c, x_star, frozenset(core), hops, elevation, witness, tuple(infeasible)

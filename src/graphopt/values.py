@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,12 +70,43 @@ def save_values(table: ValueTable | Sequence[float], path) -> None:
             fh.write(f"{i},{float(v):.17g}\n")
 
 
+# an ASCII decimal: sign, digits with an optional point, optional exponent
+_DECIMAL = re.compile(r"([-+]?)(?=[0-9]|\.[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?")
+
+
+def exact_ratio(token: str) -> tuple[int, int]:
+    """The exact value of ``token`` as a ``(numerator, denominator)`` pair.
+
+    An ASCII decimal such as ``-2.5e-3``, ``.5`` or ``5.`` is read as its
+    digits over a power of ten (over 1 when the exponent leaves no
+    fraction); any other token is whatever ``Fraction(token)`` makes of it,
+    errors included. The pair equals ``Fraction(token)`` as a value but is
+    not reduced, except that a zero is ``(0, 1)``.
+    """
+    m = _DECIMAL.fullmatch(token)
+    if m is None:
+        f = Fraction(token)
+        return f.numerator, f.denominator
+    sign, whole, frac, exp = m.groups("")
+    # Fraction's own steps, so an over-long digit string fails the same way
+    num = int(whole or "0")
+    if frac:
+        num = num * 10 ** len(frac) + int(frac)
+    if sign == "-":
+        num = -num
+    k = len(frac) - int(exp or "0")
+    if num == 0:  # 0e-99999 must not raise a common denominator to 10**99999
+        return 0, 1
+    return (num, 10**k) if k > 0 else (num * 10**-k, 1)
+
+
 def parse_values(path, n: int | None = None, number: Callable = float) -> list:
     """Parse a ``node,value`` file into a list of ``number(text)`` values.
 
     Ids must be 0..n-1 ascending, no gaps; values must be finite. Pass
-    ``number=fractions.Fraction`` to read the decimals exactly. Raises
-    ValueFormatError with the offending line number on any defect.
+    ``number=exact_ratio`` (or ``fractions.Fraction``) to read the values
+    exactly. Raises ValueFormatError with the offending line number on any
+    defect.
     """
     vals: list = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -94,7 +127,7 @@ def parse_values(path, n: int | None = None, number: Callable = float) -> list:
                     f"{path}:{lineno}: node ids must ascend without gaps "
                     f"(expected {len(vals)}, got {node})"
                 )
-            # exact numbers such as Fraction are always finite
+            # exact numbers such as Fraction or a ratio pair are always finite
             if isinstance(val, float) and not math.isfinite(val):
                 raise ValueFormatError(f"{path}:{lineno}: non-finite value")
             vals.append(val)

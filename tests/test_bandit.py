@@ -50,6 +50,15 @@ def test_schedule_rejects_tiny_budget():
         budget_schedule(1, 100)
 
 
+def test_schedule_is_memoised():
+    s = budget_schedule(441, 1000)
+    assert budget_schedule(441, 1000) is s
+    assert s == budget_schedule.__wrapped__(441, 1000)
+    for _ in range(2):  # a refusal is not cached away
+        with pytest.raises(ValueError):
+            budget_schedule(5, 5)
+
+
 @settings(max_examples=200, deadline=None)
 @given(K=st.integers(2, 40), extra=st.integers(1, 5000))
 def test_schedule_never_overspends(K, extra):

@@ -122,6 +122,57 @@ def test_certify_reads_the_value_file_once_and_exactly(tmp_path, capsys):
     assert f"{values}:2:" in stderr
 
 
+def test_certify_pins_mixed_tokens_at_the_knife_edges(tmp_path, capsys):
+    # decimals over 10**0..10**4 mixed with 1/3; node 4's step to node 2
+    # holds up to m = 1601/199, and its core membership up to alpha = 14/15
+    out = tmp_path / "mixed.txt"
+    save_graph(Graph.from_edges(6, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]), out)
+    (tmp_path / "mixed.txt.values").write_text("0,-0\n1,2.5e-3\n2,.5\n3,1/3\n4,5.\n5,1e+20\n")
+    above_m = f"{1601 * 10**30 + 1}/{199 * 10**30}"
+    above_alpha = f"{14 * 10**30 + 1}/{15 * 10**30}"
+    cases = [
+        (["--m", "1601/199"], 0,
+         "node,M\n0,0.0\n1,0.0025\n2,0.4975\n3,0.3308333333333333\n4,4.5\n5,1e+20\n",
+         "strongly convex at m=1601/199 (minimizer 0)\n"),
+        (["--m", above_m], 0,
+         "node,M\n0,0.0\n1,0.0025\n2,0.4975\n3,0.3308333333333333\n4,4.666666666666667\n"
+         "5,1e+20\n",
+         f"strongly convex at m={above_m} (minimizer 0)\n"),
+        (["--negate", "--m", "1601/199"], 1,
+         "node,M\n0,\n1,\n2,\n3,\n4,1e+20\n5,0.0\n",
+         "not certifiable at m=1601/199: nodes [0, 1, 2, 3]\n"),
+        (["--nearly", "--alpha", "14/15", "--c", "1/7"], 0,
+         "node,in_C,r\n0,1,0\n1,1,0\n2,1,0\n3,1,0\n4,1,0\n5,1,0\n",
+         "nearly convex: alpha=14/15 c=1/7 r=0 core=6/6 (minimizer 0 in core by convention)\n"),
+        (["--nearly", "--alpha", above_alpha, "--c", "1/7"], 0,
+         "node,in_C,r\n0,1,0\n1,1,0\n2,1,0\n3,1,0\n4,0,1\n5,1,0\n",
+         "nearly convex: alpha=4666666666666666666666666666667/5000000000000000000000000000000 "
+         "c=1/7 r=1 core=5/6 (minimizer 0 in core by convention)\n"),
+        (["--negate", "--nearly", "--alpha", "1/2", "--c", "1/7"], 0,
+         "node,in_C,r\n0,0,3\n1,0,2\n2,0,1\n3,0,1\n4,1,0\n5,1,0\n",
+         "nearly convex: alpha=1/2 c=1/7 r=3 core=2/6 (minimizer 5 in core by convention)\n"),
+    ]
+    for argv, code, stdout, stderr in cases:
+        assert run_cli(capsys, "certify", "--graph", str(out), *argv) == (code, stdout, stderr)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("nan", "Invalid literal for Fraction: 'nan'"),
+        ("0x1", "Invalid literal for Fraction: '0x1'"),
+        ("1/0", "Fraction(1, 0)"),
+    ],
+)
+def test_certify_names_the_line_of_a_bad_value(tmp_path, capsys, token, message):
+    out = tmp_path / "path.txt"
+    save_graph(Graph.from_edges(3, [(0, 1), (1, 2)]), out)
+    values = tmp_path / "path.txt.values"
+    values.write_text(f"0,0\n1,{token}\n2,1\n")
+    code, stdout, stderr = run_cli(capsys, "certify", "--graph", str(out), "--m", "1")
+    assert (code, stdout, stderr) == (1, "", f"error: {values}:2: {message}\n")
+
+
 def test_certify_needs_parameters(tmp_path, capsys):
     out = tmp_path / "grid.txt"
     run_cli(capsys, "gen-grid", "--D", "2", "--target-degree", "8", "--seed", "3", "--out", str(out))

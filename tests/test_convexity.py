@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -330,3 +331,26 @@ def test_float_and_mixed_inputs_keep_their_arithmetic():
     for vals in (floats, mixed):
         for m, alpha, c in ((0.4, 0.3, 0.1), (Fraction(2, 5), Fraction(2, 7), Fraction(1, 7))):
             assert_same_certificates(g, vals, m, alpha, c, same_types=True)
+
+
+def test_int_values_give_int_certificates():
+    # ints over the common denominator give the ints that used to come
+    # back as Fraction(v, 1)
+    g, exact = grid_fractions(4)
+    L = math.lcm(*(v.denominator for v in exact))
+    ints = [int(v * L) for v in exact]
+    m, alpha = Fraction(2, 5), Fraction(9, 10)
+    cert = certify_strongly_convex(g, ints, m)
+    assert all(type(v) is int for v in cert.first_step.values())
+    assert cert.first_step == {
+        x: Fraction(v) for x, v in reference_strong(g, ints, m)["first_step"].items()
+    }
+    rep = certify_nearly_convex(g, ints, alpha, 0)
+    assert rep.elevation and all(type(v) is int for v in rep.elevation.values())
+    assert rep.elevation == reference_near(g, ints, alpha, 0)["elevation"]
+    # a climb: 3 -> 2 -> 1 peaks 1 above node 3 and 2 above node 2
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    for c in (2, Fraction(2)):
+        rep = certify_nearly_convex(path, [0, 5, 3, 4], alpha, c)
+        assert rep.elevation == {2: 2, 3: 1}
+        assert all(type(v) is int for v in rep.elevation.values())

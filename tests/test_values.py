@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphopt import (
     Graph,
     ValueFormatError,
     ValueTable,
+    exact_ratio,
     load_values,
     parse_values,
     save_graph,
@@ -113,3 +114,61 @@ def test_parse_values_reads_exact_numbers(tmp_path):
     p.write_text("0,0.1\n1,1/0\n")
     with pytest.raises(ValueFormatError, match=":2:"):
         parse_values(p, number=Fraction)
+
+
+def _outcome(read, token):
+    try:
+        return read(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+_digits = st.text("0123456789", max_size=20)
+_decimal_tokens = st.builds(
+    lambda sign, whole, frac, exp: sign + whole + frac + exp,
+    st.sampled_from(["", "-", "+"]),
+    _digits,
+    st.one_of(st.just(""), _digits.map(lambda d: "." + d)),
+    st.one_of(
+        st.just(""),
+        st.builds(
+            lambda e, sign, d: e + sign + d,
+            st.sampled_from("eE"),
+            st.sampled_from(["", "-", "+"]),
+            st.text("0123456789", min_size=1, max_size=3),
+        ),
+    ),
+)
+_ratio_tokens = st.builds(
+    lambda a, b: f"{a}/{b}", st.integers(-(10**6), 10**6), st.integers(0, 10**6)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(token=st.one_of(_decimal_tokens, _ratio_tokens, st.text(max_size=12)))
+@example(token="1_0")
+@example(token="\u0661\u0662.5")  # Arabic-Indic digits
+@example(token=" 1.5")
+@example(token="1.d")
+@example(token="1" * 3000 + "." + "1" * 3000)
+@example(token="1" * 5000)  # over int()'s digit limit
+def test_exact_ratio_matches_fraction(token):
+    want = _outcome(Fraction, token)
+    got = _outcome(exact_ratio, token)
+    if isinstance(want, Fraction):
+        num, den = got
+        assert type(num) is int and type(den) is int and den > 0
+        assert Fraction(num, den) == want
+    else:
+        assert got == want
+
+
+def test_exact_ratio_reads_decimals_over_powers_of_ten():
+    assert exact_ratio("2.5e-3") == (25, 10**4)
+    assert exact_ratio("1e+20") == (10**20, 1)
+    assert exact_ratio("-1.5e3") == (-1500, 1)
+    assert exact_ratio(".5") == (5, 10)
+    assert exact_ratio("5.") == (5, 1)
+    assert exact_ratio("-0") == (0, 1)
+    assert exact_ratio("0.000e-99999") == (0, 1)
+    assert exact_ratio("1/3") == (1, 3)
