@@ -89,6 +89,7 @@ from .oracle import BudgetExhaustedError, NoisyOracle
 from .values import (
     ValueFormatError,
     ValueTable,
+    common_denominator,
     exact_ratio,
     load_values,
     parse_values,

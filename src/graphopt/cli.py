@@ -27,7 +27,7 @@ from .nnsearch import (
     recall_at_k,
     sgnn_query,
 )
-from .values import exact_ratio, parse_values
+from .values import common_denominator, exact_ratio, parse_values
 
 
 class UsageError(Exception):
@@ -105,12 +105,9 @@ def _cmd_certify(args) -> int:
     # integer numerators over the common denominator L, so knife-edge
     # instances certify exactly; --m and --alpha compare values with values
     # and need no scaling, --c is a value and is scaled by L
-    ratios = parse_values(values_path, g.n, number=exact_ratio)
-    dens = {den for _, den in ratios}
-    L = math.lcm(*dens)
-    sign = -1 if args.negate else 1
-    scale = {den: sign * (L // den) for den in dens}
-    vals = [num * scale[den] for num, den in ratios]
+    vals, L = common_denominator(parse_values(values_path, g.n, number=exact_ratio))
+    if args.negate:
+        vals = [-v for v in vals]
     lines = []
     if args.nearly:
         if args.alpha is None or args.c is None:

@@ -15,14 +15,13 @@ when f(x) - f(z) > 0. Negate the values to reason about maximization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
 from .graphs import Graph, Path
-from .values import ValueTable
+from .values import ValueTable, common_denominator
 
 
 def _vals(values) -> Sequence:
@@ -40,16 +39,12 @@ def _on_integers(vals, ratio, c=0):
     value v maps back as Fraction(v, L), or as the int v when L is 1. Any
     other input comes back unchanged, with L None and ratio as (ratio, 1).
     """
-    kinds = set(map(type, vals))
-    if not all(issubclass(k, Rational) for k in (type(ratio), type(c), *kinds)):
+    if not all(isinstance(v, Rational) for v in (ratio, c, *vals)):
         return vals, None, (ratio, 1), c
-    if kinds == {int}:  # nothing to take apart
-        L = int(c.denominator)
-        ints = vals if L == 1 else [v * L for v in vals]
-    else:
-        L = math.lcm(c.denominator, *{v.denominator for v in vals})
-        ints = [int(v.numerator) * (L // int(v.denominator)) for v in vals]
-    scaled_c = int(c.numerator) * (L // int(c.denominator))
+    pairs = [(int(v.numerator), int(v.denominator)) for v in vals]
+    pairs.append((int(c.numerator), int(c.denominator)))
+    ints, L = common_denominator(pairs)
+    scaled_c = ints.pop()
     return ints, L, (int(ratio.numerator), int(ratio.denominator)), scaled_c
 
 

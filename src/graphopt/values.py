@@ -80,8 +80,10 @@ def exact_ratio(token: str) -> tuple[int, int]:
     An ASCII decimal such as ``-2.5e-3``, ``.5`` or ``5.`` is read as its
     digits over a power of ten (over 1 when the exponent leaves no
     fraction); any other token is whatever ``Fraction(token)`` makes of it,
-    errors included. The pair equals ``Fraction(token)`` as a value but is
-    not reduced, except that a zero is ``(0, 1)``.
+    errors included. The pair equals ``Fraction(token)`` as a value; a
+    decimal keeps a power of ten below it but drops its trailing zeros, so
+    ``1.50`` is ``(15, 10)`` and ``1.000`` is ``(1, 1)``, and a zero is
+    ``(0, 1)``.
     """
     m = _DECIMAL.fullmatch(token)
     if m is None:
@@ -97,7 +99,26 @@ def exact_ratio(token: str) -> tuple[int, int]:
     k = len(frac) - int(exp or "0")
     if num == 0:  # 0e-99999 must not raise a common denominator to 10**99999
         return 0, 1
-    return (num, 10**k) if k > 0 else (num * 10**-k, 1)
+    if k <= 0:
+        return num * 10**-k, 1
+    # trailing zeros add digits but no value, and must not raise the common
+    # denominator of a whole file
+    digits = whole + frac
+    z = min(k, len(digits) - len(digits.rstrip("0")))
+    return num // 10**z, 10 ** (k - z)
+
+
+def common_denominator(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Integers over one common denominator for ``(numerator, denominator)`` pairs.
+
+    Returns ``(ints, L)`` with L the lcm of the denominators (1 for no
+    pairs): pair ``(p, q)`` becomes ``p * (L // q)``, so ``ints[i] / L`` is
+    the i-th value exactly.
+    """
+    dens = {q for _, q in pairs}
+    L = math.lcm(*dens)
+    scale = {q: L // q for q in dens}
+    return [p * scale[q] for p, q in pairs], L
 
 
 def parse_values(path, n: int | None = None, number: Callable = float) -> list:

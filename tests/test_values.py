@@ -10,6 +10,7 @@ from graphopt import (
     Graph,
     ValueFormatError,
     ValueTable,
+    common_denominator,
     exact_ratio,
     load_values,
     parse_values,
@@ -172,3 +173,20 @@ def test_exact_ratio_reads_decimals_over_powers_of_ten():
     assert exact_ratio("-0") == (0, 1)
     assert exact_ratio("0.000e-99999") == (0, 1)
     assert exact_ratio("1/3") == (1, 3)
+
+
+def test_exact_ratio_drops_trailing_zeros():
+    assert exact_ratio("1.50") == (15, 10)
+    assert exact_ratio("-1.500e1") == (-15, 1)
+    assert exact_ratio("150e-2") == (15, 10)
+    assert exact_ratio("100.00") == (100, 1)
+    assert exact_ratio("1." + "0" * 4000) == (1, 1)
+
+
+def test_common_denominator_follows_values_not_spelling():
+    plain = ["1.5", "-0.25", "3", "1/3"]
+    padded = ["1.50", "-0.2500", "3." + "0" * 4000, "1/3"]
+    ints, L = common_denominator([exact_ratio(t) for t in plain])
+    assert (ints, L) == ([450, -75, 900, 100], 300)
+    assert common_denominator([exact_ratio(t) for t in padded]) == (ints, L)
+    assert common_denominator([]) == ([], 1)
