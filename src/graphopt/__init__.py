@@ -79,6 +79,7 @@ from .nnsearch import (
     classify_majority,
     default_rounds,
     exact_nn,
+    exact_nn_all,
     load_points,
     recall_at_k,
     save_points,

@@ -22,7 +22,7 @@ from .harness import ExperimentConfig, gap_statistics, records_to_csv, run_trial
 from .nnsearch import (
     classify_majority,
     default_rounds,
-    exact_nn,
+    exact_nn_all,
     load_points,
     recall_at_k,
     sgnn_query,
@@ -186,9 +186,9 @@ def _cmd_nn(args) -> int:
     g = make_knn_graph(points, args.N) if args.algo == "sgnn" else None
     I = args.I if args.I is not None else default_rounds(points.n)
     J = args.J if args.J is not None else default_rounds(points.n)
-    for qi in range(queries.n):
+    truths = exact_nn_all(points, queries.coords, K)
+    for qi, truth in enumerate(truths):
         q = queries.coords[qi]
-        truth = exact_nn(points, q, K)
         t0 = time.perf_counter()
         if args.algo == "sgnn":
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([args.seed, qi])))

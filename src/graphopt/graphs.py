@@ -368,8 +368,9 @@ def make_grid_graph(spec: GridSpec) -> tuple[Graph, ValueTable]:
 # ---------------------------------------------------------------------------
 # k-nearest-neighbor graphs over point clouds
 
-# rows per kNN block: the (rows, n, dim) difference holds about this many
-# floats (2 MB), so it stays in cache between the subtraction and the einsum
+# rows per kNN block: neither the (rows, n) estimate nor the gathered
+# (rows, width, dim) differences of the exact recheck hold more than this
+# many floats (2 MB), so each stays in cache between the passes over it
 _KNN_BLOCK_FLOATS = 1 << 18
 
 
@@ -385,31 +386,113 @@ def make_knn_graph(points, N: int) -> Graph:
         raise ValueError("points must be an (n, dim) array with n >= 2")
     if not np.all(np.isfinite(coords)):
         raise ValueError("coordinates must be finite")
-    n, dim = coords.shape
+    n = coords.shape[0]
     if not 0 < N < n:
         raise ValueError(f"N must be in 1..{n - 1}")
-    adjacency: list[tuple[int, ...]] = []
-    chunk = max(1, _KNN_BLOCK_FLOATS // (n * max(dim, 1)))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        diff = coords[lo:hi, None, :] - coords[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        rows = np.arange(hi - lo)
-        d2[rows, lo + rows] = np.inf
-        # everything up to each row's N-th smallest distance is taken; a row
+    ids, _ = _nearest(coords, coords, N, skip_self=True)
+    return Graph(n, True, tuple(map(tuple, ids.tolist())))
+
+
+def _nearest(queries: np.ndarray, points: np.ndarray, K: int, skip_self: bool):
+    """The K nearest points to each query: ``(ids, d2)``, both (m, K), ids
+    ascending along each row with their squared distances.
+
+    The squared distance that decides is ``einsum`` over the differences
+    ``query - point``; ties go to the lower id, which is the set a stable
+    ``argsort(d2)[:K]`` takes. With ``skip_self`` the queries are the
+    points and row i never takes point i. A GEMM estimate only proposes
+    the candidates: it never decides, so its rounding (the BLAS build, its
+    kernels and thread count) cannot change the result.
+    """
+    m, dim = queries.shape
+    n = points.shape[0]
+    sq = np.einsum("ij,ij->i", points, points)
+    sq_q = sq if skip_self else np.einsum("ij,ij->i", queries, queries)
+    # The estimate e = sq_i + sq_j - 2 q.p of the exact d = |q - p|^2 (both
+    # as computed) is within E = 3 (dim+2) eps (sq_i + sq_j) + A of d, for
+    # any summation order, blocking and FMA use. With u = eps/2, g_k = k u /
+    # (1 - k u), S = |q|^2 + |p|^2 and D = |q - p|^2 exactly:
+    # - a sum of k products, each term through at most k roundings, is off
+    #   by at most g_k times the sum of the absolute products, plus k A0 of
+    #   underflow (A0 = 2**-1075 per product; a sum that underflows is
+    #   exact). So sq_i, sq_j and 2 q.p are off by g_dim S_i, g_dim S_j and
+    #   g_dim S (since 2|q_k p_k| <= q_k^2 + p_k^2), the two additions of e
+    #   add g_2 (1 + g_dim) 2S, and |e - D| <= 2 g_(dim+2) S;
+    # - each of d's dim terms is rounded by its difference, its square and
+    #   at most dim - 1 additions: |d - D| <= g_(dim+2) D, and D <= 2S;
+    # - so |e - d| <= 4 g_(dim+2) S + 5 dim A0 <= 2.05 (dim+2) eps (sq_i +
+    #   sq_j) + A, with S <= 1.01 (sq_i + sq_j) + 2 dim A0 from the first
+    #   step. c = 3 leaves room for the rounding of E and of the threshold
+    #   below, and A = 4 (dim+2) 2**-1074 covers the underflow terms.
+    # The K-th smallest estimate is within max_j E of the K-th smallest d,
+    # so every point whose d is at most that K-th d has an estimate at most
+    # the K-th estimate plus 2 max_j E, and is a candidate. The bound needs
+    # no overflow: a row whose sq_i + max sq exceeds 2**1020 (coordinates
+    # about 1e153 and up) takes every point as a candidate, as a full scan.
+    ids = np.empty((m, K), dtype=np.intp)
+    d2 = np.empty((m, K))
+    rows = max(1, _KNN_BLOCK_FLOATS // n)
+    # overflow only ever makes a row unbounded, and NaN estimates stay in those rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_max = float(sq.max())
+        err = 3 * (dim + 2) * np.finfo(float).eps * (sq_q + sq_max) + 4 * (dim + 2) * 2.0**-1074
+        unbounded = sq_q + sq_max > 2.0**1020
+        for lo in range(0, m, rows):
+            hi = min(m, lo + rows)
+            est = queries[lo:hi] @ points.T
+            est *= -2.0
+            est += sq
+            est += sq_q[lo:hi, None]
+            if skip_self:
+                est[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            kth = np.partition(est, K - 1, axis=1)[:, K - 1]
+            cand = est <= (kth + 2 * err[lo:hi])[:, None]
+            cand[unbounded[lo:hi]] = True
+            del est, kth
+            first = lo if skip_self else None
+            ids[lo:hi], d2[lo:hi] = _decide(queries[lo:hi], points, K, first, cand)
+    return ids, d2
+
+
+def _decide(queries, points, K: int, first: int | None, cand):
+    """``(ids, d2)`` of each query's K nearest candidates, ids ascending,
+    chosen by their exact squared distances; ``cand[r, j]`` marks point j
+    as a candidate of query r. When ``first`` is not None, query r is
+    point ``first + r`` and may not take itself.
+    """
+    ids = np.empty((len(queries), K), dtype=np.intp)
+    d2 = np.empty((len(queries), K))
+    flat = np.flatnonzero(cand)  # ascending, so row r's run starts at r * n
+    n = cand.shape[1]
+    starts = np.searchsorted(flat, np.arange(0, (len(queries) + 1) * n, n))
+    counts = np.diff(starts)
+    step = max(1, _KNN_BLOCK_FLOATS // (int(counts.max()) * max(queries.shape[1], 1)))
+    for a in range(0, len(queries), step):
+        b = min(len(queries), a + step)
+        # each row's candidates, ascending, padded to the widest row
+        fill = np.arange(counts[a:b].max()) < counts[a:b, None]
+        idx = np.zeros(fill.shape, dtype=np.intp)
+        idx[fill] = flat[starts[a] : starts[b]] % n
+        diff = points[idx]
+        np.subtract(queries[a:b, None, :], diff, out=diff)
+        d = np.einsum("ijk,ijk->ij", diff, diff)
+        d[~fill] = np.inf
+        if first is not None:
+            d[idx == np.arange(first + a, first + b)[:, None]] = np.inf
+        # everything up to each row's K-th smallest distance is taken; a row
         # with ties there keeps all below it, then the ties lowest id first,
-        # which is exactly the set a stable argsort(...)[:N] selects
-        kth = np.partition(d2, N - 1, axis=1)[:, N - 1 : N]
-        take = d2 <= kth
-        tied = np.flatnonzero(np.count_nonzero(take, axis=1) > N)
+        # which is exactly the set a stable argsort(...)[:K] selects
+        kth = np.partition(d, K - 1, axis=1)[:, K - 1 : K]
+        take = d <= kth
+        tied = np.flatnonzero(np.count_nonzero(take, axis=1) > K)
         if tied.size:
-            d, k = d2[tied], kth[tied]
-            below, ties = d < k, d == k
-            room = N - np.count_nonzero(below, axis=1)
+            dt, k = d[tied], kth[tied]
+            below, ties = dt < k, dt == k
+            room = K - np.count_nonzero(below, axis=1)
             take[tied] = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
-        ids = np.nonzero(take)[1].reshape(hi - lo, N)
-        adjacency.extend(map(tuple, ids.tolist()))
-    return Graph(n, True, tuple(adjacency))
+        ids[a:b] = idx[take].reshape(b - a, K)
+        d2[a:b] = d[take].reshape(b - a, K)
+    return ids, d2
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, _Draws, random_walk
+from .graphs import Graph, _Draws, _nearest, random_walk
 
 TAU_FLOOR = 1e-9
 
@@ -215,20 +215,29 @@ def _expand_best_first(g: Graph, cache: DistanceCache, K: int) -> None:
 
 def exact_nn(points: PointSet, query, K: int) -> QueryResult:
     """Exhaustive scan baseline; always evaluates all n points."""
-    if not 1 <= K <= points.n:
-        raise ValueError(f"K must be in 1..{points.n}")
     q = np.asarray(query, dtype=float)
     if q.shape != (points.dim,):
         raise ValueError(f"query must have dimension {points.dim}")
-    diff = points.coords - q
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    order = np.argsort(d2, kind="stable")[:K]
-    return QueryResult(
-        candidates=tuple(int(i) for i in order),
-        distances=tuple(float(math.sqrt(d2[i])) for i in order),
-        distance_evals=points.n,
-        short=False,
-    )
+    return exact_nn_all(points, q[None, :], K)[0]
+
+
+def exact_nn_all(points: PointSet, queries, K: int) -> list[QueryResult]:
+    """``exact_nn`` for each row of the (m, dim) ``queries``, from one
+    blocked scan of the points: per query the K nearest, nearest first and
+    ties by id, with their distances."""
+    if not 1 <= K <= points.n:
+        raise ValueError(f"K must be in 1..{points.n}")
+    qs = np.asarray(queries, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != points.dim:
+        raise ValueError(f"queries must be an (m, {points.dim}) array")
+    if not np.all(np.isfinite(qs)):
+        raise ValueError("query coordinates must be finite")
+    ids, d2 = _nearest(qs, points.coords, K, skip_self=False)
+    # ids ascend along each row, so a stable sort by distance breaks ties by id
+    order = np.argsort(d2, axis=1, kind="stable")
+    ids = np.take_along_axis(ids, order, axis=1).tolist()
+    dists = np.sqrt(np.take_along_axis(d2, order, axis=1)).tolist()
+    return [QueryResult(tuple(c), tuple(d), points.n) for c, d in zip(ids, dists)]
 
 
 def recall_at_k(result: QueryResult, exact: QueryResult, K: int) -> float:

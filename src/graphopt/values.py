@@ -6,6 +6,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +42,12 @@ class ValueTable:
 
     def value(self, x: int) -> float:
         return float(self.means[x])
+
+    @cached_property
+    def floats(self) -> tuple[float, ...]:
+        """The values as Python floats, built once per table; scalar code
+        indexes these several times faster than the numpy array."""
+        return tuple(self.means.tolist())
 
     def argmin(self) -> int:
         return int(np.argmin(self.means))

@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -257,6 +258,66 @@ def test_knn_block_selection_matches_stable_argsort_across_tall_blocks():
     rng = np.random.default_rng(5)
     for coords in (rng.normal(size=(640, 8)), rng.integers(-3, 4, size=(640, 8)) * 1.0):
         assert make_knn_graph(coords, 10).adjacency == argsort_knn(coords, 10).adjacency
+
+
+def knn_outcome(build, coords, N, path):
+    """The bytes ``save_graph`` writes for ``build(coords, N)``, or the
+    message of the ValueError it raises."""
+    try:
+        save_graph(build(coords, N), path)
+    except ValueError as exc:
+        return str(exc)
+    return path.read_bytes()
+
+
+def scaled_clouds():
+    rng = np.random.default_rng(12)
+    gauss = rng.normal(size=(90, 6))
+    lattice = rng.integers(-1, 2, size=(90, 2)).astype(float)
+    return {
+        # squared norms overflow; the exact differences do not
+        "x1e155-near": 1e155 * (1 + 0.01 * gauss),
+        # squared norms finite, their pairwise sums not
+        "x1e154-edge": 1e154 * rng.uniform(-1.3, 1.3, size=(90, 1)),
+        # squared differences overflow too: every row ties at inf and the
+        # lowest ids include the point itself, so both builds refuse it
+        "x1e155": 1e155 * gauss,
+        "x1e200": 1e200 * gauss,
+        # every nonzero difference overflows; duplicates keep the graph buildable
+        "x1e200-lattice": 1e200 * lattice,
+        "x1e-160-subnormal": 1e-160 * gauss,
+        "x1e-160-lattice": 1e-160 * lattice,
+        "offset-1e8": gauss + 1e8,
+        "all-equal": np.full((90, 6), 0.3),
+        "dim-1": rng.integers(-4, 5, size=(90, 1)) * 0.25,
+        "origin-and-duplicates": np.vstack([np.zeros((5, 3)), rng.normal(size=(40, 3))] * 2),
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(scaled_clouds()))
+@pytest.mark.parametrize("N", [1, 10, "n-1"])
+def test_knn_graph_matches_stable_argsort_at_extreme_scales_and_ties(name, N, tmp_path):
+    coords = scaled_clouds()[name]
+    N = len(coords) - 1 if N == "n-1" else N
+    got = knn_outcome(make_knn_graph, coords, N, tmp_path / "new.txt")
+    assert got == knn_outcome(argsort_knn, coords, N, tmp_path / "old.txt")
+
+
+def test_knn_graph_memory_when_every_point_is_a_candidate():
+    # all points equal: every row ties everywhere, so the exact recheck is
+    # n wide; it must still run in blocks and peak near a generic cloud
+    def peak(coords):
+        make_knn_graph(coords, 10)
+        tracemalloc.start()
+        try:
+            make_knn_graph(coords, 10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    generic = peak(np.random.default_rng(3).normal(size=(1500, 10)))
+    assert peak(np.full((1500, 10), 2.5)) <= 2 * generic
 
 
 def test_knn_graph_rejects_non_finite_points():

@@ -12,6 +12,7 @@ from graphopt import (
     classify_majority,
     default_rounds,
     exact_nn,
+    exact_nn_all,
     load_points,
     make_knn_graph,
     recall_at_k,
@@ -47,6 +48,53 @@ def test_exact_nn_orders_by_distance_then_id():
     assert res.distances == pytest.approx((0.5, 1.0, 1.0))
     assert res.distance_evals == 4
     assert not res.short
+
+
+def scan_nn(coords, query, K):
+    """The per-query scan exact_nn ran before its blocked prefilter."""
+    diff = coords - query
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    order = np.argsort(d2, kind="stable")[:K]
+    return tuple(int(i) for i in order), tuple(float(math.sqrt(d2[i])) for i in order)
+
+
+@st.composite
+def scan_cases(draw):
+    kind = draw(st.sampled_from(["gaussian", "lattice", "scaled"]))
+    n, m, dim = draw(st.integers(1, 80)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":
+        # few distinct coordinates: ties, and queries sitting on points
+        coords = rng.integers(-2, 3, size=(n + m, dim)).astype(float)
+    else:
+        coords = rng.normal(size=(n + m, dim))
+    if kind == "scaled":
+        coords = coords * draw(st.sampled_from([1e-160, 1e-6, 1e6, 1e150, 1e155])) + draw(
+            st.sampled_from([0.0, 1e8])
+        )
+    K = draw(st.sampled_from([1, n]) | st.integers(1, n))
+    return coords[:n], coords[n:], K
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=scan_cases())
+def test_exact_nn_matches_the_per_query_scan(case):
+    coords, queries, K = case
+    ps = PointSet(coords)
+    for q, res in zip(queries, exact_nn_all(ps, queries, K)):
+        want = scan_nn(coords, q, K)
+        assert (res.candidates, res.distances) == want
+        assert res.distance_evals == len(coords) and not res.short
+        assert exact_nn(ps, q, K) == res
+
+
+def test_exact_nn_refuses_non_finite_queries():
+    ps = PointSet(np.arange(6, dtype=float).reshape(3, 2))
+    for q in ([0.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            exact_nn(ps, np.array(q), 2)
+    with pytest.raises(ValueError, match="queries must be"):
+        exact_nn_all(ps, np.zeros((2, 3)), 2)
 
 
 def test_recall_at_k_counts_overlap():
