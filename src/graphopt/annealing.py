@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle
+from .oracle import BudgetExhaustedError, NoisyOracle, _whole
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,8 @@ class SAConfig:
     def __post_init__(self):
         if not math.isfinite(self.gamma) or self.gamma < 0:
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        object.__setattr__(self, "s", _whole("s", self.s))
+        object.__setattr__(self, "steps", _whole("steps", self.steps))
         if self.s < 1:
             raise ValueError("samples per estimate must be >= 1")
         if self.steps < 0:
@@ -66,19 +68,20 @@ def sa_transition_probs(
 def sa_step(g: Graph, oracle: NoisyOracle, x: int, cfg: SAConfig, rng: np.random.Generator) -> int:
     """Propose a uniform neighbor and accept by exponential weight.
 
-    Both endpoints are estimated fresh with cfg.s samples (no caching
-    across steps; reusing estimates would correlate acceptance decisions).
-    Near the budget cap an estimate covers only the samples still
-    available; raises BudgetExhaustedError, leaving the state at x, when
-    the estimates cannot be made at all.
+    Both endpoints are estimated fresh with cfg.s samples each, x then y,
+    in one oracle call (no caching across steps; reusing estimates would
+    correlate acceptance decisions). Near the budget cap an estimate
+    covers only the samples still available; raises BudgetExhaustedError,
+    leaving the state at x, when y cannot be estimated at all.
     """
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"node {x} has no neighbors")
     y = nbrs[int(rng.integers(len(nbrs)))]
-    fx, _ = oracle.sample_mean(x, cfg.s, rng)
-    fy, _ = oracle.sample_mean(y, cfg.s, rng)
-    diff = fx - fy
+    means, _ = oracle.sample_means((x, y), cfg.s, rng)
+    if len(means) < 2:
+        raise BudgetExhaustedError(f"budget {oracle.budget} spent before node {y} was estimated")
+    diff = means[0] - means[1]
     if diff >= 0 or rng.random() < math.exp(cfg.gamma * diff):
         return y
     return x
@@ -109,8 +112,9 @@ def simulated_annealing(
 def theory_sample_size(r: int, gamma: float, R: float) -> int:
     """Samples per estimate suggested by the analysis: ceil(2 r gamma^2 R^2),
     never below one."""
-    if r < 0 or gamma < 0 or R < 0:
-        raise ValueError("r, gamma, R must be >= 0")
+    for name, v in (("r", r), ("gamma", gamma), ("R", R)):
+        if not v >= 0:
+            raise ValueError(f"{name} must be >= 0, got {v}")
     return max(1, math.ceil(2 * r * gamma * gamma * R * R))
 
 
@@ -139,10 +143,10 @@ def sa_round_bound_convex(alpha: float, d: int, eps: float, initial_gap: float) 
         raise ValueError("alpha must be in (0, 1)")
     if d < 1:
         raise ValueError("degree d must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    if initial_gap < 0:
-        raise ValueError("initial_gap must be >= 0")
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    if not initial_gap >= 0:
+        raise ValueError(f"initial_gap must be >= 0, got {initial_gap}")
     gamma = d / (math.e * alpha * eps)
     arg = alpha * initial_gap / (eps * d)
     if arg <= 1.0:
@@ -166,14 +170,14 @@ def sa_round_bound_nearly(
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    if c <= 0:
-        raise ValueError("c must be > 0")
+    if not c > 0:
+        raise ValueError(f"c must be > 0, got {c}")
     if r < 1:
         raise ValueError("r must be >= 1")
     if d < 1:
         raise ValueError("degree d must be >= 1")
-    if F <= 0:
-        raise ValueError("value range F must be > 0")
+    if not F > 0:
+        raise ValueError(f"value range F must be > 0, got {F}")
     gamma = 1.0 / c
     beta = 1.0 - alpha * math.exp(-c * r * gamma) / d ** (r + 1)
     arg = F * alpha * gamma

@@ -177,7 +177,7 @@ def hardness(gaps: Sequence[float]) -> float:
     deltas = [float(d) for d in gaps]
     if not deltas:
         raise ValueError("need at least one suboptimal arm gap")
-    if min(deltas) <= 0:
+    if not all(d > 0 for d in deltas):
         raise ValueError("gaps must be positive")
     ranked = sorted([min(deltas)] + deltas)
     return max((i + 1) / d**2 for i, d in enumerate(ranked))
@@ -190,8 +190,8 @@ def sr_error_bound(K: int, H: float, B: int) -> float:
     """
     if K < 2:
         raise ValueError("need at least two arms")
-    if H <= 0:
-        raise ValueError("hardness must be positive")
+    if not H > 0:
+        raise ValueError(f"hardness H must be positive, got {H}")
     if B <= K:
         return 1.0
     raw = (K * (K - 1) / 2.0) * math.exp(-(B - K) / (log_bar(K) * H))
@@ -202,8 +202,8 @@ def sr_bound_loose(n: int, delta1: float, B: int) -> float:
     """One-term bound (n(n-1)/2) exp(-(B-n) delta1^2 / (n log_bar(n)))."""
     if n < 2:
         raise ValueError("need at least two arms")
-    if delta1 <= 0:
-        raise ValueError("smallest gap must be positive")
+    if not delta1 > 0:
+        raise ValueError(f"smallest gap delta1 must be positive, got {delta1}")
     if B <= n:
         return 1.0
     raw = (n * (n - 1) / 2.0) * math.exp(-(B - n) * delta1**2 / (n * log_bar(n)))

@@ -277,6 +277,6 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
 
 def lemma1_gap_bound(m, delta):
     """Optimality-gap bound (m+1)/m * delta from a first-step improvement."""
-    if m <= 0:
-        raise ValueError("m must be > 0")
+    if not m > 0:
+        raise ValueError(f"m must be > 0, got {m}")
     return (m + 1) / m * delta

@@ -12,7 +12,7 @@ import numpy as np
 
 from .bandit import log_bar, oracle_sampler, successive_reject
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle
+from .oracle import BudgetExhaustedError, NoisyOracle, _whole
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,8 @@ class DescendConfig:
     schedule: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "schedule", tuple(int(t) for t in self.schedule))
+        schedule = tuple(_whole("round budget", t) for t in self.schedule)
+        object.__setattr__(self, "schedule", schedule)
         if any(t <= 0 for t in self.schedule):
             raise ValueError("round budgets must be positive")
 
@@ -180,7 +181,7 @@ def ed_error_bound(d: int, schedule, per_round_smallest_gaps) -> float:
     gaps = [float(x) for x in per_round_smallest_gaps]
     if len(schedule) != len(gaps):
         raise ValueError("schedule and gap lists must have equal length")
-    if any(gap <= 0 for gap in gaps):
+    if not all(gap > 0 for gap in gaps):
         raise ValueError("gaps must be positive")
     lb = log_bar(d)
     total = sum(

@@ -17,7 +17,7 @@ from .annealing import SAConfig, simulated_annealing
 from .bandit import oracle_sampler, successive_reject, uniform_best_arm
 from .descend import explore_descend_restarts
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle
+from .oracle import BudgetExhaustedError, NoisyOracle, _whole
 from .values import ValueTable
 
 CSV_HEADER = "trial,algo,budget,node,gap,samples,time_ms"
@@ -133,16 +133,6 @@ class ExperimentConfig:
             # SAConfig holds the rules for gamma, s and steps
             SAConfig(gamma=p["gamma"], s=p["s"], steps=p["steps"] or 0)
         return p
-
-
-def _whole(name: str, value) -> int:
-    """``value`` as an int (4.0 is taken as 4); ValueError unless it is whole."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be a whole number, got {value}")
 
 
 def trial_rng(seed: int, budget: int, trial: int) -> np.random.Generator:

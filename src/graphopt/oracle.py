@@ -18,6 +18,16 @@ from .values import ValueTable
 ARRAY_DRAW_MIN = 20
 
 
+def _whole(name: str, value) -> int:
+    """``value`` as an int (4.0 is taken as 4); ValueError unless it is whole."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value}")
+
+
 class BudgetExhaustedError(RuntimeError):
     """The oracle's sample budget is spent; no observation was produced."""
 
@@ -54,8 +64,10 @@ class NoisyOracle:
             raise ValueError(f"noise scale R must be finite, got {self.R}")
         if self.noise == "gaussian" and self.R < 0:
             raise ValueError("gaussian noise scale R must be >= 0")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be >= 0 when set")
+        if self.budget is not None:
+            self.budget = _whole("budget", self.budget)
+            if self.budget < 0:
+                raise ValueError("budget must be >= 0 when set")
 
     @property
     def remaining(self) -> int | None:
@@ -63,72 +75,51 @@ class NoisyOracle:
             return None
         return max(0, self.budget - self.used)
 
-    def _take(self, count: int) -> int:
-        """Reserve up to ``count`` observations; 0 available raises."""
-        if count <= 0:
-            raise ValueError("count must be >= 1")
-        if self.budget is not None:
-            count = min(count, self.budget - self.used)
-            if count <= 0:
-                raise BudgetExhaustedError(f"budget {self.budget} spent")
-        self.used += count
-        return count
-
-    def sample(self, x: int, rng: np.random.Generator) -> float:
-        """One noisy observation of node x."""
-        self._take(1)
-        f = self.values.value(x)
-        if self.noise == "bernoulli":
-            obs = float(rng.random() < f)
-        else:
-            obs = f + self.R * float(rng.standard_normal())
-        return -obs if self.maximize else obs
-
-    def _mean(self, f, k, rng: np.random.Generator, size: int | None = None):
-        """Mean of k observations of value f, from one closed-form draw
-        (binomial, or normal with variance R^2/k). With arrays f and k and
-        ``size`` their length, one array call draws what the same scalar
-        calls would, in order."""
-        if self.noise == "bernoulli":
-            mean = rng.binomial(k, f, size) / k
-        else:
-            mean = f + self.R / np.sqrt(k) * rng.standard_normal(size)
-        return -mean if self.maximize else mean
-
     def sample_mean(self, x: int, count: int, rng: np.random.Generator) -> tuple[float, int]:
-        """Mean of up to ``count`` observations of x, with the number taken.
-
-        Drawn in one closed-form batch, which matches the distribution of
-        k independent draws. A nearly spent budget yields a partial batch;
-        a spent one raises.
-        """
-        k = self._take(count)
-        return float(self._mean(self.values.value(x), k, rng)), k
+        """The one-node case of sample_means, as a (mean, taken) pair."""
+        means, taken = self.sample_means((x,), count, rng)
+        return means[0], taken[0]
 
     def sample_means(
         self, xs: Sequence[int], count: int, rng: np.random.Generator
     ) -> tuple[list[float], list[int]]:
-        """``sample_mean(x, count, rng)`` for each x in turn, as two lists.
+        """Mean of up to ``count`` observations of each x in turn, with the
+        number taken, as two lists. This is the oracle's one draw path.
 
-        The budget is reserved once for the whole list. When it runs dry
-        only a prefix is served: full batches, then at most one partial
-        batch; a spent budget raises. Means, draws and meter are those of
-        the one-by-one calls. A phase of at least ARRAY_DRAW_MIN batches is
-        drawn with one array call, a narrower one with scalar calls.
+        Each mean is one closed-form draw, which matches the distribution
+        of k independent observations: binomial(k, f) / k, or
+        f + R / sqrt(k) * N(0, 1). The budget is reserved once for the
+        whole list. When it runs dry only a prefix is served: full
+        batches, then at most one partial batch; a spent budget raises.
+        A phase of at least ARRAY_DRAW_MIN batches is drawn with one array
+        call, a narrower one with scalar calls.
         """
         if not xs:
             return [], []
-        full, part = divmod(self._take(len(xs) * count), count)
-        taken = [count] * full + [part] * (part > 0)
+        if count <= 0:
+            raise ValueError("count must be >= 1")
+        want = len(xs) * count
+        got = want if self.budget is None else min(want, self.budget - self.used)
+        if got <= 0:
+            raise BudgetExhaustedError(f"budget {self.budget} spent")
+        self.used += got
+        taken = [count] * len(xs)
+        if got < want:
+            full, part = divmod(got, count)
+            taken = taken[:full] + [part] * (part > 0)
         if len(taken) < ARRAY_DRAW_MIN:
-            # _mean's formulas on Python floats: the same IEEE operations
-            f = self.values.floats
+            # the array formulas on Python floats: the same IEEE operations
+            f, sign = self.values.floats, -1.0 if self.maximize else 1.0
             if self.noise == "bernoulli":
                 binomial = rng.binomial
-                means = [binomial(k, f[x]) / k for x, k in zip(xs, taken)]
-            else:
-                normal, R = rng.standard_normal, self.R
-                means = [f[x] + R / math.sqrt(k) * normal() for x, k in zip(xs, taken)]
-            return [-m for m in means] if self.maximize else means, taken
+                return [sign * (binomial(k, f[x]) / k) for x, k in zip(xs, taken)], taken
+            normal, R = rng.standard_normal, self.R
+            return [sign * (f[x] + R / math.sqrt(k) * normal()) for x, k in zip(xs, taken)], taken
+        # one array call draws what the same scalar calls would, in order
         f = self.values.means[np.asarray(xs[: len(taken)])]
-        return self._mean(f, np.array(taken), rng, len(taken)).tolist(), taken
+        k = np.array(taken)
+        if self.noise == "bernoulli":
+            means = rng.binomial(k, f, len(taken)) / k
+        else:
+            means = f + self.R / np.sqrt(k) * rng.standard_normal(len(taken))
+        return (-means if self.maximize else means).tolist(), taken

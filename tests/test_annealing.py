@@ -158,3 +158,13 @@ def test_nearly_convex_bound_quiet_when_informative():
         warnings.simplefilter("error")
         b = sa_round_bound_nearly(alpha=0.3, c=0.05, r=2, d=9, F=3000.0)
     assert b.final_bound <= 3000.0
+
+
+@pytest.mark.parametrize(
+    "field, value", [("s", 1.5), ("s", math.nan), ("steps", 2.5), ("steps", math.inf)]
+)
+def test_config_counts_must_be_whole(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+        SAConfig(gamma=1.0, **{field: value})
+    # a whole float is taken as an int
+    assert getattr(SAConfig(gamma=1.0, **{field: 4.0}), field) == 4

@@ -9,12 +9,17 @@ from graphopt import (
     NoisyOracle,
     ValueTable,
     budget_schedule,
+    ed_error_bound,
     hardness,
+    lemma1_gap_bound,
     log_bar,
     oracle_sampler,
+    sa_round_bound_convex,
+    sa_round_bound_nearly,
     sr_bound_loose,
     sr_error_bound,
     successive_reject,
+    theory_sample_size,
     uniform_best_arm,
 )
 from graphopt.bandit import bernoulli_sampler
@@ -279,3 +284,27 @@ def test_loose_bound_formula():
     want = (n * (n - 1) / 2) * math.exp(-(B - n) * d1 * d1 / (n * log_bar(n)))
     assert sr_bound_loose(n, d1, B) == pytest.approx(min(1.0, want))
     assert sr_bound_loose(10, 0.3, 500) == 1.0  # clamped
+
+
+NAN_BOUND_CASES = [
+    (sr_error_bound, (3, math.nan, 10), "H"),
+    (sr_bound_loose, (3, math.nan, 10), "delta1"),
+    (ed_error_bound, (3, [10], [math.nan]), "gaps"),
+    (hardness, ([math.nan, 0.1],), "gaps"),
+    (lemma1_gap_bound, (math.nan, 1.0), "m"),
+    (theory_sample_size, (2, math.nan, 0.5), "gamma"),
+    (theory_sample_size, (2, 10.0, math.nan), "R"),
+    (sa_round_bound_convex, (0.3, 9, math.nan, 0.8), "eps"),
+    (sa_round_bound_convex, (0.3, 9, 0.001, math.nan), "initial_gap"),
+    (sa_round_bound_nearly, (0.3, math.nan, 2, 9, 0.8), "c"),
+    (sa_round_bound_nearly, (0.3, 0.05, 2, 9, math.nan), "F"),
+]
+
+
+@pytest.mark.parametrize(
+    "bound, args, name", NAN_BOUND_CASES, ids=[f"{b.__name__}-{n}" for b, _, n in NAN_BOUND_CASES]
+)
+def test_closed_form_bounds_refuse_nan(bound, args, name):
+    # every check is written so that NaN fails it
+    with pytest.raises(ValueError, match=rf"\b{name} must be"):
+        bound(*args)

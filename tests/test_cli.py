@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -301,6 +302,29 @@ def test_nn_exact_and_sgnn(tmp_path, capsys):
     assert all(r[2] in ("a", "b") for r in rows)
     assert all(0.0 <= float(r[3]) <= 1.0 for r in rows)
     assert all(int(r[4]) <= 80 for r in rows)
+
+
+def test_nn_time_ms_gives_exact_rows_a_share_of_the_one_scan(tmp_path, capsys, monkeypatch):
+    # a clock that moves only inside the searches: the exact scan of all six
+    # queries takes 3 s and each SGNN query 0.25 s
+    now = [0.0]
+
+    def advancing(fn, seconds):
+        def run(*args, **kwargs):
+            now[0] += seconds
+            return fn(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(graphopt.cli, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(graphopt.cli, "exact_nn_all", advancing(graphopt.cli.exact_nn_all, 3.0))
+    monkeypatch.setattr(graphopt.cli, "sgnn_query", advancing(graphopt.cli.sgnn_query, 0.25))
+    ppath, lpath, qpath = write_cloud(tmp_path)
+    base = ("nn", "--points", str(ppath), "--queries", str(qpath), "--labels", str(lpath), "--K", "5")
+    _, exact, _ = run_cli(capsys, *base, "--algo", "exact")
+    assert [row.split(",")[-1] for row in exact.splitlines()[1:]] == ["500.000"] * 6
+    _, sgnn, _ = run_cli(capsys, *base, "--algo", "sgnn", "--N", "8", "--seed", "3")
+    assert [row.split(",")[-1] for row in sgnn.splitlines()[1:]] == ["250.000"] * 6
 
 
 def test_nn_sgnn_requires_seed(tmp_path, capsys):

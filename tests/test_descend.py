@@ -195,3 +195,10 @@ def test_ed_error_bound_clamps_and_validates():
         ed_error_bound(8, [50, 50], [0.1])
     with pytest.raises(ValueError):
         ed_error_bound(8, [50], [0.0])
+
+
+@pytest.mark.parametrize("schedule", [(2.5, 3), (4, math.nan), (math.inf,), ("7",)])
+def test_round_budgets_must_be_whole(schedule):
+    with pytest.raises(ValueError, match="round budget must be a whole number"):
+        DescendConfig(schedule)
+    assert DescendConfig((4.0, 3)).schedule == (4, 3)

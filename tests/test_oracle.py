@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from graphopt import (
     BudgetExhaustedError,
+    Graph,
     NoisyOracle,
+    SAConfig,
     ValueTable,
+    simulated_annealing,
 )
 from graphopt.oracle import ARRAY_DRAW_MIN
 
@@ -21,7 +24,7 @@ def test_true_mean_and_remaining():
     o = make_oracle(budget=10)
     assert o.values.value(1) == 0.5
     assert o.remaining == 10
-    o.sample(0, np.random.default_rng(0))
+    o.sample_mean(0, 1, np.random.default_rng(0))
     assert o.used == 1
     assert o.remaining == 9
 
@@ -30,7 +33,7 @@ def test_unlimited_budget():
     o = make_oracle()
     rng = np.random.default_rng(1)
     for _ in range(100):
-        o.sample(2, rng)
+        o.sample_mean(2, 1, rng)
     assert o.used == 100
     assert o.remaining is None
 
@@ -38,7 +41,7 @@ def test_unlimited_budget():
 def test_bernoulli_sample_support():
     o = make_oracle()
     rng = np.random.default_rng(2)
-    draws = {o.sample(1, rng) for _ in range(200)}
+    draws = {o.sample_mean(1, 1, rng)[0] for _ in range(200)}
     assert draws <= {0.0, 1.0}
 
 
@@ -49,7 +52,7 @@ def test_batched_mean_moments_match_singles():
     k = 25
     batch = np.array([o.sample_mean(1, k, rng)[0] for _ in range(4000)])
     singles = np.array(
-        [np.mean([o.sample(1, rng) for _ in range(k)]) for _ in range(800)]
+        [np.mean([o.sample_mean(1, 1, rng)[0] for _ in range(k)]) for _ in range(800)]
     )
     assert batch.mean() == pytest.approx(0.5, abs=0.01)
     assert singles.mean() == pytest.approx(0.5, abs=0.02)
@@ -88,7 +91,7 @@ def test_partial_batch_at_the_cap():
     with pytest.raises(BudgetExhaustedError):
         o.sample_mean(0, 1, rng)
     with pytest.raises(BudgetExhaustedError):
-        o.sample(0, rng)
+        o.sample_means([0], 1, rng)
 
 
 def test_invalid_noise_name():
@@ -111,10 +114,7 @@ def test_maximize_negates_the_same_draws(noise):
     for maximize in (False, True):
         o = make_oracle(noise=noise, R=0.4, maximize=maximize)
         rng = np.random.default_rng(31)
-        obs = [
-            (o.sample(x, rng), 1) if count == 1 else o.sample_mean(x, count, rng)
-            for x, count in calls
-        ]
+        obs = [o.sample_mean(x, count, rng) for x, count in calls]
         seen.append((obs, o.used, rng.random()))
     (low, used_low, next_low), (high, used_high, next_high) = seen
     # hex compares bit for bit, so the sign of a zero counts
@@ -123,12 +123,31 @@ def test_maximize_negates_the_same_draws(noise):
     assert next_high == next_low
 
 
+def reference_sample_mean(oracle, x, count, rng):
+    """Reference draw for one node: reserve up to ``count`` observations
+    (a spent budget raises), then one closed-form draw on numpy scalars,
+    negated after the draw under ``maximize``."""
+    if count <= 0:
+        raise ValueError("count must be >= 1")
+    if oracle.budget is not None:
+        count = min(count, oracle.budget - oracle.used)
+        if count <= 0:
+            raise BudgetExhaustedError(f"budget {oracle.budget} spent")
+    oracle.used += count
+    f = oracle.values.value(x)
+    if oracle.noise == "bernoulli":
+        mean = rng.binomial(count, f, None) / count
+    else:
+        mean = f + oracle.R / np.sqrt(count) * rng.standard_normal(None)
+    return float(-mean if oracle.maximize else mean), count
+
+
 def one_by_one(oracle, xs, count, rng):
-    """sample_mean over xs until the budget stops it, as two lists."""
+    """reference_sample_mean over xs until the budget stops it, as two lists."""
     means, taken = [], []
     for x in xs:
         try:
-            mean, k = oracle.sample_mean(x, count, rng)
+            mean, k = reference_sample_mean(oracle, x, count, rng)
         except BudgetExhaustedError:
             if not taken:
                 raise
@@ -208,3 +227,68 @@ def test_sample_means_serves_a_prefix_then_raises():
     with pytest.raises(BudgetExhaustedError):
         make_oracle(budget=0).sample_means([1] * ARRAY_DRAW_MIN, 3, rng)
     assert o.used == 5
+
+
+def reference_annealing(g, oracle, x, cfg, rng):
+    """Reference chain: each step estimates x and then y with one
+    reference_sample_mean call each, and a spent budget stops the chain."""
+    for _ in range(cfg.steps):
+        nbrs = g.neighbors(x)
+        y = nbrs[int(rng.integers(len(nbrs)))]
+        try:
+            fx, _ = reference_sample_mean(oracle, x, cfg.s, rng)
+            fy, _ = reference_sample_mean(oracle, y, cfg.s, rng)
+        except BudgetExhaustedError:
+            break
+        diff = fx - fy
+        if diff >= 0 or rng.random() < math.exp(cfg.gamma * diff):
+            x = y
+    return x
+
+
+@st.composite
+def chain_cases(draw):
+    n = draw(st.integers(2, 8))
+    # a path keeps every node connected; extra edges vary the degrees
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    edges = [(i, i + 1) for i in range(n - 1)] + [(u, v) for u, v in extra if u != v]
+    return dict(
+        graph=Graph.from_edges(n, edges),
+        values=draw(st.lists(st.floats(0, 1), min_size=n, max_size=n)),
+        x0=draw(st.integers(0, n - 1)),
+        noise=draw(st.sampled_from(["bernoulli", "gaussian"])),
+        maximize=draw(st.booleans()),
+        # budgets that run dry at every point of a step, or never
+        budget=draw(st.integers(0, 200)),
+        cfg=SAConfig(
+            gamma=draw(st.floats(0, 20)), s=draw(st.integers(1, 8)), steps=draw(st.integers(0, 120))
+        ),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=chain_cases())
+def test_simulated_annealing_draws_as_the_per_node_reference(case):
+    seen = []
+    for run in (simulated_annealing, reference_annealing):
+        o = NoisyOracle(
+            ValueTable(np.array(case["values"])),
+            noise=case["noise"],
+            R=0.4,
+            budget=case["budget"],
+            maximize=case["maximize"],
+        )
+        rng = np.random.default_rng(case["seed"])
+        node = run(case["graph"], o, case["x0"], case["cfg"], rng)
+        seen.append((node, o.used, rng.random()))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5, "3"])
+def test_budget_must_be_whole(budget):
+    with pytest.raises(ValueError, match="budget must be a whole number"):
+        make_oracle(budget=budget)
+    # a whole float is taken as an int
+    whole = make_oracle(budget=4.0).budget
+    assert whole == 4 and type(whole) is int
