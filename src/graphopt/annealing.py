@@ -113,8 +113,8 @@ def theory_sample_size(r: int, gamma: float, R: float) -> int:
     """Samples per estimate suggested by the analysis: ceil(2 r gamma^2 R^2),
     never below one."""
     for name, v in (("r", r), ("gamma", gamma), ("R", R)):
-        if not v >= 0:
-            raise ValueError(f"{name} must be >= 0, got {v}")
+        if not 0 <= v < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {v}")
     return max(1, math.ceil(2 * r * gamma * gamma * R * R))
 
 
@@ -143,10 +143,10 @@ def sa_round_bound_convex(alpha: float, d: int, eps: float, initial_gap: float) 
         raise ValueError("alpha must be in (0, 1)")
     if d < 1:
         raise ValueError("degree d must be >= 1")
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if not initial_gap >= 0:
-        raise ValueError(f"initial_gap must be >= 0, got {initial_gap}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if not 0 <= initial_gap < math.inf:
+        raise ValueError(f"initial_gap must be finite and >= 0, got {initial_gap}")
     gamma = d / (math.e * alpha * eps)
     arg = alpha * initial_gap / (eps * d)
     if arg <= 1.0:
@@ -170,14 +170,14 @@ def sa_round_bound_nearly(
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    if not c > 0:
-        raise ValueError(f"c must be > 0, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c must be finite and > 0, got {c}")
     if r < 1:
         raise ValueError("r must be >= 1")
     if d < 1:
         raise ValueError("degree d must be >= 1")
-    if not F > 0:
-        raise ValueError(f"value range F must be > 0, got {F}")
+    if not 0 < F < math.inf:
+        raise ValueError(f"value range F must be finite and > 0, got {F}")
     gamma = 1.0 / c
     beta = 1.0 - alpha * math.exp(-c * r * gamma) / d ** (r + 1)
     arg = F * alpha * gamma

@@ -177,8 +177,8 @@ def hardness(gaps: Sequence[float]) -> float:
     deltas = [float(d) for d in gaps]
     if not deltas:
         raise ValueError("need at least one suboptimal arm gap")
-    if not all(d > 0 for d in deltas):
-        raise ValueError("gaps must be positive")
+    if not all(0 < d < math.inf for d in deltas):
+        raise ValueError("gaps must be finite and positive")
     ranked = sorted([min(deltas)] + deltas)
     return max((i + 1) / d**2 for i, d in enumerate(ranked))
 
@@ -190,8 +190,8 @@ def sr_error_bound(K: int, H: float, B: int) -> float:
     """
     if K < 2:
         raise ValueError("need at least two arms")
-    if not H > 0:
-        raise ValueError(f"hardness H must be positive, got {H}")
+    if not 0 < H < math.inf:
+        raise ValueError(f"hardness H must be finite and positive, got {H}")
     if B <= K:
         return 1.0
     raw = (K * (K - 1) / 2.0) * math.exp(-(B - K) / (log_bar(K) * H))
@@ -202,8 +202,8 @@ def sr_bound_loose(n: int, delta1: float, B: int) -> float:
     """One-term bound (n(n-1)/2) exp(-(B-n) delta1^2 / (n log_bar(n)))."""
     if n < 2:
         raise ValueError("need at least two arms")
-    if not delta1 > 0:
-        raise ValueError(f"smallest gap delta1 must be positive, got {delta1}")
+    if not 0 < delta1 < math.inf:
+        raise ValueError(f"smallest gap delta1 must be finite and positive, got {delta1}")
     if B <= n:
         return 1.0
     raw = (n * (n - 1) / 2.0) * math.exp(-(B - n) * delta1**2 / (n * log_bar(n)))

@@ -102,17 +102,19 @@ def _cmd_gen_knn(args) -> int:
 def _cmd_certify(args) -> int:
     g, _ = load_graph(args.graph, with_values=False)
     values_path = args.values if args.values else f"{args.graph}.values"
-    # integer numerators over the common denominator L, so knife-edge
-    # instances certify exactly; --m and --alpha compare values with values
-    # and need no scaling, --c is a value and is scaled by L
-    vals, L = common_denominator(parse_values(values_path, g.n, number=exact_ratio))
+    # the values and --c (a value too) as integer numerators over one common
+    # denominator L, so knife-edge instances certify exactly on ints; --m and
+    # --alpha compare values with values and need no scaling
+    c_pair = [] if args.c is None else [(args.c.numerator, args.c.denominator)]
+    vals, L = common_denominator(parse_values(values_path, g.n, number=exact_ratio) + c_pair)
+    c = vals.pop() if c_pair else None
     if args.negate:
         vals = [-v for v in vals]
     lines = []
     if args.nearly:
         if args.alpha is None or args.c is None:
             raise UsageError("--nearly needs --alpha and --c")
-        report = certify_nearly_convex(g, vals, args.alpha, args.c * L)
+        report = certify_nearly_convex(g, vals, args.alpha, c)
         lines.append("node,in_C,r\n")
         for x in range(g.n):
             if x in report.core:

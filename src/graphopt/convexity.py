@@ -1,13 +1,13 @@
 """Certificates of graph convexity for minimization instances.
 
-A value table here is any indexable sequence of numbers. When the values
-and the parameters are all ``numbers.Rational`` (int, fractions.Fraction),
-the certificates map them once to Python ints over their common
-denominator and decide knife-edge instances exactly on those integers;
-int inputs give int results.
-Any other input (floats, Decimal, a mix of floats and Fractions) keeps its
-own arithmetic through plain Python operators. ValueTable inputs are
-unwrapped to Python floats.
+A value table here is any indexable sequence of numbers. The certificates
+compute in the arithmetic the values carry: ints and fractions.Fraction
+decide knife-edge instances exactly, floats give float results. When the
+values and the ratio (m or alpha) are all ``numbers.Rational``, the ratio
+is split once into an integer numerator and denominator, so int values are
+compared on ints alone; put Fractions on one denominator first with
+``values.common_denominator``, as ``certify`` does, to get that speed.
+ValueTable inputs are unwrapped to Python floats.
 
 All definitions are oriented toward minimization: a step x -> z improves
 when f(x) - f(z) > 0. Negate the values to reason about maximization.
@@ -15,13 +15,13 @@ when f(x) - f(z) > 0. Negate the values to reason about maximization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
 from .graphs import Graph, Path
-from .values import ValueTable, common_denominator
+from .values import ValueTable
 
 
 def _vals(values) -> Sequence:
@@ -30,22 +30,12 @@ def _vals(values) -> Sequence:
     return values
 
 
-def _on_integers(vals, ratio, c=0):
-    """One normalisation at entry: (values, L, (num, den) of ratio, c).
-
-    When the values, ``ratio`` and ``c`` are all Rational, the values and
-    c come back as ints over L, the lcm of their denominators, and ratio as
-    its numerator and denominator, so every comparison is integer-exact. A
-    value v maps back as Fraction(v, L), or as the int v when L is 1. Any
-    other input comes back unchanged, with L None and ratio as (ratio, 1).
-    """
-    if not all(isinstance(v, Rational) for v in (ratio, c, *vals)):
-        return vals, None, (ratio, 1), c
-    pairs = [(int(v.numerator), int(v.denominator)) for v in vals]
-    pairs.append((int(c.numerator), int(c.denominator)))
-    ints, L = common_denominator(pairs)
-    scaled_c = ints.pop()
-    return ints, L, (int(ratio.numerator), int(ratio.denominator)), scaled_c
+def _split(ratio, vals):
+    """``(p, q)`` with p/q == ratio: ints when ratio and every value are
+    Rational, so exact comparisons multiply ints; otherwise ``(ratio, 1)``."""
+    if isinstance(ratio, Rational) and all(issubclass(t, Rational) for t in set(map(type, vals))):
+        return int(ratio.numerator), int(ratio.denominator)
+    return ratio, 1
 
 
 def improvement_delta(g: Graph, values, x: int, z: int):
@@ -132,7 +122,7 @@ def certify_strongly_convex(g: Graph, values, m) -> StrongConvexityCertificate:
     if len(vals) != n:
         raise ValueError("value table size does not match graph")
     # (1+m) * M(z) <= delta is tested as p * M(z) <= q * delta, p/q = 1+m
-    vals, L, (p, q), _ = _on_integers(vals, 1 + m)
+    p, q = _split(1 + m, vals)
     best_value = min(vals)
     tied = tuple(x for x in range(n) if vals[x] == best_value)
     x_star = tied[0]
@@ -159,8 +149,6 @@ def certify_strongly_convex(g: Graph, values, m) -> StrongConvexityCertificate:
         if best is not None:
             first_step[x] = best
             next_node[x] = best_z
-    if L is not None and L != 1:
-        first_step = {x: Fraction(v, L) for x, v in first_step.items()}
     uncertifiable = tuple(x for x in range(n) if x not in first_step)
     return StrongConvexityCertificate(
         g, m, x_star, tied, first_step, next_node, uncertifiable
@@ -217,7 +205,7 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
     if len(vals) != n:
         raise ValueError("value table size does not match graph")
     # best >= alpha * gap is tested as den * best >= num * gap
-    vals, L, (num, den), climb = _on_integers(vals, alpha, c)
+    num, den = _split(alpha, vals)
     best_value = min(vals)
     x_star = min(x for x in range(n) if vals[x] == best_value)
     v_star = vals[x_star]
@@ -238,7 +226,7 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
     for x in range(n):
         if x in core:
             continue
-        cap = vals[x] + climb
+        cap = vals[x] + c
         parent = {x: None}
         frontier = [x]
         found = None
@@ -268,8 +256,6 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
         hops[x] = depth
         elevation[x] = max(vals[z] for z in nodes) - vals[x]
         witness[x] = tuple(nodes)
-    if L is not None and L != 1:
-        elevation = {x: Fraction(v, L) for x, v in elevation.items()}
     return NearConvexityReport(
         g, alpha, c, x_star, frozenset(core), hops, elevation, witness, tuple(infeasible)
     )
@@ -277,6 +263,6 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
 
 def lemma1_gap_bound(m, delta):
     """Optimality-gap bound (m+1)/m * delta from a first-step improvement."""
-    if not m > 0:
-        raise ValueError(f"m must be > 0, got {m}")
+    if not 0 < m < math.inf:
+        raise ValueError(f"m must be finite and > 0, got {m}")
     return (m + 1) / m * delta

@@ -177,12 +177,12 @@ def ed_error_bound(d: int, schedule, per_round_smallest_gaps) -> float:
     """
     if d < 2:
         raise ValueError("degree d must be >= 2")
-    schedule = [int(t) for t in schedule]
+    schedule = [_whole("round budget", t) for t in schedule]
     gaps = [float(x) for x in per_round_smallest_gaps]
     if len(schedule) != len(gaps):
         raise ValueError("schedule and gap lists must have equal length")
-    if not all(gap > 0 for gap in gaps):
-        raise ValueError("gaps must be positive")
+    if not all(0 < gap < math.inf for gap in gaps):
+        raise ValueError("gaps must be finite and positive")
     lb = log_bar(d)
     total = sum(
         math.exp(-(t - d) * gap * gap / (d * lb)) for t, gap in zip(schedule, gaps)

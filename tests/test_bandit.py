@@ -308,3 +308,29 @@ def test_closed_form_bounds_refuse_nan(bound, args, name):
     # every check is written so that NaN fails it
     with pytest.raises(ValueError, match=rf"\b{name} must be"):
         bound(*args)
+
+
+INF_BOUND_CASES = [
+    (theory_sample_size, (1, math.inf, 0.5), "gamma"),
+    (theory_sample_size, (1, math.inf, 0.0), "gamma"),
+    (sa_round_bound_nearly, (0.3, math.inf, 2, 9, 0.8), "c"),
+    (sa_round_bound_convex, (0.3, 9, math.inf, 0.05), "eps"),
+    (lemma1_gap_bound, (math.inf, 0.1), "m"),
+    (sa_round_bound_convex, (0.3, 9, 0.001, math.inf), "initial_gap"),
+    (sa_round_bound_nearly, (0.3, 0.05, 2, 9, math.inf), "F"),
+    (sr_error_bound, (3, math.inf, 10), "H"),
+    (sr_bound_loose, (3, math.inf, 10), "delta1"),
+    (ed_error_bound, (3, [10], [math.inf]), "gaps"),
+    (hardness, ([math.inf, 0.1],), "gaps"),
+]
+
+
+@pytest.mark.parametrize(
+    "bound, args, name",
+    INF_BOUND_CASES,
+    ids=[f"{b.__name__}-{n}-{i}" for i, (b, _, n) in enumerate(INF_BOUND_CASES)],
+)
+def test_closed_form_bounds_refuse_infinity(bound, args, name):
+    # inf must fail by name, not overflow, divide by zero, or give 0.0 or nan
+    with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+        bound(*args)

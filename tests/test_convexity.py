@@ -15,6 +15,7 @@ from graphopt import (
     improvement_delta,
     is_strongly_convex_path,
     lemma1_gap_bound,
+    grid_coords,
     make_plain_grid,
 )
 
@@ -187,8 +188,8 @@ def test_lemma1_gap_bound():
 # ---------------------------------------------------------------------------
 # Equivalence with the direct Fraction-arithmetic certificates.
 #
-# The certificates map Rational inputs to ints over a common denominator;
-# the references below do every step in the inputs' own arithmetic.
+# The certificates compute in the inputs' own arithmetic, splitting a
+# Rational ratio into ints; the references below do every step plainly.
 
 
 def reference_strong(g, vals, m):
@@ -322,6 +323,24 @@ def test_integer_certificates_match_reference_at_the_knife_edge():
         for c in (Fraction(0), Fraction(1, 3), Fraction(1, 7) + eps):
             assert_same_certificates(g, vals, m, m / (1 + m), c)
             assert_same_certificates(g, vals, m, m / (1 + m) + eps, c)
+
+
+def test_unrelated_prime_denominators_match_the_reference():
+    # one distinct prime denominator per node: no common denominator is
+    # taken, and the certificates must still be exactly the reference's
+    D = 4
+    g, _ = make_plain_grid(D)
+    primes = [p for p in range(2, 500) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    bowl = []
+    for i in range(g.n):
+        x, y = grid_coords(i, D)
+        bowl.append(Fraction(x * x + y * y) + Fraction(1, primes[i]))
+    hill = [1 - 2 * v for v in bowl]  # uncertifiable nodes and capped climbs
+    params = ((Fraction(3, 10), Fraction(1, 10)), (Fraction(9, 10), 0), (Fraction(9, 10), 20))
+    for vals in (bowl, hill):
+        for m in (Fraction(1, 1000), Fraction(1, 2), Fraction(3)):
+            for alpha, c in params:
+                assert_same_certificates(g, vals, m, alpha, c, same_types=True)
 
 
 def test_float_and_mixed_inputs_keep_their_arithmetic():

@@ -202,3 +202,11 @@ def test_round_budgets_must_be_whole(schedule):
     with pytest.raises(ValueError, match="round budget must be a whole number"):
         DescendConfig(schedule)
     assert DescendConfig((4.0, 3)).schedule == (4, 3)
+
+
+@pytest.mark.parametrize("schedule", [[40.9], [math.nan]])
+def test_ed_error_bound_round_budgets_must_be_whole(schedule):
+    # 40.9 must not be read as 40, and NaN must fail by name, not inside int()
+    with pytest.raises(ValueError, match="round budget must be a whole number"):
+        ed_error_bound(3, schedule, [1.0])
+    assert ed_error_bound(3, [41.0], [1.0]) == ed_error_bound(3, [41], [1.0])
