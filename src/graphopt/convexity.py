@@ -7,7 +7,7 @@ values and the ratio (m or alpha) are all ``numbers.Rational``, the ratio
 is split once into an integer numerator and denominator, so int values are
 compared on ints alone; put Fractions on one denominator first with
 ``values.common_denominator``, as ``certify`` does, to get that speed.
-ValueTable inputs are unwrapped to Python floats.
+ValueTable and numpy array inputs are unwrapped to Python numbers.
 
 All definitions are oriented toward minimization: a step x -> z improves
 when f(x) - f(z) > 0. Negate the values to reason about maximization.
@@ -20,14 +20,17 @@ from dataclasses import dataclass, field
 from numbers import Rational
 from typing import Sequence
 
+import numpy as np
+
 from .graphs import Graph, Path
 from .values import ValueTable
 
 
 def _vals(values) -> Sequence:
     if isinstance(values, ValueTable):
-        return values.means.tolist()
-    return values
+        values = values.means
+    # Python numbers: an int64 array must not overflow in p * M(z)
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 def _split(ratio, vals):

@@ -343,6 +343,19 @@ def test_unrelated_prime_denominators_match_the_reference():
                 assert_same_certificates(g, vals, m, alpha, c, same_types=True)
 
 
+def test_int64_arrays_certify_as_python_ints():
+    # p * M(z) and the climb caps exceed int64 here; an array is unwrapped
+    # to Python ints, so nothing overflows
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    ints = [0, 2**62, 2**62 + 2**61]
+
+    def both(vals, m, alpha, c):
+        return certify_strongly_convex(g, vals, m), certify_nearly_convex(g, vals, alpha, c)
+
+    for params in ((Fraction(1, 2), Fraction(1, 3), 2**62), (Fraction(1, 10**20), 1, 0)):
+        assert both(np.array(ints), *params) == both(ints, *params)
+
+
 def test_float_and_mixed_inputs_keep_their_arithmetic():
     g, exact = grid_fractions(4)
     floats = [float(v) for v in exact]
