@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle, _whole
+from .oracle import BudgetExhaustedError, NoisyOracle, _finite, _whole
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,9 @@ class SAConfig:
     steps: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        object.__setattr__(self, "s", _whole("s", self.s))
-        object.__setattr__(self, "steps", _whole("steps", self.steps))
-        if self.s < 1:
-            raise ValueError("samples per estimate must be >= 1")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        _finite("gamma", self.gamma, 0)
+        object.__setattr__(self, "s", _whole("s", self.s, 1))
+        object.__setattr__(self, "steps", _whole("steps", self.steps, 0))
 
 
 def _min1exp(z: float) -> float:
@@ -112,9 +107,9 @@ def simulated_annealing(
 def theory_sample_size(r: int, gamma: float, R: float) -> int:
     """Samples per estimate suggested by the analysis: ceil(2 r gamma^2 R^2),
     never below one."""
-    for name, v in (("r", r), ("gamma", gamma), ("R", R)):
-        if not 0 <= v < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {v}")
+    r = _whole("r", r, 0)
+    _finite("gamma", gamma, 0)
+    _finite("R", R, 0)
     return max(1, math.ceil(2 * r * gamma * gamma * R * R))
 
 
@@ -139,14 +134,10 @@ def sa_round_bound_convex(alpha: float, d: int, eps: float, initial_gap: float) 
     ``initial_gap`` is the non-negative optimality gap of the start node
     (the source analysis writes the difference with the opposite sign).
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    if d < 1:
-        raise ValueError("degree d must be >= 1")
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
-    if not 0 <= initial_gap < math.inf:
-        raise ValueError(f"initial_gap must be finite and >= 0, got {initial_gap}")
+    _finite("alpha", alpha, 0, strict=True, hi=1)
+    d = _whole("d", d, 1)
+    _finite("eps", eps, 0, strict=True)
+    _finite("initial_gap", initial_gap, 0)
     gamma = d / (math.e * alpha * eps)
     arg = alpha * initial_gap / (eps * d)
     if arg <= 1.0:
@@ -168,16 +159,11 @@ def sa_round_bound_nearly(
     e^r is reported unclamped (it is comparative and can exceed the
     range; a warning is emitted when it does exceed F).
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    if not 0 < c < math.inf:
-        raise ValueError(f"c must be finite and > 0, got {c}")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if d < 1:
-        raise ValueError("degree d must be >= 1")
-    if not 0 < F < math.inf:
-        raise ValueError(f"value range F must be finite and > 0, got {F}")
+    _finite("alpha", alpha, 0, strict=True, hi=1)
+    _finite("c", c, 0, strict=True)
+    r = _whole("r", r, 1)
+    d = _whole("d", d, 1)
+    _finite("F", F, 0, strict=True)
     gamma = 1.0 / c
     beta = 1.0 - alpha * math.exp(-c * r * gamma) / d ** (r + 1)
     arg = F * alpha * gamma

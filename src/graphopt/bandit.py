@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .oracle import BudgetExhaustedError, NoisyOracle
+from .oracle import BudgetExhaustedError, NoisyOracle, _finite, _whole
 
 Sampler = Callable[
     [Sequence[int], int, np.random.Generator], tuple[Sequence[float], Sequence[int]]
@@ -28,8 +28,7 @@ Sampler = Callable[
 
 def log_bar(K: int) -> float:
     """1/2 + sum_{i=2}^{K} 1/i, the normalizer of the phase budgets."""
-    if K < 2:
-        raise ValueError("need at least two arms")
+    K = _whole("K", K, 2)
     return 0.5 + sum(1.0 / i for i in range(2, K + 1))
 
 
@@ -62,8 +61,8 @@ def budget_schedule(K: int, B: int) -> BudgetSchedule:
     Memoised: the schedule is frozen, and every trial at one (K, B) needs
     the same one.
     """
-    if K < 2:
-        raise ValueError("need at least two arms")
+    K = _whole("K", K, 2)
+    B = _whole("B", B)
     if B <= K:
         raise ValueError(f"budget {B} must exceed the number of arms {K}")
     lb = log_bar(K)
@@ -174,11 +173,9 @@ def hardness(gaps: Sequence[float]) -> float:
     arms. The best arm enters the ranking with a pseudo-gap equal to the
     smallest of these before sorting ascending.
     """
-    deltas = [float(d) for d in gaps]
+    deltas = [float(_finite("gaps", d, 0, strict=True)) for d in gaps]
     if not deltas:
         raise ValueError("need at least one suboptimal arm gap")
-    if not all(0 < d < math.inf for d in deltas):
-        raise ValueError("gaps must be finite and positive")
     ranked = sorted([min(deltas)] + deltas)
     return max((i + 1) / d**2 for i, d in enumerate(ranked))
 
@@ -188,10 +185,9 @@ def sr_error_bound(K: int, H: float, B: int) -> float:
 
     Clamped to [0, 1]; budgets B <= K give the vacuous bound 1.
     """
-    if K < 2:
-        raise ValueError("need at least two arms")
-    if not 0 < H < math.inf:
-        raise ValueError(f"hardness H must be finite and positive, got {H}")
+    K = _whole("K", K, 2)
+    _finite("H", H, 0, strict=True)
+    B = _whole("B", B)
     if B <= K:
         return 1.0
     raw = (K * (K - 1) / 2.0) * math.exp(-(B - K) / (log_bar(K) * H))
@@ -200,10 +196,9 @@ def sr_error_bound(K: int, H: float, B: int) -> float:
 
 def sr_bound_loose(n: int, delta1: float, B: int) -> float:
     """One-term bound (n(n-1)/2) exp(-(B-n) delta1^2 / (n log_bar(n)))."""
-    if n < 2:
-        raise ValueError("need at least two arms")
-    if not 0 < delta1 < math.inf:
-        raise ValueError(f"smallest gap delta1 must be finite and positive, got {delta1}")
+    n = _whole("n", n, 2)
+    _finite("delta1", delta1, 0, strict=True)
+    B = _whole("B", B)
     if B <= n:
         return 1.0
     raw = (n * (n - 1) / 2.0) * math.exp(-(B - n) * delta1**2 / (n * log_bar(n)))

@@ -7,7 +7,7 @@ values and the ratio (m or alpha) are all ``numbers.Rational``, the ratio
 is split once into an integer numerator and denominator, so int values are
 compared on ints alone; put Fractions on one denominator first with
 ``values.common_denominator``, as ``certify`` does, to get that speed.
-ValueTable and numpy array inputs are unwrapped to Python numbers.
+ValueTable, numpy array and numpy scalar inputs become Python numbers.
 
 All definitions are oriented toward minimization: a step x -> z improves
 when f(x) - f(z) > 0. Negate the values to reason about maximization.
@@ -15,7 +15,6 @@ when f(x) - f(z) > 0. Negate the values to reason about maximization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from numbers import Rational
 from typing import Sequence
@@ -23,20 +22,29 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, Path
+from .oracle import _finite
 from .values import ValueTable
 
 
-def _vals(values) -> Sequence:
+def _vals(values) -> tuple[Sequence, set]:
+    """The values as Python numbers, and the set of their types. A
+    ValueTable, a numpy array and numpy scalars are unwrapped, so an int64
+    cannot overflow in p * M(z); a list holding no numpy scalar is kept."""
     if isinstance(values, ValueTable):
         values = values.means
-    # Python numbers: an int64 array must not overflow in p * M(z)
-    return values.tolist() if isinstance(values, np.ndarray) else values
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    types = set(map(type, values))
+    if any(issubclass(t, np.generic) for t in types):
+        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+        types = set(map(type, values))
+    return values, types
 
 
-def _split(ratio, vals):
-    """``(p, q)`` with p/q == ratio: ints when ratio and every value are
-    Rational, so exact comparisons multiply ints; otherwise ``(ratio, 1)``."""
-    if isinstance(ratio, Rational) and all(issubclass(t, Rational) for t in set(map(type, vals))):
+def _split(ratio, types):
+    """``(p, q)`` with p/q == ratio: ints when ratio and every value type
+    are Rational, so exact comparisons multiply ints; otherwise ``(ratio, 1)``."""
+    if isinstance(ratio, Rational) and all(issubclass(t, Rational) for t in types):
         return int(ratio.numerator), int(ratio.denominator)
     return ratio, 1
 
@@ -45,7 +53,7 @@ def improvement_delta(g: Graph, values, x: int, z: int):
     """Improvement f(x) - f(z) of the step x -> z; may be negative."""
     if not g.has_edge(x, z):
         raise ValueError(f"{z} is not a neighbor of {x}")
-    vals = _vals(values)
+    vals, _ = _vals(values)
     return vals[x] - vals[z]
 
 
@@ -54,7 +62,7 @@ def best_improvement(g: Graph, values, x: int):
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"node {x} has no neighbors")
-    vals = _vals(values)
+    vals, _ = _vals(values)
     return max(vals[x] - vals[z] for z in nbrs)
 
 
@@ -65,11 +73,10 @@ def is_strongly_convex_path(values, p: Path, m) -> bool:
     shrink geometrically: delta_{i-1} >= (1+m) * delta_i. A single edge
     only needs a strict improvement.
     """
-    if m <= 0:
-        raise ValueError("m must be > 0")
+    _finite("m", m, 0, strict=True)
     if len(p.nodes) < 2:
         raise ValueError("path must contain at least one edge")
-    vals = _vals(values)
+    vals, _ = _vals(values)
     deltas = [vals[a] - vals[b] for a, b in zip(p.nodes, p.nodes[1:])]
     if any(d <= 0 for d in deltas):
         return False
@@ -118,14 +125,13 @@ def certify_strongly_convex(g: Graph, values, m) -> StrongConvexityCertificate:
     returned object lists any uncertifiable nodes and value ties at the
     minimum (certification targets the lowest-id minimizer).
     """
-    if m <= 0:
-        raise ValueError("m must be > 0")
-    vals = _vals(values)
+    _finite("m", m, 0, strict=True)
+    vals, types = _vals(values)
     n = g.n
     if len(vals) != n:
         raise ValueError("value table size does not match graph")
     # (1+m) * M(z) <= delta is tested as p * M(z) <= q * delta, p/q = 1+m
-    p, q = _split(1 + m, vals)
+    p, q = _split(1 + m, types)
     best_value = min(vals)
     tied = tuple(x for x in range(n) if vals[x] == best_value)
     x_star = tied[0]
@@ -199,16 +205,14 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
     every path node, endpoints included); nodes without one are reported
     infeasible.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    if c < 0:
-        raise ValueError("c must be >= 0")
-    vals = _vals(values)
+    _finite("alpha", alpha, 0, strict=True)
+    _finite("c", c, 0)
+    vals, types = _vals(values)
     n = g.n
     if len(vals) != n:
         raise ValueError("value table size does not match graph")
     # best >= alpha * gap is tested as den * best >= num * gap
-    num, den = _split(alpha, vals)
+    num, den = _split(alpha, types)
     best_value = min(vals)
     x_star = min(x for x in range(n) if vals[x] == best_value)
     v_star = vals[x_star]
@@ -266,6 +270,6 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
 
 def lemma1_gap_bound(m, delta):
     """Optimality-gap bound (m+1)/m * delta from a first-step improvement."""
-    if not 0 < m < math.inf:
-        raise ValueError(f"m must be finite and > 0, got {m}")
+    _finite("m", m, 0, strict=True)
+    _finite("delta", delta)
     return (m + 1) / m * delta

@@ -12,7 +12,7 @@ import numpy as np
 
 from .bandit import log_bar, oracle_sampler, successive_reject
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle, _whole
+from .oracle import BudgetExhaustedError, NoisyOracle, _finite, _whole
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,13 @@ class DescendConfig:
     schedule: tuple[int, ...]
 
     def __post_init__(self):
-        schedule = tuple(_whole("round budget", t) for t in self.schedule)
+        schedule = tuple(_whole("round budget", t, 1) for t in self.schedule)
         object.__setattr__(self, "schedule", schedule)
-        if any(t <= 0 for t in self.schedule):
-            raise ValueError("round budgets must be positive")
 
     @staticmethod
     def equal_split(budget: int, rounds: int) -> "DescendConfig":
         """Schedule of ``rounds`` equal budgets floor(budget/rounds)."""
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        budget, rounds = _whole("budget", budget), _whole("rounds", rounds, 1)
         per = budget // rounds
         if per < 1:
             raise ValueError(f"budget {budget} too small for {rounds} rounds")
@@ -100,16 +97,13 @@ def explore_descend(
 
 def default_restarts(budget: int) -> int:
     """Restart count rule 1 + budget/1000 (integer division)."""
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    return 1 + budget // 1000
+    return 1 + _whole("budget", budget, 0) // 1000
 
 
 def restart_allocation(budget: int, restarts: int | None = None) -> tuple[int, int]:
     """(restart count, per-restart budget) under the equal-split rule."""
-    r = default_restarts(budget) if restarts is None else restarts
-    if r < 1:
-        raise ValueError("restarts must be >= 1")
+    budget = _whole("budget", budget, 0)
+    r = default_restarts(budget) if restarts is None else _whole("restarts", restarts, 1)
     if budget < r:
         raise ValueError(f"budget {budget} cannot cover {r} restarts")
     return r, budget // r
@@ -132,9 +126,9 @@ def explore_descend_restarts(
     re-estimated with that reserve and the lowest estimate wins (ties to
     the lowest node id).
     """
+    budget = _whole("budget", budget, 0)
     r, per_restart = restart_allocation(budget, restarts)
-    if path_len < 1:
-        raise ValueError("path_len must be >= 1")
+    path_len = _whole("path_len", path_len, 1)
 
     def start() -> int:
         return int(rng.integers(g.n))
@@ -175,14 +169,11 @@ def ed_error_bound(d: int, schedule, per_round_smallest_gaps) -> float:
     arm gap at each visited node, one per round of the schedule (under
     noise the realized path is random, so the caller chooses the gaps).
     """
-    if d < 2:
-        raise ValueError("degree d must be >= 2")
+    d = _whole("d", d, 2)
     schedule = [_whole("round budget", t) for t in schedule]
-    gaps = [float(x) for x in per_round_smallest_gaps]
+    gaps = [float(_finite("gaps", x, 0, strict=True)) for x in per_round_smallest_gaps]
     if len(schedule) != len(gaps):
         raise ValueError("schedule and gap lists must have equal length")
-    if not all(0 < gap < math.inf for gap in gaps):
-        raise ValueError("gaps must be finite and positive")
     lb = log_bar(d)
     total = sum(
         math.exp(-(t - d) * gap * gap / (d * lb)) for t, gap in zip(schedule, gaps)

@@ -16,6 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .oracle import _whole
 from .values import ValueTable, load_values, save_values
 
 
@@ -259,10 +260,10 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.D < 1:
-            raise ValueError("D must be >= 1")
-        if self.target_degree < 8:
-            raise ValueError("target_degree must be >= 8 (the plane neighbors come first)")
+        object.__setattr__(self, "D", _whole("D", self.D, 1))
+        # at least 8: every node's plane neighbors come before any extra edge
+        object.__setattr__(self, "target_degree", _whole("target_degree", self.target_degree, 8))
+        object.__setattr__(self, "seed", _whole("seed", self.seed, 0))
         n = (2 * self.D + 1) ** 2
         if self.target_degree >= n:
             raise ValueError("target_degree must be < number of nodes")
@@ -289,8 +290,7 @@ def grid_value(x: int, y: int, D: int) -> float:
 
 def make_plain_grid(D: int) -> tuple[Graph, ValueTable]:
     """(2D+1)^2 grid with 8-neighbor (king-move) adjacency, no extra edges."""
-    if D < 1:
-        raise ValueError("D must be >= 1")
+    D = _whole("D", D, 1)
     side = 2 * D + 1
     ids = np.arange(side * side).reshape(side, side)  # ids[x + D, y + D]
     # each node to its (0,1), (1,-1), (1,0) and (1,1) neighbours
@@ -387,6 +387,7 @@ def make_knn_graph(points, N: int) -> Graph:
     if not np.all(np.isfinite(coords)):
         raise ValueError("coordinates must be finite")
     n = coords.shape[0]
+    N = _whole("N", N)
     if not 0 < N < n:
         raise ValueError(f"N must be in 1..{n - 1}")
     ids, _ = _nearest(coords, coords, N, skip_self=True)

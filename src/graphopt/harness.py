@@ -8,7 +8,6 @@ import io
 import math
 import time
 from dataclasses import dataclass, field
-from numbers import Rational, Real
 from typing import Iterable
 
 import numpy as np
@@ -17,7 +16,7 @@ from .annealing import SAConfig, simulated_annealing
 from .bandit import oracle_sampler, successive_reject, uniform_best_arm
 from .descend import explore_descend_restarts
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle, _whole
+from .oracle import BudgetExhaustedError, NoisyOracle, _finite, _whole
 from .values import ValueTable
 
 CSV_HEADER = "trial,algo,budget,node,gap,samples,time_ms"
@@ -80,22 +79,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
-        object.__setattr__(self, "budgets", tuple(_whole("budget", b) for b in self.budgets))
+        object.__setattr__(self, "budgets", tuple(_whole("budget", b, 1) for b in self.budgets))
         if not self.budgets:
             raise ValueError("need at least one budget")
-        if any(b <= 0 for b in self.budgets):
-            raise ValueError("budgets must be positive")
         if any(a >= b for a, b in zip(self.budgets, self.budgets[1:])):
             # a repeated budget would replay the same trial streams
             raise ValueError(f"budgets must be strictly ascending, got {list(self.budgets)}")
-        object.__setattr__(self, "trials", _whole("trials", self.trials))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        object.__setattr__(self, "trials", _whole("trials", self.trials, 1))
         if self.seed is None:
             raise ValueError("a master seed is required; no wall-clock seeding")
-        object.__setattr__(self, "seed", _whole("seed", self.seed))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", _whole("seed", self.seed, 0))
         try:
             NoisyOracle(self.values, noise=self.noise, R=self.noise_scale)
         except ValueError as exc:
@@ -112,26 +105,14 @@ class ExperimentConfig:
         unknown = sorted(set(self.params) - set(defaults))
         if unknown:
             raise ValueError(f"{self.algo} takes no parameter(s) {unknown}; it takes {sorted(defaults)}")
-        for key, value in self.params.items():
-            # exact rationals are always finite and may be too large for a float
-            inexact = isinstance(value, Real) and not isinstance(value, Rational)
-            if inexact and not math.isfinite(value):
-                raise ValueError(f"params[{key!r}] must be finite, got {value}")
         p = {**defaults, **self.params}
-        for key in ("path_len", "restarts", "s", "steps"):
+        for key, lo in (("path_len", 1), ("restarts", 1), ("s", 1), ("steps", 0)):
             if p.get(key) is not None:
-                p[key] = _whole(key, p[key])
-        if self.algo == "ed":
-            if p["path_len"] < 1:
-                raise ValueError(f"path_len must be >= 1, got {p['path_len']}")
-            if p["restarts"] is not None and p["restarts"] < 1:
-                raise ValueError(f"restarts must be >= 1, got {p['restarts']}")
-        elif self.algo == "sa":
+                p[key] = _whole(key, p[key], lo)
+        if self.algo == "sa":
             if p["gamma"] is None:
                 raise ValueError("sa requires params['gamma']")
-            p["gamma"] = float(p["gamma"])
-            # SAConfig holds the rules for gamma, s and steps
-            SAConfig(gamma=p["gamma"], s=p["s"], steps=p["steps"] or 0)
+            p["gamma"] = float(_finite("gamma", p["gamma"], 0))
         return p
 
 

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph, _Draws, _nearest, random_walk
+from .oracle import _whole
 
 TAU_FLOOR = 1e-9
 
@@ -132,9 +133,7 @@ def smoothed_sa_search(
 
 def default_rounds(n: int) -> int:
     """ceil(log2 n), the restart/iteration count used when none is given."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return max(1, math.ceil(math.log2(n)))
+    return max(1, math.ceil(math.log2(_whole("n", n, 1))))
 
 
 def sgnn_query(
@@ -167,10 +166,8 @@ def sgnn_query(
     (the evaluated nodes reach fewer than K) is returned whole and
     flagged short.
     """
-    if I < 1:
-        raise ValueError("I must be >= 1")
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    I = _whole("I", I, 1)
+    K = _whole("K", K, 1)
     cache = DistanceCache(points, query)
     with _Draws(rng) as draws:
         for _ in range(I):
@@ -190,9 +187,8 @@ def sgnn_query(
 def _expand_best_first(g: Graph, cache: DistanceCache, K: int) -> None:
     """Evaluate into ``cache`` the nodes that best-first search over the
     out-edges of ``g`` reaches from the evaluated ones (see ``sgnn_query``)."""
-    evaluate = cache.evaluate
+    evaluate, evaluated = cache.evaluate, cache._dist  # the memo is the visited set
     frontier = cache.nearest()  # sorted, so already a heap
-    seen = {node for _, node in frontier}
     kth = [-d for d, _ in frontier[:K]]  # max-heap of the K best distances
     heapq.heapify(kth)
     while frontier:
@@ -200,9 +196,8 @@ def _expand_best_first(g: Graph, cache: DistanceCache, K: int) -> None:
         if len(kth) == K and d > -kth[0]:
             break
         for nbr in g.adjacency[node]:
-            if nbr in seen:
+            if nbr in evaluated:
                 continue
-            seen.add(nbr)
             dn = evaluate(nbr)
             if len(kth) < K:
                 heapq.heappush(kth, -dn)
@@ -225,6 +220,7 @@ def exact_nn_all(points: PointSet, queries, K: int) -> list[QueryResult]:
     """``exact_nn`` for each row of the (m, dim) ``queries``, from one
     blocked scan of the points: per query the K nearest, nearest first and
     ties by id, with their distances."""
+    K = _whole("K", K)
     if not 1 <= K <= points.n:
         raise ValueError(f"K must be in 1..{points.n}")
     qs = np.asarray(queries, dtype=float)
@@ -242,8 +238,7 @@ def exact_nn_all(points: PointSet, queries, K: int) -> list[QueryResult]:
 
 def recall_at_k(result: QueryResult, exact: QueryResult, K: int) -> float:
     """Fraction of the exact top-K retrieved among the result's top-K."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    K = _whole("K", K, 1)
     truth = set(exact.candidates[:K])
     got = set(result.candidates[:K])
     return len(truth & got) / min(K, len(truth))

@@ -18,14 +18,36 @@ from .values import ValueTable
 ARRAY_DRAW_MIN = 20
 
 
-def _whole(name: str, value) -> int:
-    """``value`` as an int (4.0 is taken as 4); ValueError unless it is whole."""
+def _whole(name: str, value, lo: int | None = None) -> int:
+    """``value`` as an int (4.0 is taken as 4); ValueError naming ``name``
+    unless it is a whole number, and at least ``lo`` when that is given."""
     try:
-        if int(value) == value:
-            return int(value)
+        n = int(value)
+        if n == value and (lo is None or n >= lo):
+            return n
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError(f"{name} must be a whole number, got {value}")
+    rule = "" if lo is None else f" >= {lo}"
+    raise ValueError(f"{name} must be a whole number{rule}, got {value}")
+
+
+def _finite(name: str, value, lo=None, strict: bool = False, hi=None):
+    """``value`` itself; ValueError naming ``name`` unless it is a finite
+    real number, at least ``lo`` (above it when ``strict``) and below ``hi``
+    where those are given. NaN and +-inf always fail; a Fraction or a huge
+    int is compared exactly, never converted to a float."""
+    try:
+        if (
+            -math.inf < value < math.inf
+            and (lo is None or (lo < value if strict else lo <= value))
+            and (hi is None or value < hi)
+        ):
+            return value
+    except TypeError:
+        pass
+    rule = "" if lo is None else f" and {'>' if strict else '>='} {lo}"
+    rule += "" if hi is None else f" and < {hi}"
+    raise ValueError(f"{name} must be finite{rule}, got {value}")
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -60,14 +82,9 @@ class NoisyOracle:
             lo, hi = self.values.means.min(), self.values.means.max()
             if lo < 0.0 or hi > 1.0:
                 raise ValueError("bernoulli noise needs values in [0, 1]")
-        if not math.isfinite(self.R):
-            raise ValueError(f"noise scale R must be finite, got {self.R}")
-        if self.noise == "gaussian" and self.R < 0:
-            raise ValueError("gaussian noise scale R must be >= 0")
+        _finite("R", self.R, 0 if self.noise == "gaussian" else None)
         if self.budget is not None:
-            self.budget = _whole("budget", self.budget)
-            if self.budget < 0:
-                raise ValueError("budget must be >= 0 when set")
+            self.budget = _whole("budget", self.budget, 0)
 
     @property
     def remaining(self) -> int | None:

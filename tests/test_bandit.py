@@ -6,16 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphopt import (
+    DescendConfig,
+    Graph,
+    GridSpec,
     NoisyOracle,
+    PointSet,
+    QueryResult,
     ValueTable,
     budget_schedule,
+    certify_nearly_convex,
+    certify_strongly_convex,
+    default_restarts,
+    default_rounds,
     ed_error_bound,
+    exact_nn_all,
     hardness,
     lemma1_gap_bound,
     log_bar,
+    make_knn_graph,
+    make_plain_grid,
     oracle_sampler,
+    recall_at_k,
+    restart_allocation,
     sa_round_bound_convex,
     sa_round_bound_nearly,
+    sgnn_query,
     sr_bound_loose,
     sr_error_bound,
     successive_reject,
@@ -286,6 +301,9 @@ def test_loose_bound_formula():
     assert sr_bound_loose(10, 0.3, 500) == 1.0  # clamped
 
 
+# a three-node path for the certificate rows
+PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+
 NAN_BOUND_CASES = [
     (sr_error_bound, (3, math.nan, 10), "H"),
     (sr_bound_loose, (3, math.nan, 10), "delta1"),
@@ -298,6 +316,18 @@ NAN_BOUND_CASES = [
     (sa_round_bound_convex, (0.3, 9, 0.001, math.nan), "initial_gap"),
     (sa_round_bound_nearly, (0.3, math.nan, 2, 9, 0.8), "c"),
     (sa_round_bound_nearly, (0.3, 0.05, 2, 9, math.nan), "F"),
+    (sr_error_bound, (4, 50.0, math.nan), "B"),
+    (sr_error_bound, (math.nan, 50.0, 200), "K"),
+    (sr_bound_loose, (3, 0.5, math.nan), "B"),
+    (ed_error_bound, (math.nan, [10], [0.5]), "d"),
+    (lemma1_gap_bound, (0.5, math.nan), "delta"),
+    (default_restarts, (math.nan,), "budget"),
+    (sa_round_bound_convex, (0.3, math.nan, 0.001, 0.8), "d"),
+    (sa_round_bound_nearly, (0.3, 0.05, math.nan, 9, 0.8), "r"),
+    (sa_round_bound_nearly, (0.3, 0.05, 2, math.nan, 0.8), "d"),
+    (certify_strongly_convex, (PATH3, [0, 3, 5], math.nan), "m"),
+    (certify_nearly_convex, (PATH3, [0, 3, 5], math.nan, 0.1), "alpha"),
+    (certify_nearly_convex, (PATH3, [0, 3, 5], 0.5, math.nan), "c"),
 ]
 
 
@@ -322,6 +352,12 @@ INF_BOUND_CASES = [
     (sr_bound_loose, (3, math.inf, 10), "delta1"),
     (ed_error_bound, (3, [10], [math.inf]), "gaps"),
     (hardness, ([math.inf, 0.1],), "gaps"),
+    (lemma1_gap_bound, (0.5, math.inf), "delta"),
+    (sa_round_bound_convex, (math.inf, 9, 0.001, 0.05), "alpha"),
+    (certify_strongly_convex, (PATH3, [0, 3, 5], math.inf), "m"),
+    (certify_nearly_convex, (PATH3, [0, 3, 5], math.inf, 0.1), "alpha"),
+    (certify_nearly_convex, (PATH3, [0, 3, 5], 0.5, math.inf), "c"),
+    (certify_nearly_convex, (PATH3, [0, 3, 5], 0.5, -math.inf), "c"),
 ]
 
 
@@ -334,3 +370,47 @@ def test_closed_form_bounds_refuse_infinity(bound, args, name):
     # inf must fail by name, not overflow, divide by zero, or give 0.0 or nan
     with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
         bound(*args)
+
+
+CLOUD = PointSet(np.random.default_rng(0).normal(size=(30, 2)))
+KNN = make_knn_graph(CLOUD, 5)
+RESULT = QueryResult((0, 1), (0.0, 1.0), 2)
+
+FRACTIONAL_COUNT_CASES = [
+    (sr_error_bound, (4.5, 50.0, 200), "K"),
+    (budget_schedule, (4.5, 100), "K"),
+    (exact_nn_all, (CLOUD, CLOUD.coords[:2], 2.5), "K"),
+    (recall_at_k, (RESULT, RESULT, 1.5), "K"),
+    (sgnn_query, (KNN, CLOUD, (0.0, 0.0), 2, 2, 1, 2.5, np.random.default_rng(0)), "K"),
+    (sr_bound_loose, (10.5, 0.5, 5000), "n"),
+    (default_rounds, (1.5,), "n"),
+    (sa_round_bound_convex, (0.3, 9.5, 0.001, 0.05), "d"),
+    (sa_round_bound_nearly, (0.3, 0.05, 2, 9.5, 3000.0), "d"),
+    (ed_error_bound, (3.5, [10], [0.5]), "d"),
+    (theory_sample_size, (1.5, 5.0, 1.0), "r"),
+    (sa_round_bound_nearly, (0.3, 0.05, 1.5, 9, 3000.0), "r"),
+    (sr_error_bound, (4, 50.0, 200.5), "B"),
+    (sr_bound_loose, (4, 0.5, 200.5), "B"),
+    (budget_schedule, (4, 100.5), "B"),
+    (GridSpec, (2.5,), "D"),
+    (make_plain_grid, (2.5,), "D"),
+    (make_knn_graph, (CLOUD.coords, 2.5), "N"),
+    (sgnn_query, (KNN, CLOUD, (0.0, 0.0), 2.5, 2, 1, 3, np.random.default_rng(0)), "I"),
+    (DescendConfig.equal_split, (400, 2.5), "rounds"),
+    (restart_allocation, (2000, 2.5), "restarts"),
+    (restart_allocation, (1000.5,), "budget"),
+    (default_restarts, (1000.5,), "budget"),
+    (DescendConfig.equal_split, (400.5, 4), "budget"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, name",
+    FRACTIONAL_COUNT_CASES,
+    ids=[f"{f.__name__}-{n}-{i}" for i, (f, _, n) in enumerate(FRACTIONAL_COUNT_CASES)],
+)
+def test_counts_refuse_fractions(fn, args, name):
+    # a count with a fractional part must fail by name, not compute with it
+    # or fail deep inside with a TypeError
+    with pytest.raises(ValueError, match=rf"\b{name} must be a whole number"):
+        fn(*args)

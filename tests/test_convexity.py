@@ -356,6 +356,23 @@ def test_int64_arrays_certify_as_python_ints():
         assert both(np.array(ints), *params) == both(ints, *params)
 
 
+@pytest.mark.filterwarnings("error")
+def test_numpy_scalar_lists_certify_as_python_ints():
+    # a list of numpy scalars is unwrapped like an array: no int64
+    # overflow in p * M(z) or in the climb caps, and int results
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    cases = (
+        ([0, 3, 5], (Fraction(1, 10**20), 1, 0)),
+        ([0, 2**62, 2**62 + 2**61], (Fraction(1, 2), Fraction(1, 3), 2**62)),
+    )
+    for ints, (m, alpha, c) in cases:
+        scalars = [np.int64(v) for v in ints]
+        cert = certify_strongly_convex(g, scalars, m)
+        assert cert == certify_strongly_convex(g, ints, m)
+        assert all(type(v) is int for v in cert.first_step.values())
+        assert certify_nearly_convex(g, scalars, alpha, c) == certify_nearly_convex(g, ints, alpha, c)
+
+
 def test_float_and_mixed_inputs_keep_their_arithmetic():
     g, exact = grid_fractions(4)
     floats = [float(v) for v in exact]
