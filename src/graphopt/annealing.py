@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle, _finite, _whole
+from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _finite, _whole
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class SAConfig:
     steps: int = 0
 
     def __post_init__(self):
-        _finite("gamma", self.gamma, 0)
+        object.__setattr__(self, "gamma", _as_float("gamma", self.gamma, 0))
         object.__setattr__(self, "s", _whole("s", self.s, 1))
         object.__setattr__(self, "steps", _whole("steps", self.steps, 0))
 
@@ -134,10 +134,10 @@ def sa_round_bound_convex(alpha: float, d: int, eps: float, initial_gap: float) 
     ``initial_gap`` is the non-negative optimality gap of the start node
     (the source analysis writes the difference with the opposite sign).
     """
-    _finite("alpha", alpha, 0, strict=True, hi=1)
+    alpha = _as_float("alpha", alpha, 0, strict=True, hi=1)
     d = _whole("d", d, 1)
-    _finite("eps", eps, 0, strict=True)
-    _finite("initial_gap", initial_gap, 0)
+    eps = _as_float("eps", eps, 0, strict=True)
+    initial_gap = _as_float("initial_gap", initial_gap, 0)
     gamma = d / (math.e * alpha * eps)
     arg = alpha * initial_gap / (eps * d)
     if arg <= 1.0:
@@ -159,11 +159,11 @@ def sa_round_bound_nearly(
     e^r is reported unclamped (it is comparative and can exceed the
     range; a warning is emitted when it does exceed F).
     """
-    _finite("alpha", alpha, 0, strict=True, hi=1)
-    _finite("c", c, 0, strict=True)
+    alpha = _as_float("alpha", alpha, 0, strict=True, hi=1)
+    c = _as_float("c", c, 0, strict=True)
     r = _whole("r", r, 1)
     d = _whole("d", d, 1)
-    _finite("F", F, 0, strict=True)
+    F = _as_float("F", F, 0, strict=True)
     gamma = 1.0 / c
     beta = 1.0 - alpha * math.exp(-c * r * gamma) / d ** (r + 1)
     arg = F * alpha * gamma

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .oracle import BudgetExhaustedError, NoisyOracle, _finite, _whole
+from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _whole
 
 Sampler = Callable[
     [Sequence[int], int, np.random.Generator], tuple[Sequence[float], Sequence[int]]
@@ -81,9 +81,11 @@ def successive_reject(
 
     Each phase tops every surviving arm up to the schedule's cumulative
     pull count, then rejects the arm with the worst empirical mean (ties
-    reject the higher index; an arm never pulled counts as -inf). If the
-    sampler's source dries up mid-run the remaining eliminations use the
-    means collected so far.
+    reject the higher index; an arm never pulled counts as -inf). The first
+    phase that comes back short (the sampler raises, serves fewer arms or a
+    partial last batch) ends the run: the best arm by the means collected
+    so far wins, since later eliminations would only drop arms ranked below
+    it.
     """
     cumulative = budget_schedule(K, B).cumulative
     sums = [0.0] * K
@@ -93,26 +95,24 @@ def successive_reject(
     # reject is always the last one. Means change only in phases that
     # pull, so the ranking is rebuilt only there.
     order = list(range(K))
-    exhausted = False
     for k in range(1, K):
         pulls = cumulative[k] - cumulative[k - 1]
-        if pulls > 0 and not exhausted:
+        if pulls > 0:
             arms = sorted(order)
             try:
                 phase_means, taken = sampler(arms, pulls, rng)
             except BudgetExhaustedError:
-                phase_means, taken = (), ()
-            exhausted = len(taken) < len(arms)
+                return order[0]
             for arm, mean, t in zip(arms, phase_means, taken):
                 sums[arm] += float(mean) * t
                 counts[arm] += t
                 if counts[arm]:
                     means[arm] = sums[arm] / counts[arm]
-                if t < pulls:
-                    exhausted = True
-                    break
             # a stable descending sort of ascending arms ranks ties by id
             order = sorted(arms, key=means.__getitem__, reverse=True)
+            # only the last arm served may be short of its batch
+            if len(taken) < len(arms) or taken[-1] < pulls:
+                return order[0]
         order.pop()
     return order[0]
 
@@ -173,7 +173,7 @@ def hardness(gaps: Sequence[float]) -> float:
     arms. The best arm enters the ranking with a pseudo-gap equal to the
     smallest of these before sorting ascending.
     """
-    deltas = [float(_finite("gaps", d, 0, strict=True)) for d in gaps]
+    deltas = [_as_float("gaps", d, 0, strict=True) for d in gaps]
     if not deltas:
         raise ValueError("need at least one suboptimal arm gap")
     ranked = sorted([min(deltas)] + deltas)
@@ -186,7 +186,7 @@ def sr_error_bound(K: int, H: float, B: int) -> float:
     Clamped to [0, 1]; budgets B <= K give the vacuous bound 1.
     """
     K = _whole("K", K, 2)
-    _finite("H", H, 0, strict=True)
+    H = _as_float("H", H, 0, strict=True)
     B = _whole("B", B)
     if B <= K:
         return 1.0
@@ -197,7 +197,7 @@ def sr_error_bound(K: int, H: float, B: int) -> float:
 def sr_bound_loose(n: int, delta1: float, B: int) -> float:
     """One-term bound (n(n-1)/2) exp(-(B-n) delta1^2 / (n log_bar(n)))."""
     n = _whole("n", n, 2)
-    _finite("delta1", delta1, 0, strict=True)
+    delta1 = _as_float("delta1", delta1, 0, strict=True)
     B = _whole("B", B)
     if B <= n:
         return 1.0

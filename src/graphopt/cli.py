@@ -211,28 +211,43 @@ def _cmd_nn(args) -> int:
     return 0
 
 
-def _cmd_bound(args) -> int:
-    kind = args.kind
-    if kind == "sr":
-        out = f"{bandit.sr_error_bound(args.K, args.H, args.B):.6g}\n"
-    elif kind == "sr-loose":
-        out = f"{bandit.sr_bound_loose(args.n, args.delta1, args.B):.6g}\n"
-    elif kind == "ed":
-        if len(args.schedule) != len(args.gaps):
-            raise UsageError("--schedule and --gaps need equal lengths")
-        out = f"{descend.ed_error_bound(args.d, args.schedule, args.gaps):.6g}\n"
-    elif kind == "sa-convex":
-        b = annealing.sa_round_bound_convex(args.alpha, args.d, args.eps, args.gap)
-        out = f"gamma={b.gamma:.6g}\nt_min={b.t_min}\n"
-    elif kind == "sa-nearly":
-        b = annealing.sa_round_bound_nearly(args.alpha, args.c, args.r, args.d, args.F)
-        out = (
+def _g6(x: float) -> str:
+    return f"{x:.6g}\n"
+
+
+# Each closed-form bound: its calculator, its options as (flag, argparse
+# type) in the calculator's argument order, and the formatter of its result.
+_BOUNDS = {
+    "sr": (bandit.sr_error_bound, (("K", int), ("H", _finite_float), ("B", int)), _g6),
+    "sr-loose": (bandit.sr_bound_loose, (("n", int), ("delta1", _finite_float), ("B", int)), _g6),
+    "ed": (descend.ed_error_bound, (("d", int), ("schedule", _int_list), ("gaps", _float_list)), _g6),
+    "sa-convex": (
+        annealing.sa_round_bound_convex,
+        (("alpha", _finite_float), ("d", int), ("eps", _finite_float), ("gap", _finite_float)),
+        lambda b: f"gamma={b.gamma:.6g}\nt_min={b.t_min}\n",
+    ),
+    "sa-nearly": (
+        annealing.sa_round_bound_nearly,
+        (("alpha", _finite_float), ("c", _finite_float), ("r", int), ("d", int), ("F", _finite_float)),
+        lambda b: (
             f"gamma={b.gamma:.6g}\nbeta={b.beta:.10g}\n"
             f"t_min={b.t_min}\nfinal_bound={b.final_bound:.6g}\n"
-        )
-    else:
-        out = f"{annealing.theory_sample_size(args.r, args.gamma, args.R)}\n"
-    _emit(out, args.out)
+        ),
+    ),
+    "sa-samples": (
+        annealing.theory_sample_size,
+        (("r", int), ("gamma", _finite_float), ("R", _finite_float)),
+        "{}\n".format,
+    ),
+}
+
+
+def _cmd_bound(args) -> int:
+    calculator, options, show = _BOUNDS[args.kind]
+    # a usage error (exit 2), where ed_error_bound's own check would exit 1
+    if args.kind == "ed" and len(args.schedule) != len(args.gaps):
+        raise UsageError("--schedule and --gaps need equal lengths")
+    _emit(show(calculator(*(getattr(args, flag) for flag, _ in options))), args.out)
     return 0
 
 
@@ -301,51 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="closed-form error/round bounds")
     bsub = p.add_subparsers(dest="kind", required=True)
-
-    b = bsub.add_parser("sr")
-    b.add_argument("--K", type=int, required=True)
-    b.add_argument("--H", type=_finite_float, required=True)
-    b.add_argument("--B", type=int, required=True)
-    b.add_argument("--out")
-    b.set_defaults(fn=_cmd_bound)
-
-    b = bsub.add_parser("sr-loose")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--delta1", type=_finite_float, required=True)
-    b.add_argument("--B", type=int, required=True)
-    b.add_argument("--out")
-    b.set_defaults(fn=_cmd_bound)
-
-    b = bsub.add_parser("ed")
-    b.add_argument("--d", type=int, required=True)
-    b.add_argument("--schedule", type=_int_list, required=True)
-    b.add_argument("--gaps", type=_float_list, required=True)
-    b.add_argument("--out")
-    b.set_defaults(fn=_cmd_bound)
-
-    b = bsub.add_parser("sa-convex")
-    b.add_argument("--alpha", type=_finite_float, required=True)
-    b.add_argument("--d", type=int, required=True)
-    b.add_argument("--eps", type=_finite_float, required=True)
-    b.add_argument("--gap", type=_finite_float, required=True)
-    b.add_argument("--out")
-    b.set_defaults(fn=_cmd_bound)
-
-    b = bsub.add_parser("sa-nearly")
-    b.add_argument("--alpha", type=_finite_float, required=True)
-    b.add_argument("--c", type=_finite_float, required=True)
-    b.add_argument("--r", type=int, required=True)
-    b.add_argument("--d", type=int, required=True)
-    b.add_argument("--F", type=_finite_float, required=True)
-    b.add_argument("--out")
-    b.set_defaults(fn=_cmd_bound)
-
-    b = bsub.add_parser("sa-samples")
-    b.add_argument("--r", type=int, required=True)
-    b.add_argument("--gamma", type=_finite_float, required=True)
-    b.add_argument("--R", type=_finite_float, required=True)
-    b.add_argument("--out")
-    b.set_defaults(fn=_cmd_bound)
+    for kind, (_, options, _) in _BOUNDS.items():
+        b = bsub.add_parser(kind)
+        for flag, type_ in options:
+            b.add_argument(f"--{flag}", type=type_, required=True)
+        b.add_argument("--out")
+        b.set_defaults(fn=_cmd_bound)
 
     return parser
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .bandit import log_bar, oracle_sampler, successive_reject
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle, _finite, _whole
+from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _whole
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def ed_error_bound(d: int, schedule, per_round_smallest_gaps) -> float:
     """
     d = _whole("d", d, 2)
     schedule = [_whole("round budget", t) for t in schedule]
-    gaps = [float(_finite("gaps", x, 0, strict=True)) for x in per_round_smallest_gaps]
+    gaps = [_as_float("gaps", x, 0, strict=True) for x in per_round_smallest_gaps]
     if len(schedule) != len(gaps):
         raise ValueError("schedule and gap lists must have equal length")
     lb = log_bar(d)

@@ -16,7 +16,7 @@ from .annealing import SAConfig, simulated_annealing
 from .bandit import oracle_sampler, successive_reject, uniform_best_arm
 from .descend import explore_descend_restarts
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle, _finite, _whole
+from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _whole
 from .values import ValueTable
 
 CSV_HEADER = "trial,algo,budget,node,gap,samples,time_ms"
@@ -112,7 +112,7 @@ class ExperimentConfig:
         if self.algo == "sa":
             if p["gamma"] is None:
                 raise ValueError("sa requires params['gamma']")
-            p["gamma"] = float(_finite("gamma", p["gamma"], 0))
+            p["gamma"] = _as_float("gamma", p["gamma"], 0)
         return p
 
 

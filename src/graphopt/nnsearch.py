@@ -167,6 +167,8 @@ def sgnn_query(
     flagged short.
     """
     I = _whole("I", I, 1)
+    J = _whole("J", J, 0)
+    T = _whole("T", T, 0)
     K = _whole("K", K, 1)
     cache = DistanceCache(points, query)
     with _Draws(rng) as draws:

@@ -45,9 +45,27 @@ def _finite(name: str, value, lo=None, strict: bool = False, hi=None):
             return value
     except TypeError:
         pass
+    raise ValueError(f"{name} must be finite{_rule(lo, strict, hi)}, got {value}")
+
+
+def _as_float(name: str, value, lo=None, strict: bool = False, hi=None) -> float:
+    """``value`` checked by ``_finite`` and returned as a float; ValueError
+    naming ``name`` also when no float holds it within the rule: beyond the
+    float range, or rounding onto a strict bound (Fraction(1, 10**400) > 0
+    becomes 0.0). An int that fits converts exactly."""
+    _finite(name, value, lo, strict, hi)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if math.isfinite(x) and x != hi and not (strict and x == lo):
+        return x
+    raise ValueError(f"{name} must be finite{_rule(lo, strict, hi)} as a float; it converts to {x}")
+
+
+def _rule(lo, strict: bool, hi) -> str:
     rule = "" if lo is None else f" and {'>' if strict else '>='} {lo}"
-    rule += "" if hi is None else f" and < {hi}"
-    raise ValueError(f"{name} must be finite{rule}, got {value}")
+    return rule + ("" if hi is None else f" and < {hi}")
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -82,7 +100,7 @@ class NoisyOracle:
             lo, hi = self.values.means.min(), self.values.means.max()
             if lo < 0.0 or hi > 1.0:
                 raise ValueError("bernoulli noise needs values in [0, 1]")
-        _finite("R", self.R, 0 if self.noise == "gaussian" else None)
+        self.R = _as_float("R", self.R, 0 if self.noise == "gaussian" else None)
         if self.budget is not None:
             self.budget = _whole("budget", self.budget, 0)
 

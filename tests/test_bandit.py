@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 
 from graphopt import (
     DescendConfig,
+    ExperimentConfig,
     Graph,
     GridSpec,
     NoisyOracle,
     PointSet,
     QueryResult,
+    SAConfig,
     ValueTable,
     budget_schedule,
     certify_nearly_convex,
@@ -31,6 +34,7 @@ from graphopt import (
     sa_round_bound_convex,
     sa_round_bound_nearly,
     sgnn_query,
+    simulated_annealing,
     sr_bound_loose,
     sr_error_bound,
     successive_reject,
@@ -372,6 +376,69 @@ def test_closed_form_bounds_refuse_infinity(bound, args, name):
         bound(*args)
 
 
+def sweep_config(gamma):
+    """An sa sweep over the three-node path at the given temperature."""
+    table = ValueTable(np.array([0.2, 0.5, 0.8]))
+    return ExperimentConfig(PATH3, table, "sa", (20,), 1, 0, params={"gamma": gamma})
+
+
+def gaussian_draw(R):
+    """One gaussian draw at noise scale R."""
+    oracle = NoisyOracle(ValueTable(np.array([0.0, 1.0])), noise="gaussian", R=R)
+    return oracle.sample_means([0], 1, np.random.default_rng(0))
+
+
+def uphill_step(gamma):
+    """One noiseless annealing step from the low end of a two-node path,
+    so the proposal is uphill."""
+    oracle = NoisyOracle(ValueTable(np.array([0.0, 1.0])), noise="gaussian", R=0.0)
+    cfg = SAConfig(gamma=gamma, steps=1)
+    return simulated_annealing(PATH3, oracle, 0, cfg, np.random.default_rng(0))
+
+
+HUGE = 10**400  # finite, but no float holds it
+TINY = Fraction(1, HUGE)  # above 0, but its float is 0.0
+
+BEYOND_FLOAT_CASES = [
+    (hardness, ([HUGE],), "gaps"),
+    (hardness, ([TINY],), "gaps"),
+    (ed_error_bound, (3, [40], [HUGE]), "gaps"),
+    (sr_error_bound, (4, HUGE, 100), "H"),
+    (sr_error_bound, (4, TINY, 100), "H"),
+    (sr_bound_loose, (4, HUGE, 100), "delta1"),
+    (sa_round_bound_convex, (0.3, 9, HUGE, 0.05), "eps"),
+    (sa_round_bound_convex, (0.3, 9, 0.001, HUGE), "initial_gap"),
+    (sa_round_bound_nearly, (0.3, HUGE, 2, 9, 3000.0), "c"),
+    (sa_round_bound_nearly, (0.3, 0.05, 2, 9, HUGE), "F"),
+    (sweep_config, (HUGE,), "gamma"),
+    (gaussian_draw, (HUGE,), "R"),
+    (uphill_step, (HUGE,), "gamma"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, name",
+    BEYOND_FLOAT_CASES,
+    ids=[f"{f.__name__}-{n}-{i}" for i, (f, _, n) in enumerate(BEYOND_FLOAT_CASES)],
+)
+def test_float_parameters_refuse_numbers_beyond_a_float(fn, args, name):
+    # where the code computes in floats, a finite number no float holds must
+    # fail by name, not raise OverflowError or divide by a rounded-off zero
+    with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+        fn(*args)
+
+
+def test_exact_parameters_keep_numbers_beyond_a_float():
+    # the exact entry points compute on ints and Fractions, so nothing rounds
+    assert theory_sample_size(1, HUGE, 1) == 2 * HUGE**2
+    assert lemma1_gap_bound(TINY, 1) == 1 + HUGE
+    assert certify_strongly_convex(PATH3, [HUGE, 0, HUGE], TINY).certified
+    # and an int that fits a float converts exactly, so it gives the float's answer
+    assert sr_error_bound(4, 50, 200) == sr_error_bound(4, 50.0, 200)
+    exact = sa_round_bound_nearly(Fraction(3, 10), Fraction(1, 20), 2, 9, 3000)
+    assert exact == sa_round_bound_nearly(0.3, 0.05, 2, 9, 3000.0)
+
+
 CLOUD = PointSet(np.random.default_rng(0).normal(size=(30, 2)))
 KNN = make_knn_graph(CLOUD, 5)
 RESULT = QueryResult((0, 1), (0.0, 1.0), 2)
@@ -401,6 +468,9 @@ FRACTIONAL_COUNT_CASES = [
     (restart_allocation, (1000.5,), "budget"),
     (default_restarts, (1000.5,), "budget"),
     (DescendConfig.equal_split, (400.5, 4), "budget"),
+    (sgnn_query, (KNN, CLOUD, (0.0, 0.0), 2, 2.5, 1, 3, np.random.default_rng(0)), "J"),
+    (sgnn_query, (KNN, CLOUD, (0.0, 0.0), 2, 2, 1.5, 3, np.random.default_rng(0)), "T"),
+    (sgnn_query, (KNN, CLOUD, (0.0, 0.0), 2, math.nan, 1, 3, np.random.default_rng(0)), "J"),
 ]
 
 
