@@ -18,7 +18,6 @@ from .annealing import (
     theory_sample_size,
 )
 from .bandit import (
-    BudgetSchedule,
     budget_schedule,
     hardness,
     log_bar,

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +51,7 @@ def sa_transition_probs(
     target list (neighbors in adjacency order, then x itself) and the
     matching probability vector, which is non-negative and sums to 1.
     """
+    gamma = _as_float("gamma", gamma, 0)
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"node {x} has no neighbors")
@@ -106,10 +108,13 @@ def simulated_annealing(
 
 def theory_sample_size(r: int, gamma: float, R: float) -> int:
     """Samples per estimate suggested by the analysis: ceil(2 r gamma^2 R^2),
-    never below one."""
+    never below one. Exact when gamma and R are ints or Fractions; a float
+    among them puts the product in floats, so r must then fit a float."""
     r = _whole("r", r, 0)
     _finite("gamma", gamma, 0)
     _finite("R", R, 0)
+    if not (isinstance(gamma, (int, Fraction)) and isinstance(R, (int, Fraction))):
+        _as_float("r", r)
     return max(1, math.ceil(2 * r * gamma * gamma * R * R))
 
 
@@ -136,6 +141,7 @@ def sa_round_bound_convex(alpha: float, d: int, eps: float, initial_gap: float) 
     """
     alpha = _as_float("alpha", alpha, 0, strict=True, hi=1)
     d = _whole("d", d, 1)
+    _as_float("d", d)
     eps = _as_float("eps", eps, 0, strict=True)
     initial_gap = _as_float("initial_gap", initial_gap, 0)
     gamma = d / (math.e * alpha * eps)
@@ -162,7 +168,9 @@ def sa_round_bound_nearly(
     alpha = _as_float("alpha", alpha, 0, strict=True, hi=1)
     c = _as_float("c", c, 0, strict=True)
     r = _whole("r", r, 1)
+    _as_float("r", r)
     d = _whole("d", d, 1)
+    _as_float("d", d)
     F = _as_float("F", F, 0, strict=True)
     gamma = 1.0 / c
     beta = 1.0 - alpha * math.exp(-c * r * gamma) / d ** (r + 1)

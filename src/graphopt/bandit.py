@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,46 +31,26 @@ def log_bar(K: int) -> float:
     return 0.5 + sum(1.0 / i for i in range(2, K + 1))
 
 
-@dataclass(frozen=True)
-class BudgetSchedule:
-    """Cumulative per-arm pull counts B_0 <= B_1 <= ... <= B_{K-1}.
+@functools.lru_cache(maxsize=128, typed=True)
+def budget_schedule(K: int, B: int) -> tuple[int, ...]:
+    """Cumulative per-arm pull counts B_0 = 0 <= B_1 <= ... <= B_{K-1},
+    with B_k = ceil((B - K) / (log_bar(K) * (K + 1 - k))).
 
     After phase k every surviving arm has been pulled B_k times in total;
-    the grand total over all phases never exceeds the budget B.
-    """
-
-    K: int
-    B: int
-    cumulative: tuple[int, ...]
-
-    def phase_pulls(self, k: int) -> int:
-        """Fresh pulls per surviving arm in phase k (1-based)."""
-        if not 1 <= k <= self.K - 1:
-            raise ValueError(f"phase k must be in 1..{self.K - 1}")
-        return self.cumulative[k] - self.cumulative[k - 1]
-
-    def total_pulls(self) -> int:
-        return sum(self.cumulative[1:]) + self.cumulative[-1]
-
-
-@functools.lru_cache(maxsize=128, typed=True)
-def budget_schedule(K: int, B: int) -> BudgetSchedule:
-    """Phase schedule B_k = ceil((B - K) / (log_bar(K) * (K + 1 - k))).
-
-    Memoised: the schedule is frozen, and every trial at one (K, B) needs
-    the same one.
+    the grand total over all phases never exceeds the budget B. Memoised:
+    every trial at one (K, B) needs the same schedule.
     """
     K = _whole("K", K, 2)
     B = _whole("B", B)
+    _as_float("B", B)
     if B <= K:
         raise ValueError(f"budget {B} must exceed the number of arms {K}")
     lb = log_bar(K)
     cumulative = [0]
     for k in range(1, K):
         cumulative.append(math.ceil((B - K) / (lb * (K + 1 - k))))
-    sched = BudgetSchedule(K, B, tuple(cumulative))
-    assert sched.total_pulls() <= B, "schedule overran its budget"
-    return sched
+    assert sum(cumulative) + cumulative[-1] <= B, "schedule overran its budget"
+    return tuple(cumulative)
 
 
 def successive_reject(
@@ -87,16 +66,17 @@ def successive_reject(
     so far wins, since later eliminations would only drop arms ranked below
     it.
     """
-    cumulative = budget_schedule(K, B).cumulative
+    cumulative = budget_schedule(K, B)
     sums = [0.0] * K
-    counts = [0] * K
     means = [-math.inf] * K
     # Survivors ranked by (mean, -arm), best first, so the next arm to
     # reject is always the last one. Means change only in phases that
     # pull, so the ranking is rebuilt only there.
     order = list(range(K))
     for k in range(1, K):
-        pulls = cumulative[k] - cumulative[k - 1]
+        # every earlier phase came back full, so each survivor holds done pulls
+        done = cumulative[k - 1]
+        pulls = cumulative[k] - done
         if pulls > 0:
             arms = sorted(order)
             try:
@@ -105,9 +85,8 @@ def successive_reject(
                 return order[0]
             for arm, mean, t in zip(arms, phase_means, taken):
                 sums[arm] += float(mean) * t
-                counts[arm] += t
-                if counts[arm]:
-                    means[arm] = sums[arm] / counts[arm]
+                if done + t:
+                    means[arm] = sums[arm] / (done + t)
             # a stable descending sort of ascending arms ranks ties by id
             order = sorted(arms, key=means.__getitem__, reverse=True)
             # only the last arm served may be short of its batch
@@ -188,6 +167,7 @@ def sr_error_bound(K: int, H: float, B: int) -> float:
     K = _whole("K", K, 2)
     H = _as_float("H", H, 0, strict=True)
     B = _whole("B", B)
+    _as_float("B", B)
     if B <= K:
         return 1.0
     raw = (K * (K - 1) / 2.0) * math.exp(-(B - K) / (log_bar(K) * H))
@@ -199,6 +179,7 @@ def sr_bound_loose(n: int, delta1: float, B: int) -> float:
     n = _whole("n", n, 2)
     delta1 = _as_float("delta1", delta1, 0, strict=True)
     B = _whole("B", B)
+    _as_float("B", B)
     if B <= n:
         return 1.0
     raw = (n * (n - 1) / 2.0) * math.exp(-(B - n) * delta1**2 / (n * log_bar(n)))

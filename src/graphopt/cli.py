@@ -78,17 +78,10 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _load_instance(graph_path: str, values_path: str | None):
-    g, table = load_graph(graph_path, values_path)
-    if table is None:
-        raise UsageError(f"no value table found for {graph_path}; pass --values")
-    return g, table
-
-
 def _cmd_gen_grid(args) -> int:
     spec = GridSpec(D=args.D, target_degree=args.target_degree, seed=args.seed)
     g, table = make_grid_graph(spec)
-    save_graph(g, args.out, values=table, values_path=args.values)
+    save_graph(g, args.out, values=table)
     return 0
 
 
@@ -101,12 +94,11 @@ def _cmd_gen_knn(args) -> int:
 
 def _cmd_certify(args) -> int:
     g, _ = load_graph(args.graph, with_values=False)
-    values_path = args.values if args.values else f"{args.graph}.values"
     # the values and --c (a value too) as integer numerators over one common
     # denominator L, so knife-edge instances certify exactly on ints; --m and
     # --alpha compare values with values and need no scaling
     c_pair = [] if args.c is None else [(args.c.numerator, args.c.denominator)]
-    vals, L = common_denominator(parse_values(values_path, g.n, number=exact_ratio) + c_pair)
+    vals, L = common_denominator(parse_values(f"{args.graph}.values", g.n, number=exact_ratio) + c_pair)
     c = vals.pop() if c_pair else None
     if args.negate:
         vals = [-v for v in vals]
@@ -153,7 +145,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    g, table = _load_instance(args.graph, args.values)
+    g, table = load_graph(args.graph)
+    if table is None:
+        raise UsageError(f"no value file {args.graph}.values")
     # ExperimentConfig fills in defaults and refuses options the algorithm does not take
     params = {k: getattr(args, k) for k in ("path_len", "restarts", "gamma", "s", "steps") if k in args}
     if args.algo == "sa" and "gamma" not in params:
@@ -259,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--target-degree", type=int, default=15)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="graph file path")
-    p.add_argument("--values", help="value file path (default: <out>.values)")
+    p.add_argument("--out", required=True, help="graph file path; values go to <out>.values")
     p.set_defaults(fn=_cmd_gen_grid)
 
     p = sub.add_parser("gen-knn", help="build a proximity graph from points")
@@ -271,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="check convexity certificates")
     p.add_argument("--graph", required=True)
-    p.add_argument("--values", help="value file (default: <graph>.values)")
     p.add_argument("--m", type=_fraction, help="strong-convexity modulus")
     p.add_argument("--nearly", action="store_true")
     p.add_argument("--alpha", type=_fraction)
@@ -283,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="budget-sweep trials of sr/ed/sa")
     p.add_argument("--algo", choices=("sr", "ed", "sa"), required=True)
     p.add_argument("--graph", required=True)
-    p.add_argument("--values")
     p.add_argument("--budget", type=_int_list, required=True, help="comma-separated budgets")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)

@@ -171,6 +171,8 @@ def ed_error_bound(d: int, schedule, per_round_smallest_gaps) -> float:
     """
     d = _whole("d", d, 2)
     schedule = [_whole("round budget", t) for t in schedule]
+    for t in schedule:
+        _as_float("schedule", t)
     gaps = [_as_float("gaps", x, 0, strict=True) for x in per_round_smallest_gaps]
     if len(schedule) != len(gaps):
         raise ValueError("schedule and gap lists must have equal length")

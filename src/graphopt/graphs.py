@@ -313,9 +313,8 @@ def make_grid_graph(spec: GridSpec) -> tuple[Graph, ValueTable]:
     n = base.n
     target = spec.target_degree
     adj = [set(nbrs) for nbrs in base.adjacency]
-    deg = [len(s) for s in adj]
 
-    cands = [u for u in range(n) if deg[u] < target]
+    cands = [u for u in range(n) if len(adj[u]) < target]
     pos = {u: i for i, u in enumerate(cands)}
 
     def drop(u: int) -> None:
@@ -329,8 +328,7 @@ def make_grid_graph(spec: GridSpec) -> tuple[Graph, ValueTable]:
         adj[u].add(v)
         adj[v].add(u)
         for w in (u, v):
-            deg[w] += 1
-            if deg[w] >= target:
+            if len(adj[w]) >= target:
                 drop(w)
 
     with _Draws(np.random.default_rng(spec.seed)) as draws:
@@ -500,18 +498,18 @@ def _decide(queries, points, K: int, first: int | None, cand):
 # Text formats
 
 
-def save_graph(g: Graph, path, values: ValueTable | None = None, values_path=None) -> None:
+def save_graph(g: Graph, path, values: ValueTable | None = None) -> None:
     """Header ``n <n> directed <0|1>`` then one ``u v`` line per edge.
 
     Undirected edges appear once with u < v; lines are sorted ascending,
     so output is byte-stable for a given graph. When ``values`` is given
-    they are written alongside, to ``values_path`` or ``<path>.values``;
+    they are written alongside, to ``<path>.values``;
     a table whose length is not ``g.n`` raises ValueError before any write.
     """
     if values is not None:
         if values.n != g.n:
             raise ValueError(f"{values.n} values for a graph of {g.n} nodes")
-        save_values(values, values_path if values_path is not None else f"{path}.values")
+        save_values(values, f"{path}.values")
     lines = [f"n {g.n} directed {1 if g.directed else 0}\n"]
     # rows are sorted, so this is ascending (u, v) order
     lines += [
@@ -524,14 +522,12 @@ def save_graph(g: Graph, path, values: ValueTable | None = None, values_path=Non
         fh.writelines(lines)
 
 
-def load_graph(
-    path, values_path=None, *, with_values: bool = True
-) -> tuple[Graph, ValueTable | None]:
+def load_graph(path, *, with_values: bool = True) -> tuple[Graph, ValueTable | None]:
     """Parse a graph file; raises GraphFormatError with the line number.
 
-    Values are loaded from ``values_path`` when given, else from
-    ``<path>.values`` when that file exists; otherwise None is returned
-    in their place. ``with_values=False`` parses the graph file alone.
+    Values are loaded from ``<path>.values`` when that file exists;
+    otherwise None is returned in their place. ``with_values=False``
+    parses the graph file alone.
     """
     n, directed, u, v = _parse_edges(path)
     g = _from_pairs(n, directed, u, v)
@@ -541,11 +537,10 @@ def load_graph(
         raise GraphFormatError(f"{path}: duplicate edge {dup}")
     if not with_values:
         return g, None
-    if values_path is None:
-        default = f"{path}.values"
-        values_path = default if os.path.exists(default) else None
-    table = load_values(values_path, n=g.n) if values_path is not None else None
-    return g, table
+    values_path = f"{path}.values"
+    if not os.path.exists(values_path):
+        return g, None
+    return g, load_values(values_path, n=g.n)
 
 
 def _parse_edges(path) -> tuple[int, bool, np.ndarray, np.ndarray]:

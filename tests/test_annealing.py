@@ -8,6 +8,7 @@ from graphopt import (
     NoisyOracle,
     SAConfig,
     ValueTable,
+    make_plain_grid,
     sa_round_bound_convex,
     sa_round_bound_nearly,
     sa_step,
@@ -34,6 +35,16 @@ def test_config_validation():
 def test_non_finite_gamma_rejected(gamma):
     with pytest.raises(ValueError, match="finite"):
         SAConfig(gamma=gamma)
+
+
+@pytest.mark.parametrize(
+    "gamma", [math.nan, math.inf, -1.0, 10**400], ids=["nan", "inf", "negative", "beyond-float"]
+)
+def test_transition_probs_refuse_a_bad_gamma(gamma):
+    # SAConfig's rule, so the kernel cannot return a vector that does not sum to 1
+    g, _ = make_plain_grid(2)
+    with pytest.raises(ValueError, match=r"\bgamma must be finite and >= 0"):
+        sa_transition_probs(g, [0.0] * g.n, 0, gamma)
 
 
 def test_transition_rows_sum_to_one():

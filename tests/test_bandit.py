@@ -51,20 +51,25 @@ def test_log_bar_values():
     assert log_bar(10) == pytest.approx(0.5 + sum(1.0 / i for i in range(2, 11)))
 
 
+def total_pulls(cumulative):
+    """Pulls a schedule spends in all: each arm rejected after phase k got
+    B_k, and the two finalists each got B_{K-1}."""
+    return sum(cumulative) + cumulative[-1]
+
+
 def test_schedule_worked_example():
     s = budget_schedule(3, 25)
     # B_k = ceil((B-K)/logbar(K)/(K+1-k)): 22/(4/3)/3 -> 6, 22/(4/3)/2 -> 9
-    assert s.cumulative == (0, 6, 9)
-    assert s.phase_pulls(1) == 6
-    assert s.phase_pulls(2) == 3
-    assert s.total_pulls() == 6 * 3 + 3 * 2
-    assert s.total_pulls() <= 25
+    assert s == (0, 6, 9)
+    assert [b - a for a, b in zip(s, s[1:])] == [6, 3]  # fresh pulls per phase
+    assert total_pulls(s) == 6 * 3 + 3 * 2
+    assert total_pulls(s) <= 25
 
 
 def test_schedule_second_example():
     s = budget_schedule(4, 49)
-    assert s.cumulative == (0, 8, 10, 15)
-    assert s.total_pulls() == 48
+    assert s == (0, 8, 10, 15)
+    assert total_pulls(s) == 48
 
 
 def test_schedule_rejects_tiny_budget():
@@ -88,8 +93,8 @@ def test_schedule_is_memoised():
 def test_schedule_never_overspends(K, extra):
     B = K + extra
     s = budget_schedule(K, B)
-    assert s.total_pulls() <= B
-    assert all(b >= a for a, b in zip(s.cumulative, s.cumulative[1:]))
+    assert total_pulls(s) <= B
+    assert all(b >= a for a, b in zip(s, s[1:]))
 
 
 def test_zero_noise_always_finds_best():
@@ -142,13 +147,13 @@ def keyed_min_successive_reject(K, sampler, B, rng):
     """Reference: successive rejects that pulls one arm per sampler call and
     rescans every survivor with a keyed min in every phase, on
     float64/int64 arrays."""
-    sched = budget_schedule(K, B)
+    cumulative = budget_schedule(K, B)
     sums = np.zeros(K)
     counts = np.zeros(K, dtype=np.int64)
     remaining = list(range(K))
     exhausted = False
     for k in range(1, K):
-        pulls = sched.phase_pulls(k)
+        pulls = cumulative[k] - cumulative[k - 1]
         if pulls > 0 and not exhausted:
             for arm in remaining:
                 try:
@@ -428,6 +433,30 @@ def test_float_parameters_refuse_numbers_beyond_a_float(fn, args, name):
         fn(*args)
 
 
+BEYOND_FLOAT_COUNT_CASES = [
+    (sr_error_bound, (4, 50.0, HUGE), "B"),
+    (sr_bound_loose, (4, 0.5, HUGE), "B"),
+    (budget_schedule, (4, HUGE), "B"),
+    (ed_error_bound, (3, [HUGE], [0.5]), "schedule"),
+    (sa_round_bound_convex, (0.3, HUGE, 0.001, 0.05), "d"),
+    (sa_round_bound_nearly, (0.3, 0.05, HUGE, 9, 3000), "r"),
+    (sa_round_bound_nearly, (0.3, 0.05, 2, HUGE, 3000), "d"),
+    (theory_sample_size, (HUGE, 1.0, 1.0), "r"),
+    (theory_sample_size, (HUGE, 1, 0.5), "r"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, name",
+    BEYOND_FLOAT_COUNT_CASES,
+    ids=[f"{f.__name__}-{n}-{i}" for i, (f, _, n) in enumerate(BEYOND_FLOAT_COUNT_CASES)],
+)
+def test_counts_refuse_numbers_beyond_a_float_where_the_code_uses_floats(fn, args, name):
+    # a whole count must fail by name, not raise OverflowError in float arithmetic
+    with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+        fn(*args)
+
+
 def test_exact_parameters_keep_numbers_beyond_a_float():
     # the exact entry points compute on ints and Fractions, so nothing rounds
     assert theory_sample_size(1, HUGE, 1) == 2 * HUGE**2
@@ -437,6 +466,11 @@ def test_exact_parameters_keep_numbers_beyond_a_float():
     assert sr_error_bound(4, 50, 200) == sr_error_bound(4, 50.0, 200)
     exact = sa_round_bound_nearly(Fraction(3, 10), Fraction(1, 20), 2, 9, 3000)
     assert exact == sa_round_bound_nearly(0.3, 0.05, 2, 9, 3000.0)
+
+
+def test_sample_size_keeps_a_count_beyond_a_float_exact():
+    # with gamma and R ints or Fractions the product stays exact, so r may exceed a float
+    assert theory_sample_size(HUGE, 1, Fraction(1, 2)) == HUGE // 2
 
 
 CLOUD = PointSet(np.random.default_rng(0).normal(size=(30, 2)))

@@ -264,6 +264,18 @@ def test_run_rejects_malformed_graph_file(tmp_path, capsys):
     assert "error" in err
 
 
+def test_run_needs_the_value_file_beside_the_graph(tmp_path, capsys):
+    out = tmp_path / "plain.txt"
+    save_graph(Graph.from_edges(3, [(0, 1), (1, 2)]), out)
+    code, stdout, err = run_cli(
+        capsys, "run", "--algo", "sr", "--graph", str(out),
+        "--budget", "10", "--trials", "1", "--seed", "1",
+    )
+    assert code == 2
+    assert err == f"usage error: no value file {out}.values\n"
+    assert stdout == ""
+
+
 def write_cloud(tmp_path, n=80, with_labels=True):
     rng = np.random.default_rng(0)
     coords = np.vstack([

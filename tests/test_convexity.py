@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from graphopt import (
     Graph,
     Path,
+    ValueTable,
     best_improvement,
     certify_nearly_convex,
     certify_strongly_convex,
@@ -380,6 +381,17 @@ def test_float_and_mixed_inputs_keep_their_arithmetic():
     for vals in (floats, mixed):
         for m, alpha, c in ((0.4, 0.3, 0.1), (Fraction(2, 5), Fraction(2, 7), Fraction(1, 7))):
             assert_same_certificates(g, vals, m, alpha, c, same_types=True)
+
+
+def test_value_tables_certify_like_their_floats():
+    # the plain grid is a hill; both certificates hold for -f
+    g, table = make_plain_grid(3)
+    negated = ValueTable(-table.means)
+    floats = negated.means.tolist()
+    strong = certify_strongly_convex(g, negated, 0.001)
+    assert strong.certified and strong == certify_strongly_convex(g, floats, 0.001)
+    near = certify_nearly_convex(g, negated, 0.3, 0.1)
+    assert near.certified and near == certify_nearly_convex(g, floats, 0.3, 0.1)
 
 
 def test_int_values_give_int_certificates():

@@ -90,6 +90,22 @@ def test_budget_below_first_round_keeps_start():
     assert o.used == 0
 
 
+def test_descent_stops_when_the_oracle_runs_dry():
+    # the first round spends the whole budget of 12, so the later rounds
+    # neither move nor draw: the generator ends where one round leaves it
+    g, table = make_plain_grid(3)
+
+    def descend(schedule):
+        oracle = NoisyOracle(table, budget=12)
+        rng = np.random.default_rng(0)
+        node = explore_descend(g, oracle, 0, DescendConfig(schedule), rng)
+        return node, oracle.used, rng.bit_generator.state
+
+    three_rounds = descend((20, 20, 20))
+    assert three_rounds[:2] == (0, 12)
+    assert three_rounds == descend((20,))
+
+
 def test_restart_rules():
     assert default_restarts(999) == 1
     assert default_restarts(1000) == 2
@@ -98,6 +114,16 @@ def test_restart_rules():
     assert restart_allocation(2000, restarts=5) == (5, 400)
     with pytest.raises(ValueError):
         restart_allocation(3, restarts=5)
+
+
+def test_restarts_refuse_a_budget_too_small_for_their_rounds():
+    # 5 restarts of 2 samples each, less the 1 kept for re-estimation,
+    # cannot fund 4 rounds
+    g, table = make_plain_grid(3)
+    with pytest.raises(ValueError, match="budget 10 too small for 5 restarts of 4 rounds"):
+        explore_descend_restarts(
+            g, NoisyOracle(table), 10, np.random.default_rng(0), path_len=4, restarts=5
+        )
 
 
 def test_single_restart_delegates_verbatim():
@@ -220,10 +246,12 @@ def test_ed_error_bound_round_budgets_must_be_whole(schedule):
     assert ed_error_bound(3, [41.0], [1.0]) == ed_error_bound(3, [41], [1.0])
 
 
-def sweep(algo, instance, budgets):
+def sweep(algo, instance, budgets, params=None):
     """Per-budget gap statistics of 200 seed-3 trials climbing the hill."""
     g, table = instance
-    cfg = ExperimentConfig(g, table, algo, budgets, trials=200, seed=3, maximize=True)
+    cfg = ExperimentConfig(
+        g, table, algo, budgets, trials=200, seed=3, maximize=True, params=params or {}
+    )
     return {s.budget: s for s in gap_statistics(run_trials(cfg))}
 
 
@@ -249,3 +277,13 @@ def test_explore_descend_gap_does_not_grow_with_the_graph():
     # the comparison can fail: successive rejects over every node loses
     # ground as n grows (at B = 2000 its gap goes from about 0.02 to 0.65)
     assert grows(sweep("sr", grids[10], (2000,))[2000], sweep("sr", grids[40], (2000,))[2000])
+
+
+def test_annealing_gap_does_not_grow_with_the_graph():
+    # the same grids, which certify at the same constants (see above)
+    small, large = (
+        sweep("sa", make_grid_graph(GridSpec(D, 15, seed=0)), (500, 2000), {"gamma": 250.0})
+        for D in (10, 40)
+    )
+    for B in (500, 2000):
+        assert not grows(small[B], large[B]), (B, small[B], large[B])

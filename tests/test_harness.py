@@ -300,6 +300,17 @@ def test_gap_statistics_moments():
     assert text.startswith("algo,budget,trials,")
 
 
+def test_gap_statistics_of_a_group_that_all_failed():
+    recs = [
+        TrialRecord(node=-1, gap=math.nan, samples=s, time_ms=1.0, trial=t, algo="ed", budget=10)
+        for t, s in enumerate((4, 6))
+    ]
+    (stats,) = gap_statistics(recs)
+    assert stats.trials == 2
+    assert math.isnan(stats.mean_gap) and math.isnan(stats.stderr_gap)
+    assert stats.mean_samples == 5.0
+
+
 def test_ed_on_the_augmented_grid_smoke():
     g, t = make_grid_graph(GridSpec(D=4, target_degree=10, seed=0))
     cfg = ExperimentConfig(g, t, "ed", (200,), 5, seed=11)

@@ -148,6 +148,15 @@ def test_search_zero_rounds_returns_start():
     assert smoothed_sa_search(g, cache, 1, 0, 0, np.random.default_rng(0)) == 1
 
 
+def test_search_stops_at_a_sink():
+    # 0 -> 1 -> 2 with the query on node 2: the walk reaches the sink, which
+    # has no neighbour to propose, after evaluating nodes 1 and 2
+    g = Graph(3, True, ((1,), (2,), ()))
+    cache = DistanceCache(PointSet(np.array([[0.0], [1.0], [2.0]])), (2.0,))
+    assert smoothed_sa_search(g, cache, 0, 5, 1, np.random.default_rng(0)) == 2
+    assert cache.evals == 2
+
+
 def test_sgnn_single_restart_zero_rounds():
     """With J=0 the chain evaluates only its start; refinement then reaches
     the whole path, while on an edgeless graph the pool stays short."""
