@@ -38,13 +38,10 @@ from .convexity import (
     lemma1_gap_bound,
 )
 from .descend import (
-    DescendConfig,
-    default_restarts,
     descent_oracle,
     ed_error_bound,
     explore_descend,
     explore_descend_restarts,
-    restart_allocation,
 )
 from .graphs import (
     Graph,

@@ -163,7 +163,8 @@ def sa_round_bound_nearly(
     ceil((r / log(1/beta)) * log(F * alpha * gamma)) clamped at 0, where
     F is the value range. The final accuracy (3/(alpha gamma)) d^{r+1}
     e^r is reported unclamped (it is comparative and can exceed the
-    range; a warning is emitted when it does exceed F).
+    range; a warning is emitted when it does exceed F). When beta rounds
+    to 1 no step count reaches F and ValueError names r and d.
     """
     alpha = _as_float("alpha", alpha, 0, strict=True, hi=1)
     c = _as_float("c", c, 0, strict=True)
@@ -173,7 +174,12 @@ def sa_round_bound_nearly(
     _as_float("d", d)
     F = _as_float("F", F, 0, strict=True)
     gamma = 1.0 / c
-    beta = 1.0 - alpha * math.exp(-c * r * gamma) / d ** (r + 1)
+    # d^(r+1) > e^40 > 2^54 makes beta round to 1 whatever alpha and c are,
+    # so the power is not formed then
+    huge = (r + 1) * math.log(d) > 40
+    beta = 1.0 if huge else 1.0 - alpha * math.exp(-c * r * gamma) / d ** (r + 1)
+    if beta == 1.0:
+        raise ValueError(f"r={r} and d={d} make the bound vacuous: beta rounds to 1")
     arg = F * alpha * gamma
     if arg <= 1.0:
         t_min = 0

@@ -171,7 +171,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_nn(args) -> int:
-    points = load_points(args.points, args.labels)
+    points = load_points(args.points)
     queries = load_points(args.queries)
     if queries.dim != points.dim:
         raise UsageError("queries and points must share a dimension")
@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nn", help="nearest-neighbor queries over a point set")
     p.add_argument("--points", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--labels")
     p.add_argument("--algo", choices=("sgnn", "exact"), required=True)
     p.add_argument("--N", type=int, default=30)
     p.add_argument("--I", type=int)

@@ -6,39 +6,12 @@ closed-form error bound for the descent path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bandit import log_bar, oracle_sampler, successive_reject
 from .graphs import Graph
 from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _whole
-
-
-@dataclass(frozen=True)
-class DescendConfig:
-    """Round budgets for one descent run.
-
-    ``schedule`` holds the per-round sample budgets T_1..T_S. A round at
-    node x needs at least deg(x)+2 samples to be meaningful; the runner
-    merges rounds from the tail of the schedule when one falls short.
-    The descent minimizes what the oracle observes.
-    """
-
-    schedule: tuple[int, ...]
-
-    def __post_init__(self):
-        schedule = tuple(_whole("round budget", t, 1) for t in self.schedule)
-        object.__setattr__(self, "schedule", schedule)
-
-    @staticmethod
-    def equal_split(budget: int, rounds: int) -> "DescendConfig":
-        """Schedule of ``rounds`` equal budgets floor(budget/rounds)."""
-        budget, rounds = _whole("budget", budget), _whole("rounds", rounds, 1)
-        per = budget // rounds
-        if per < 1:
-            raise ValueError(f"budget {budget} too small for {rounds} rounds")
-        return DescendConfig((per,) * rounds)
 
 
 def descent_oracle(
@@ -68,20 +41,22 @@ def explore_descend(
     g: Graph,
     oracle: NoisyOracle,
     x0: int,
-    cfg: DescendConfig,
+    schedule,
     rng: np.random.Generator,
 ) -> int:
     """Follow descent_oracle moves through the round schedule and return
     the final node.
 
-    Rounds too small for the current node's neighborhood absorb budgets
-    from the tail of the schedule; if even the merged remainder is too
-    small, or the oracle is exhausted, the walk stops where it stands.
+    ``schedule`` holds the per-round sample budgets T_1..T_S. A round at
+    node x needs at least deg(x)+2 samples to be meaningful; rounds too
+    small for the current node's neighborhood absorb budgets from the tail
+    of the schedule. If even the merged remainder is too small, or the
+    oracle is exhausted, the walk stops where it stands.
     """
+    pending = [_whole("round budget", t, 1) for t in schedule]
     if not 0 <= x0 < g.n:
         raise ValueError(f"start node {x0} out of range")
     x = x0
-    pending = list(cfg.schedule)
     while pending:
         t = pending.pop(0)
         needed = g.degree(x) + 2
@@ -95,20 +70,6 @@ def explore_descend(
     return x
 
 
-def default_restarts(budget: int) -> int:
-    """Restart count rule 1 + budget/1000 (integer division)."""
-    return 1 + _whole("budget", budget, 0) // 1000
-
-
-def restart_allocation(budget: int, restarts: int | None = None) -> tuple[int, int]:
-    """(restart count, per-restart budget) under the equal-split rule."""
-    budget = _whole("budget", budget, 0)
-    r = default_restarts(budget) if restarts is None else _whole("restarts", restarts, 1)
-    if budget < r:
-        raise ValueError(f"budget {budget} cannot cover {r} restarts")
-    return r, budget // r
-
-
 def explore_descend_restarts(
     g: Graph,
     oracle: NoisyOracle,
@@ -120,32 +81,29 @@ def explore_descend_restarts(
     """Independent uniform-start descents sharing the budget equally;
     returns the chosen terminal node.
 
+    The budget B splits into r = 1 + B // 1000 restarts unless
+    ``restarts`` gives r. With several restarts each keeps
+    eval_per = max(1, (B // 20) // r) samples (together about 5% of B) to
+    re-estimate its terminal node; with one it keeps none. The rest of its
+    share is path_len equal rounds of (B // r - eval_per) // path_len
+    samples, and a budget that leaves a round empty is refused.
+
     With one restart this is exactly explore_descend on a uniform start.
-    With several, each restart's share reserves its slice of 5% of the
-    total budget; after all descents finish, every terminal node is
-    re-estimated with that reserve and the lowest estimate wins (ties to
-    the lowest node id).
+    With several, after all descents finish every terminal node is
+    re-estimated with eval_per samples and the lowest estimate wins (ties
+    to the lowest node id).
     """
     budget = _whole("budget", budget, 0)
-    r, per_restart = restart_allocation(budget, restarts)
+    r = 1 + budget // 1000 if restarts is None else _whole("restarts", restarts, 1)
     path_len = _whole("path_len", path_len, 1)
-
-    def start() -> int:
-        return int(rng.integers(g.n))
-
-    if r == 1:
-        cfg = DescendConfig.equal_split(budget, path_len)
-        return explore_descend(g, oracle, start(), cfg, rng)
-
-    eval_per = max(1, (budget // 20) // r)
-    descend_per = per_restart - eval_per
-    if descend_per < path_len:
+    eval_per = 0 if r == 1 else max(1, (budget // 20) // r)
+    per_round = (budget // r - eval_per) // path_len
+    if per_round < 1:
         raise ValueError(f"budget {budget} too small for {r} restarts of {path_len} rounds")
-    cfg = DescendConfig.equal_split(descend_per, path_len)
-
-    finals: list[int] = []
-    for _ in range(r):
-        finals.append(explore_descend(g, oracle, start(), cfg, rng))
+    schedule = (per_round,) * path_len
+    finals = [explore_descend(g, oracle, int(rng.integers(g.n)), schedule, rng) for _ in range(r)]
+    if r == 1:
+        return finals[0]
 
     # a dry oracle re-estimates only a prefix of the finals
     try:

@@ -75,15 +75,23 @@ class QueryResult:
     short: bool = False
 
 
+def _query(points: PointSet, query) -> np.ndarray:
+    """``query`` as a float vector; ValueError unless it is a finite point
+    of the points' dimension."""
+    q = np.asarray(query, dtype=float)
+    if q.shape != (points.dim,):
+        raise ValueError(f"query must have dimension {points.dim}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("query coordinates must be finite")
+    return q
+
+
 class DistanceCache:
     """Per-query memo of exact distances; revisits are free."""
 
     def __init__(self, points: PointSet, query):
-        q = np.asarray(query, dtype=float)
-        if q.shape != (points.dim,):
-            raise ValueError(f"query must have dimension {points.dim}")
         self._rows = points.rows
-        self._query = tuple(q.tolist())
+        self._query = tuple(_query(points, query).tolist())
         self._dist: dict[int, float] = {}
 
     def evaluate(self, node: int) -> float:
@@ -212,10 +220,7 @@ def _expand_best_first(g: Graph, cache: DistanceCache, K: int) -> None:
 
 def exact_nn(points: PointSet, query, K: int) -> QueryResult:
     """Exhaustive scan baseline; always evaluates all n points."""
-    q = np.asarray(query, dtype=float)
-    if q.shape != (points.dim,):
-        raise ValueError(f"query must have dimension {points.dim}")
-    return exact_nn_all(points, q[None, :], K)[0]
+    return exact_nn_all(points, _query(points, query)[None, :], K)[0]
 
 
 def exact_nn_all(points: PointSet, queries, K: int) -> list[QueryResult]:
@@ -268,44 +273,41 @@ def classify_majority(candidates, labels):
 
 
 # ---------------------------------------------------------------------------
-# Point-set files: CSV with one point per row; labels in a separate file,
-# one label per line. Like graph value files, labels default to a sibling
-# ``<path>.labels`` on save and are picked up from there on load.
+# Point-set files: CSV with one point per row; labels, when there are any,
+# in the sibling file ``<path>.labels``, one label per line. Like graph
+# value files, the labels are written there on save and picked up from
+# there on load.
 
 
-def save_points(ps: PointSet, path, labels_path=None) -> None:
-    """Write the points, and their labels when they have any.
+def save_points(ps: PointSet, path) -> None:
+    """Write the points to ``path``, and their labels to ``<path>.labels``
+    when they have any.
 
     Each label must be a non-empty ``str`` that encodes as UTF-8, with no
     line break and no surrounding whitespace: the labels ``load_points``
     reads back as written. Any other raises ValueError before a file is
     written.
     """
-    if labels_path is None and ps.labels is not None:
-        labels_path = f"{path}.labels"
-    if labels_path is not None:
-        if ps.labels is None:
-            raise ValueError("point set has no labels to save")
-        for i, lab in enumerate(ps.labels):
-            storable = isinstance(lab, str) and lab and lab == lab.strip()
-            # UTF-8 encodes every code point but a lone surrogate, which "replace" swaps out
-            storable = storable and lab.encode("utf-8", "replace").decode("utf-8") == lab
-            if not storable or "\n" in lab or "\r" in lab:
-                raise ValueError(
-                    f"label {i} ({lab!r}) cannot be saved: labels must be non-empty UTF-8"
-                    " strings with no line break or surrounding whitespace"
-                )
+    for i, lab in enumerate(ps.labels or ()):
+        storable = isinstance(lab, str) and lab and lab == lab.strip()
+        # UTF-8 encodes every code point but a lone surrogate, which "replace" swaps out
+        storable = storable and lab.encode("utf-8", "replace").decode("utf-8") == lab
+        if not storable or "\n" in lab or "\r" in lab:
+            raise ValueError(
+                f"label {i} ({lab!r}) cannot be saved: labels must be non-empty UTF-8"
+                " strings with no line break or surrounding whitespace"
+            )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         for row in ps.coords:
             writer.writerow([f"{v:.17g}" for v in row])
-    if labels_path is not None:
-        with open(labels_path, "w", encoding="utf-8") as fh:
+    if ps.labels is not None:
+        with open(f"{path}.labels", "w", encoding="utf-8") as fh:
             for lab in ps.labels:
                 fh.write(f"{lab}\n")
 
 
-def load_points(path, labels_path=None) -> PointSet:
+def load_points(path) -> PointSet:
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -319,12 +321,11 @@ def load_points(path, labels_path=None) -> PointSet:
                 raise ValueError(f"{path}:{lineno}: inconsistent dimension")
     if not rows:
         raise ValueError(f"{path}: empty point file")
-    if labels_path is None and os.path.exists(f"{path}.labels"):
-        labels_path = f"{path}.labels"
+    labels_file = f"{path}.labels"
     labels = None
-    if labels_path is not None:
-        with open(labels_path, "r", encoding="utf-8") as fh:
+    if os.path.exists(labels_file):
+        with open(labels_file, "r", encoding="utf-8") as fh:
             labels = tuple(line.strip() for line in fh if line.strip())
         if len(labels) != len(rows):
-            raise ValueError(f"{labels_path}: expected {len(rows)} labels, got {len(labels)}")
+            raise ValueError(f"{labels_file}: expected {len(rows)} labels, got {len(labels)}")
     return PointSet(np.array(rows), labels)

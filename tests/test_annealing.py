@@ -171,6 +171,15 @@ def test_nearly_convex_bound_quiet_when_informative():
     assert b.final_bound <= 3000.0
 
 
+def test_nearly_convex_bound_refuses_a_huge_r_without_the_power():
+    # 9 ** (10**15 + 1) would take terabytes; (r+1) ln d > 40 refuses it first
+    with pytest.raises(ValueError, match=r"r=1000000000000000 and d=9 make the bound vacuous"):
+        sa_round_bound_nearly(alpha=0.3, c=0.05, r=10**15, d=9, F=3000.0)
+    # r=10 is the largest that keeps beta below 1 at d=9
+    with pytest.warns(UserWarning):
+        assert sa_round_bound_nearly(alpha=0.3, c=0.05, r=10, d=9, F=3000.0).beta < 1.0
+
+
 @pytest.mark.parametrize(
     "field, value", [("s", 1.5), ("s", math.nan), ("steps", 2.5), ("steps", math.inf)]
 )

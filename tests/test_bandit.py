@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphopt import (
-    DescendConfig,
     ExperimentConfig,
     Graph,
     GridSpec,
@@ -19,10 +18,11 @@ from graphopt import (
     budget_schedule,
     certify_nearly_convex,
     certify_strongly_convex,
-    default_restarts,
     default_rounds,
     ed_error_bound,
     exact_nn_all,
+    explore_descend,
+    explore_descend_restarts,
     hardness,
     lemma1_gap_bound,
     log_bar,
@@ -30,7 +30,6 @@ from graphopt import (
     make_plain_grid,
     oracle_sampler,
     recall_at_k,
-    restart_allocation,
     sa_round_bound_convex,
     sa_round_bound_nearly,
     sgnn_query,
@@ -312,6 +311,9 @@ def test_loose_bound_formula():
 
 # a three-node path for the certificate rows
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+# oracle and generator for the descent rows; each row fails before a draw
+PATH3_ORACLE = NoisyOracle(ValueTable(np.array([0.0, 0.5, 1.0])))
+RNG0 = np.random.default_rng(0)
 
 NAN_BOUND_CASES = [
     (sr_error_bound, (3, math.nan, 10), "H"),
@@ -330,7 +332,7 @@ NAN_BOUND_CASES = [
     (sr_bound_loose, (3, 0.5, math.nan), "B"),
     (ed_error_bound, (math.nan, [10], [0.5]), "d"),
     (lemma1_gap_bound, (0.5, math.nan), "delta"),
-    (default_restarts, (math.nan,), "budget"),
+    (explore_descend_restarts, (PATH3, PATH3_ORACLE, math.nan, RNG0), "budget"),
     (sa_round_bound_convex, (0.3, math.nan, 0.001, 0.8), "d"),
     (sa_round_bound_nearly, (0.3, 0.05, math.nan, 9, 0.8), "r"),
     (sa_round_bound_nearly, (0.3, 0.05, 2, math.nan, 0.8), "d"),
@@ -497,11 +499,11 @@ FRACTIONAL_COUNT_CASES = [
     (make_plain_grid, (2.5,), "D"),
     (make_knn_graph, (CLOUD.coords, 2.5), "N"),
     (sgnn_query, (KNN, CLOUD, (0.0, 0.0), 2.5, 2, 1, 3, np.random.default_rng(0)), "I"),
-    (DescendConfig.equal_split, (400, 2.5), "rounds"),
-    (restart_allocation, (2000, 2.5), "restarts"),
-    (restart_allocation, (1000.5,), "budget"),
-    (default_restarts, (1000.5,), "budget"),
-    (DescendConfig.equal_split, (400.5, 4), "budget"),
+    (explore_descend_restarts, (PATH3, PATH3_ORACLE, 400, RNG0, 2.5), "path_len"),
+    (explore_descend_restarts, (PATH3, PATH3_ORACLE, 2000, RNG0, 4, 2.5), "restarts"),
+    (explore_descend_restarts, (PATH3, PATH3_ORACLE, 1000.5, RNG0), "budget"),
+    (explore_descend, (PATH3, PATH3_ORACLE, 0, (4, 2.5), RNG0), "round budget"),
+    (explore_descend_restarts, (PATH3, PATH3_ORACLE, 2000, RNG0, 4, math.inf), "restarts"),
     (sgnn_query, (KNN, CLOUD, (0.0, 0.0), 2, 2.5, 1, 3, np.random.default_rng(0)), "J"),
     (sgnn_query, (KNN, CLOUD, (0.0, 0.0), 2, 2, 1.5, 3, np.random.default_rng(0)), "T"),
     (sgnn_query, (KNN, CLOUD, (0.0, 0.0), 2, math.nan, 1, 3, np.random.default_rng(0)), "J"),

@@ -285,28 +285,26 @@ def write_cloud(tmp_path, n=80, with_labels=True):
     labels = tuple(["a"] * (n // 2) + ["b"] * (n // 2))
     ps = PointSet(coords, labels=labels if with_labels else None)
     ppath = tmp_path / "pts.csv"
-    lpath = tmp_path / "pts.labels"
-    save_points(ps, ppath, labels_path=lpath if with_labels else None)
+    save_points(ps, ppath)  # labels go to the sibling pts.csv.labels
     qs = PointSet(rng.normal(0.0, 2.0, size=(6, 3)))
     qpath = tmp_path / "qs.csv"
     save_points(qs, qpath)
-    return ppath, lpath, qpath
+    return ppath, qpath
 
 
 def test_nn_exact_and_sgnn(tmp_path, capsys):
-    ppath, lpath, qpath = write_cloud(tmp_path)
+    ppath, qpath = write_cloud(tmp_path)
     code, stdout, _ = run_cli(
-        capsys, "nn", "--points", str(ppath), "--queries", str(qpath),
-        "--labels", str(lpath), "--algo", "exact", "--K", "5",
+        capsys, "nn", "--points", str(ppath), "--queries", str(qpath), "--algo", "exact", "--K", "5",
     )
     assert code == 0
     lines = stdout.splitlines()
     assert lines[0] == "query_id,algo,predicted_label,recall_at_K,distance_evals,time_ms"
     assert len(lines) == 7
+    assert all(row.split(",")[2] in ("a", "b") for row in lines[1:])
     assert all(row.split(",")[3] == "1.0" for row in lines[1:])
     code, stdout, _ = run_cli(
-        capsys, "nn", "--points", str(ppath), "--queries", str(qpath),
-        "--labels", str(lpath), "--algo", "sgnn", "--N", "8",
+        capsys, "nn", "--points", str(ppath), "--queries", str(qpath), "--algo", "sgnn", "--N", "8",
         "--I", "6", "--J", "6", "--K", "5", "--seed", "3",
     )
     assert code == 0
@@ -331,8 +329,8 @@ def test_nn_time_ms_gives_exact_rows_a_share_of_the_one_scan(tmp_path, capsys, m
     monkeypatch.setattr(graphopt.cli, "time", SimpleNamespace(perf_counter=lambda: now[0]))
     monkeypatch.setattr(graphopt.cli, "exact_nn_all", advancing(graphopt.cli.exact_nn_all, 3.0))
     monkeypatch.setattr(graphopt.cli, "sgnn_query", advancing(graphopt.cli.sgnn_query, 0.25))
-    ppath, lpath, qpath = write_cloud(tmp_path)
-    base = ("nn", "--points", str(ppath), "--queries", str(qpath), "--labels", str(lpath), "--K", "5")
+    ppath, qpath = write_cloud(tmp_path)
+    base = ("nn", "--points", str(ppath), "--queries", str(qpath), "--K", "5")
     _, exact, _ = run_cli(capsys, *base, "--algo", "exact")
     assert [row.split(",")[-1] for row in exact.splitlines()[1:]] == ["500.000"] * 6
     _, sgnn, _ = run_cli(capsys, *base, "--algo", "sgnn", "--N", "8", "--seed", "3")
@@ -340,7 +338,7 @@ def test_nn_time_ms_gives_exact_rows_a_share_of_the_one_scan(tmp_path, capsys, m
 
 
 def test_nn_sgnn_requires_seed(tmp_path, capsys):
-    ppath, _, qpath = write_cloud(tmp_path, with_labels=False)
+    ppath, qpath = write_cloud(tmp_path, with_labels=False)
     code, _, err = run_cli(
         capsys, "nn", "--points", str(ppath), "--queries", str(qpath), "--algo", "sgnn"
     )
@@ -349,9 +347,9 @@ def test_nn_sgnn_requires_seed(tmp_path, capsys):
 
 
 def test_nn_is_seed_deterministic(tmp_path, capsys):
-    ppath, lpath, qpath = write_cloud(tmp_path)
+    ppath, qpath = write_cloud(tmp_path)
     args = (
-        "nn", "--points", str(ppath), "--queries", str(qpath), "--labels", str(lpath),
+        "nn", "--points", str(ppath), "--queries", str(qpath),
         "--algo", "sgnn", "--N", "8", "--K", "5", "--seed", "21",
     )
     _, out1, _ = run_cli(capsys, *args)
@@ -361,7 +359,7 @@ def test_nn_is_seed_deterministic(tmp_path, capsys):
 
 
 def test_gen_knn_builds_directed_graph(tmp_path, capsys):
-    ppath, _, _ = write_cloud(tmp_path, with_labels=False)
+    ppath, _ = write_cloud(tmp_path, with_labels=False)
     out = tmp_path / "knn.txt"
     code, _, _ = run_cli(capsys, "gen-knn", "--points", str(ppath), "--N", "4", "--out", str(out))
     assert code == 0
@@ -393,6 +391,16 @@ def test_bound_commands(capsys):
     )
     assert code == 0
     assert out == "gamma=100\nbeta=0.9540150699\nt_min=84\nfinal_bound=0.652388\n"
+
+
+@pytest.mark.parametrize("r, d", [(11, 9), (400, 9), (40, 1)])
+def test_bound_sa_nearly_refuses_a_vacuous_bound(capsys, r, d):
+    # beta rounds to 1 here (at r=400, d=9 the power itself is past a float)
+    argv = ("--alpha", "0.3", "--c", "0.05", "--r", str(r), "--d", str(d), "--F", "3000")
+    code, out, err = run_cli(capsys, "bound", "sa-nearly", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: r={r} and d={d} make the bound vacuous: beta rounds to 1\n"
 
 
 def test_bound_ed_length_mismatch(capsys):

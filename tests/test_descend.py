@@ -6,7 +6,6 @@ import pytest
 
 from graphopt import (
     BudgetExhaustedError,
-    DescendConfig,
     ExperimentConfig,
     Graph,
     GridSpec,
@@ -14,7 +13,6 @@ from graphopt import (
     ValueTable,
     certify_nearly_convex,
     certify_strongly_convex,
-    default_restarts,
     descent_oracle,
     ed_error_bound,
     explore_descend,
@@ -23,7 +21,6 @@ from graphopt import (
     log_bar,
     make_grid_graph,
     make_plain_grid,
-    restart_allocation,
     run_trials,
 )
 from graphopt import grid_node_id
@@ -62,8 +59,7 @@ def test_noiseless_descent_reaches_center():
     g, table = bowl_instance(3)
     o = NoisyOracle(table, noise="gaussian", R=0.0)
     rng = np.random.default_rng(2)
-    cfg = DescendConfig.equal_split(400, 4)
-    node = explore_descend(g, o, grid_node_id(-3, -3, 3), cfg, rng)
+    node = explore_descend(g, o, grid_node_id(-3, -3, 3), (100,) * 4, rng)
     assert node == grid_node_id(0, 0, 3)
     assert table.gap_to_best(node) == 0.0
     assert o.used <= 400
@@ -74,8 +70,7 @@ def test_tail_merge_when_rounds_fall_short():
     o = NoisyOracle(table, noise="gaussian", R=0.0)
     rng = np.random.default_rng(3)
     # per-round slice of 4 cannot cover a corner's 4 arms; merged it can
-    cfg = DescendConfig((4, 4, 4, 4))
-    node = explore_descend(g, o, grid_node_id(-3, -3, 3), cfg, rng)
+    node = explore_descend(g, o, grid_node_id(-3, -3, 3), (4, 4, 4, 4), rng)
     assert node != grid_node_id(-3, -3, 3)
     assert o.used <= 16
 
@@ -85,7 +80,7 @@ def test_budget_below_first_round_keeps_start():
     o = NoisyOracle(table, noise="gaussian", R=0.0)
     rng = np.random.default_rng(4)
     start = grid_node_id(0, 0, 3)  # degree 8, needs 10 samples
-    node = explore_descend(g, o, start, DescendConfig((5,)), rng)
+    node = explore_descend(g, o, start, (5,), rng)
     assert node == start
     assert o.used == 0
 
@@ -98,7 +93,7 @@ def test_descent_stops_when_the_oracle_runs_dry():
     def descend(schedule):
         oracle = NoisyOracle(table, budget=12)
         rng = np.random.default_rng(0)
-        node = explore_descend(g, oracle, 0, DescendConfig(schedule), rng)
+        node = explore_descend(g, oracle, 0, schedule, rng)
         return node, oracle.used, rng.bit_generator.state
 
     three_rounds = descend((20, 20, 20))
@@ -107,13 +102,20 @@ def test_descent_stops_when_the_oracle_runs_dry():
 
 
 def test_restart_rules():
-    assert default_restarts(999) == 1
-    assert default_restarts(1000) == 2
-    assert default_restarts(3000) == 4
-    assert restart_allocation(3000) == (4, 750)
-    assert restart_allocation(2000, restarts=5) == (5, 400)
-    with pytest.raises(ValueError):
-        restart_allocation(3, restarts=5)
+    # r = 1 + budget // 1000 by default: the same node, samples and draws
+    # as naming that count
+    g, table = bowl_instance(3)
+
+    def run(budget, r):
+        oracle = NoisyOracle(table, noise="gaussian", R=0.2, budget=budget)
+        rng = np.random.default_rng(9)
+        node = explore_descend_restarts(g, oracle, budget, rng, restarts=r)
+        return node, oracle.used, rng.bit_generator.state
+
+    for budget, restarts in ((999, 1), (1000, 2), (3000, 4)):
+        assert run(budget, None) == run(budget, restarts)
+    with pytest.raises(ValueError, match="budget 3 too small for 5 restarts of 4 rounds"):
+        explore_descend_restarts(g, NoisyOracle(table), 3, np.random.default_rng(0), restarts=5)
 
 
 def test_restarts_refuse_a_budget_too_small_for_their_rounds():
@@ -135,7 +137,7 @@ def test_single_restart_delegates_verbatim():
     a = explore_descend_restarts(g, o1, 600, r1, path_len=4, restarts=1)
     start = int(np.random.default_rng(123).integers(g.n))
     # replay by hand: one uniform start then a plain descent
-    b = explore_descend(g, o2, int(r2.integers(g.n)), DescendConfig.equal_split(600, 4), r2)
+    b = explore_descend(g, o2, int(r2.integers(g.n)), (150,) * 4, r2)
     assert a == b
     assert o1.used == o2.used
 
@@ -162,10 +164,11 @@ def double_well():
 def restarts_one_by_one(g, oracle, budget, rng, path_len, restarts):
     """Reference: explore_descend_restarts re-estimating the finals with
     one sample_mean call each, stopping when the oracle runs dry."""
-    r, per_restart = restart_allocation(budget, restarts)
-    eval_per = max(1, (budget // 20) // r)
-    cfg = DescendConfig.equal_split(per_restart - eval_per, path_len)
-    finals = [explore_descend(g, oracle, int(rng.integers(g.n)), cfg, rng) for _ in range(r)]
+    eval_per = max(1, (budget // 20) // restarts)
+    schedule = ((budget // restarts - eval_per) // path_len,) * path_len
+    finals = [
+        explore_descend(g, oracle, int(rng.integers(g.n)), schedule, rng) for _ in range(restarts)
+    ]
     best_node, best_est = finals[0], None
     for node in finals:
         try:
@@ -233,9 +236,15 @@ def test_ed_error_bound_clamps_and_validates():
 
 @pytest.mark.parametrize("schedule", [(2.5, 3), (4, math.nan), (math.inf,), ("7",)])
 def test_round_budgets_must_be_whole(schedule):
+    g, table = make_plain_grid(3)
     with pytest.raises(ValueError, match="round budget must be a whole number"):
-        DescendConfig(schedule)
-    assert DescendConfig((4.0, 3)).schedule == (4, 3)
+        explore_descend(g, NoisyOracle(table), 0, schedule, np.random.default_rng(0))
+    # 4.0 is taken as 4: the same node, samples and draws
+    seen = []
+    for whole in ((4.0, 3), (4, 3)):
+        oracle, rng = NoisyOracle(table), np.random.default_rng(0)
+        seen.append((explore_descend(g, oracle, 0, whole, rng), oracle.used, rng.random()))
+    assert seen[0] == seen[1]
 
 
 @pytest.mark.parametrize("schedule", [[40.9], [math.nan]])

@@ -97,6 +97,17 @@ def test_exact_nn_refuses_non_finite_queries():
         exact_nn_all(ps, np.zeros((2, 3)), 2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sgnn_refuses_non_finite_queries(bad):
+    # refused like exact_nn refuses them, not answered with NaN or inf distances
+    ps = PointSet(np.random.default_rng(0).normal(size=(60, 3)))
+    g = make_knn_graph(ps, 5)
+    with pytest.raises(ValueError, match="query coordinates must be finite"):
+        sgnn_query(g, ps, [bad, 0.0, 0.0], 3, 3, 1, 5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="query coordinates must be finite"):
+        DistanceCache(ps, [0.0, bad, 0.0])
+
+
 def test_recall_at_k_counts_overlap():
     a = exact_nn(PointSet(np.arange(6, dtype=float)[:, None]), np.array([0.0]), 3)
     assert recall_at_k(a, a, 3) == 1.0
@@ -268,20 +279,15 @@ def test_recall_trend_is_non_decreasing_in_restarts():
 def test_points_roundtrip(tmp_path):
     rng = np.random.default_rng(9)
     ps = PointSet(rng.normal(size=(12, 5)), labels=tuple("ab" * 6))
+    # labels go to the sibling <path>.labels on save and come from it on load
     p = tmp_path / "pts.csv"
-    lp = tmp_path / "pts.labels"
-    save_points(ps, p, labels_path=lp)
-    back = load_points(p, labels_path=lp)
+    save_points(ps, p)
+    assert (tmp_path / "pts.csv.labels").exists()
+    back = load_points(p)
     assert np.array_equal(back.coords, ps.coords)
     assert back.labels == ps.labels
-    bare = load_points(p)
-    assert bare.labels is None
-
-    # labels default to the sibling <path>.labels on save and load
-    q = tmp_path / "pts2.csv"
-    save_points(ps, q)
-    assert (tmp_path / "pts2.csv.labels").exists()
-    assert load_points(q).labels == ps.labels
+    (tmp_path / "pts.csv.labels").unlink()
+    assert load_points(p).labels is None
 
     unlabeled = PointSet(ps.coords)
     save_points(unlabeled, tmp_path / "pts3.csv")
@@ -335,8 +341,8 @@ def test_save_points_refuses_labels_the_file_cannot_hold(labels, tmp_path):
 
 def test_load_points_label_count_mismatch(tmp_path):
     p = tmp_path / "pts.csv"
-    lp = tmp_path / "pts.labels"
+    lp = tmp_path / "pts.csv.labels"
     p.write_text("0.0,1.0\n2.0,3.0\n")
     lp.write_text("a\n")
-    with pytest.raises(ValueError):
-        load_points(p, labels_path=lp)
+    with pytest.raises(ValueError, match="expected 2 labels, got 1"):
+        load_points(p)
