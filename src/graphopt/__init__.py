@@ -25,7 +25,6 @@ from .bandit import (
     sr_bound_loose,
     sr_error_bound,
     successive_reject,
-    uniform_best_arm,
 )
 from .convexity import (
     NearConvexityReport,

@@ -25,9 +25,22 @@ Sampler = Callable[
 ]
 
 
+# log_bar sums its terms up to this K, and takes the asymptotic series above it
+LOG_BAR_LOOP_MAX = 2**16
+# K(K-1)/2 and K log_bar(K) stay finite floats for K below this
+_ARMS_MAX = 1e154
+
+
 def log_bar(K: int) -> float:
-    """1/2 + sum_{i=2}^{K} 1/i, the normalizer of the phase budgets."""
+    """1/2 + sum_{i=2}^{K} 1/i, the normalizer of the phase budgets.
+
+    Above LOG_BAR_LOOP_MAX this is H_K - 1/2 by the series
+    ln K + gamma + 1/(2K) - 1/(12K^2) - 1/2, whose next term is below
+    1e-20 there.
+    """
     K = _whole("K", K, 2)
+    if K > LOG_BAR_LOOP_MAX:
+        return math.log(K) + np.euler_gamma + 1 / (2 * K) - 1 / (12 * K * K) - 0.5
     return 0.5 + sum(1.0 / i for i in range(2, K + 1))
 
 
@@ -56,16 +69,29 @@ def budget_schedule(K: int, B: int) -> tuple[int, ...]:
 def successive_reject(
     K: int, sampler: Sampler, B: int, rng: np.random.Generator
 ) -> int:
-    """Best-arm guess after K-1 elimination phases within budget B.
+    """Best-arm guess among K arms within budget B.
 
-    Each phase tops every surviving arm up to the schedule's cumulative
-    pull count, then rejects the arm with the worst empirical mean (ties
-    reject the higher index; an arm never pulled counts as -inf). The first
-    phase that comes back short (the sampler raises, serves fewer arms or a
-    partial last batch) ends the run: the best arm by the means collected
-    so far wins, since later eliminations would only drop arms ranked below
-    it.
+    With one arm, or a budget B <= K too small for eliminations, one phase
+    pulls arms 0..min(K, B)-1 once each and the best mean wins (ties to
+    the lowest id; arm 0 when the sampler serves nothing).
+
+    Otherwise K-1 elimination phases run. Each tops every surviving arm up
+    to the schedule's cumulative pull count, then rejects the arm with the
+    worst empirical mean (ties reject the higher index; an arm never
+    pulled counts as -inf). The first phase that comes back short (the
+    sampler raises, serves fewer arms or a partial last batch) ends the
+    run: the best arm by the means collected so far wins, since later
+    eliminations would only drop arms ranked below it.
     """
+    K = _whole("K", K, 1)
+    B = _whole("B", B, 0)
+    if K == 1 or B <= K:
+        try:
+            phase_means, _ = sampler(range(min(K, B)), 1, rng)
+        except BudgetExhaustedError:
+            phase_means = ()
+        # max keeps the first of equal means
+        return max(range(len(phase_means)), key=phase_means.__getitem__, default=0)
     cumulative = budget_schedule(K, B)
     sums = [0.0] * K
     means = [-math.inf] * K
@@ -94,28 +120,6 @@ def successive_reject(
                 return order[0]
         order.pop()
     return order[0]
-
-
-def uniform_best_arm(
-    K: int, sampler: Sampler, B: int, rng: np.random.Generator
-) -> int:
-    """Best-arm guess for budgets B <= K, too small for eliminations.
-
-    Pulls arms 0,1,2,... once each until the budget stops the sweep, then
-    returns the best empirical mean (ties to the lowest id). This is the
-    first elimination phase truncated by exhaustion.
-    """
-    try:
-        phase_means, _ = sampler(range(min(K, B)), 1, rng)
-    except BudgetExhaustedError:
-        phase_means = ()
-    best_arm = 0
-    best_mean = -math.inf
-    for arm, mean in enumerate(phase_means):
-        if mean > best_mean:
-            best_mean = mean
-            best_arm = arm
-    return best_arm
 
 
 def oracle_sampler(oracle: NoisyOracle, arms: Sequence[int]) -> Sampler:
@@ -165,6 +169,7 @@ def sr_error_bound(K: int, H: float, B: int) -> float:
     Clamped to [0, 1]; budgets B <= K give the vacuous bound 1.
     """
     K = _whole("K", K, 2)
+    _as_float("K", K, hi=_ARMS_MAX)
     H = _as_float("H", H, 0, strict=True)
     B = _whole("B", B)
     _as_float("B", B)
@@ -177,6 +182,7 @@ def sr_error_bound(K: int, H: float, B: int) -> float:
 def sr_bound_loose(n: int, delta1: float, B: int) -> float:
     """One-term bound (n(n-1)/2) exp(-(B-n) delta1^2 / (n log_bar(n)))."""
     n = _whole("n", n, 2)
+    _as_float("n", n, hi=_ARMS_MAX)
     delta1 = _as_float("delta1", delta1, 0, strict=True)
     B = _whole("B", B)
     _as_float("B", B)

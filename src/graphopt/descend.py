@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .bandit import log_bar, oracle_sampler, successive_reject
+from .bandit import _ARMS_MAX, log_bar, oracle_sampler, successive_reject
 from .graphs import Graph
 from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _whole
 
@@ -128,6 +128,7 @@ def ed_error_bound(d: int, schedule, per_round_smallest_gaps) -> float:
     noise the realized path is random, so the caller chooses the gaps).
     """
     d = _whole("d", d, 2)
+    _as_float("d", d, hi=_ARMS_MAX)
     schedule = [_whole("round budget", t) for t in schedule]
     for t in schedule:
         _as_float("schedule", t)

@@ -478,19 +478,10 @@ def _decide(queries, points, K: int, first: int | None, cand):
         d[~fill] = np.inf
         if first is not None:
             d[idx == np.arange(first + a, first + b)[:, None]] = np.inf
-        # everything up to each row's K-th smallest distance is taken; a row
-        # with ties there keeps all below it, then the ties lowest id first,
-        # which is exactly the set a stable argsort(...)[:K] selects
-        kth = np.partition(d, K - 1, axis=1)[:, K - 1 : K]
-        take = d <= kth
-        tied = np.flatnonzero(np.count_nonzero(take, axis=1) > K)
-        if tied.size:
-            dt, k = d[tied], kth[tied]
-            below, ties = dt < k, dt == k
-            room = K - np.count_nonzero(below, axis=1)
-            take[tied] = below | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
-        ids[a:b] = idx[take].reshape(b - a, K)
-        d2[a:b] = d[take].reshape(b - a, K)
+        # a stable sort ranks ties lowest id first; the K taken go back to id order
+        take = np.sort(np.argsort(d, axis=1, kind="stable")[:, :K], axis=1)
+        ids[a:b] = np.take_along_axis(idx, take, axis=1)
+        d2[a:b] = np.take_along_axis(d, take, axis=1)
     return ids, d2
 
 

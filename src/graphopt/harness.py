@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .annealing import SAConfig, simulated_annealing
-from .bandit import oracle_sampler, successive_reject, uniform_best_arm
+from .bandit import oracle_sampler, successive_reject
 from .descend import explore_descend_restarts
 from .graphs import Graph
 from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _whole
@@ -127,8 +127,7 @@ def _run_one(cfg: ExperimentConfig, oracle: NoisyOracle, budget: int, rng: np.ra
     n = cfg.graph.n
     p = cfg.params
     if cfg.algo == "sr":
-        best_arm = successive_reject if budget > n else uniform_best_arm
-        return best_arm(n, oracle_sampler(oracle, range(n)), budget, rng)
+        return successive_reject(n, oracle_sampler(oracle, range(n)), budget, rng)
     if cfg.algo == "ed":
         return explore_descend_restarts(
             cfg.graph, oracle, budget, rng, path_len=p["path_len"], restarts=p["restarts"]

@@ -265,11 +265,7 @@ def classify_majority(candidates, labels):
         raise ValueError(f"label missing for candidate: {exc}") from exc
     counts = Counter(cand_labels)
     top = max(counts.values())
-    tied = {lab for lab, cnt in counts.items() if cnt == top}
-    for lab in cand_labels:
-        if lab in tied:
-            return lab
-    raise AssertionError("unreachable")
+    return next(lab for lab in cand_labels if counts[lab] == top)
 
 
 # ---------------------------------------------------------------------------

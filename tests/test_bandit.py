@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -38,9 +39,8 @@ from graphopt import (
     sr_error_bound,
     successive_reject,
     theory_sample_size,
-    uniform_best_arm,
 )
-from graphopt.bandit import bernoulli_sampler
+from graphopt.bandit import LOG_BAR_LOOP_MAX, bernoulli_sampler
 from graphopt.oracle import BudgetExhaustedError
 
 
@@ -48,6 +48,29 @@ def test_log_bar_values():
     assert log_bar(2) == pytest.approx(1.0)
     assert log_bar(3) == pytest.approx(0.5 + 0.5 + 1.0 / 3.0)
     assert log_bar(10) == pytest.approx(0.5 + sum(1.0 / i for i in range(2, 11)))
+
+
+def test_log_bar_series_matches_the_sum_at_the_cutoff():
+    # the loop runs up to the cutoff and the series takes over just above it
+    for K in (LOG_BAR_LOOP_MAX, LOG_BAR_LOOP_MAX + 1):
+        want = math.fsum([0.5] + [1.0 / i for i in range(2, K + 1)])
+        assert log_bar(K) == pytest.approx(want, rel=1e-12, abs=0)
+    assert log_bar(LOG_BAR_LOOP_MAX) == 0.5 + sum(1.0 / i for i in range(2, LOG_BAR_LOOP_MAX + 1))
+
+
+def test_bounds_on_a_huge_arm_count_finish_or_refuse_by_name():
+    # log_bar used to loop K times, so K = 10**12 alone ran for hours
+    t0 = time.perf_counter()
+    assert sr_error_bound(10**12, 1.0, 10**12 + 1) == 1.0
+    assert ed_error_bound(10**9, [1], [0.5]) == 1.0
+    for bound, args, name in [
+        (ed_error_bound, (10**400, [1], [0.5]), "d"),
+        (sr_error_bound, (10**200, 1.0, 10**201), "K"),
+        (sr_bound_loose, (10**200, 0.5, 10**201), "n"),
+    ]:
+        with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+            bound(*args)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def total_pulls(cumulative):
@@ -176,7 +199,7 @@ def keyed_min_successive_reject(K, sampler, B, rng):
     return remaining[0]
 
 
-def per_arm_uniform_best_arm(K, sampler, B, rng):
+def per_arm_small_budget(K, sampler, B, rng):
     """Reference: the budget-B <= K sweep, one arm per sampler call."""
     best_arm, best_mean = 0, -math.inf
     for arm in range(min(K, B)):
@@ -275,9 +298,9 @@ def test_successive_reject_matches_keyed_min_reference(case):
 
 @settings(max_examples=100, deadline=None)
 @given(case=sr_cases(small_budget=True))
-def test_uniform_best_arm_matches_per_arm_reference(case):
-    reference = one_arm(per_arm_uniform_best_arm)
-    assert run_case(case, uniform_best_arm) == run_case(case, reference)
+def test_successive_reject_small_budget_matches_per_arm_reference(case):
+    reference = one_arm(per_arm_small_budget)
+    assert run_case(case, successive_reject) == run_case(case, reference)
 
 
 def test_hardness_pseudo_gap():

@@ -337,6 +337,18 @@ def test_nn_time_ms_gives_exact_rows_a_share_of_the_one_scan(tmp_path, capsys, m
     assert [row.split(",")[-1] for row in sgnn.splitlines()[1:]] == ["250.000"] * 6
 
 
+def test_nn_refuses_queries_of_another_dimension(tmp_path, capsys):
+    ppath, _ = write_cloud(tmp_path)
+    qpath = tmp_path / "flat.csv"
+    save_points(PointSet(np.zeros((2, 2))), qpath)
+    code, stdout, err = run_cli(
+        capsys, "nn", "--points", str(ppath), "--queries", str(qpath), "--algo", "exact"
+    )
+    assert code == 2
+    assert err == "usage error: queries and points must share a dimension\n"
+    assert stdout == ""
+
+
 def test_nn_sgnn_requires_seed(tmp_path, capsys):
     ppath, qpath = write_cloud(tmp_path, with_labels=False)
     code, _, err = run_cli(

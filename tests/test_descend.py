@@ -55,6 +55,17 @@ def test_descent_oracle_requires_enough_budget():
         descent_oracle(g, o, center, g.degree(center) + 1, rng)
 
 
+def test_descent_stays_put_at_an_isolated_node():
+    # one arm, no elimination: the node itself is pulled once and kept
+    g = Graph.from_edges(3, [(1, 2)])
+    o = NoisyOracle(ValueTable(np.array([0.9, 0.0, 0.5])))
+    rng = np.random.default_rng(0)
+    assert descent_oracle(g, o, 0, 10, rng) == 0
+    assert o.used == 1
+    assert explore_descend(g, o, 0, (10, 10), rng) == 0
+    assert o.used == 3
+
+
 def test_noiseless_descent_reaches_center():
     g, table = bowl_instance(3)
     o = NoisyOracle(table, noise="gaussian", R=0.0)

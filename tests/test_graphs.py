@@ -326,6 +326,21 @@ def test_knn_graph_rejects_non_finite_points():
         make_knn_graph(coords, 1)
 
 
+@pytest.mark.parametrize(
+    "coords, N, message",
+    [
+        (np.zeros((1, 2)), 1, r"^points must be an \(n, dim\) array with n >= 2$"),
+        (np.zeros(4), 1, r"^points must be an \(n, dim\) array with n >= 2$"),
+        (np.arange(8.0).reshape(4, 2), 0, r"^N must be in 1\.\.3$"),
+        (np.arange(8.0).reshape(4, 2), 4, r"^N must be in 1\.\.3$"),
+    ],
+    ids=["one-point", "not-2d", "N-zero", "N-is-n"],
+)
+def test_knn_graph_refuses_a_cloud_or_N_it_cannot_link(coords, N, message):
+    with pytest.raises(ValueError, match=message):
+        make_knn_graph(coords, N)
+
+
 def test_save_load_roundtrip(tmp_path):
     g, table = make_grid_graph(GridSpec(D=2, target_degree=8, seed=1))
     p = tmp_path / "g.txt"

@@ -258,6 +258,14 @@ def test_failed_trials_become_nan_rows():
     assert "nan" in text
 
 
+def test_sr_on_a_one_node_graph_returns_the_node_at_every_budget():
+    # budget 5 used to be refused as a one-arm elimination schedule (node -1, gap nan)
+    one = Graph.from_edges(1, [])
+    cfg = ExperimentConfig(one, ValueTable(np.array([0.3])), "sr", (1, 5), 3, seed=0)
+    rows = [(r.budget, r.node, r.gap, r.samples) for r in run_trials(cfg)]
+    assert rows == [(1, 0, 0.0, 1)] * 3 + [(5, 0, 0.0, 1)] * 3
+
+
 def test_unexpected_trial_errors_propagate(monkeypatch):
     # only budget exhaustion and rejected parameters become failed rows;
     # a programming error must not turn into a silent NaN row

@@ -346,3 +346,26 @@ def test_load_points_label_count_mismatch(tmp_path):
     lp.write_text("a\n")
     with pytest.raises(ValueError, match="expected 2 labels, got 1"):
         load_points(p)
+
+
+def test_load_points_skips_a_blank_row(tmp_path):
+    p = tmp_path / "pts.csv"
+    p.write_text("0.0,1.0\n\n2.0,3.0\n")
+    assert load_points(p).coords.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0.0,1.0\n2.0,x\n", r":2: could not convert string to float: 'x'$"),
+        ("0.0,1.0\n\n2.0\n", r":3: inconsistent dimension$"),
+        ("", r"pts\.csv: empty point file$"),
+        ("\n\n", r"pts\.csv: empty point file$"),
+    ],
+    ids=["not-a-number", "wrong-dimension", "empty", "only-blank-rows"],
+)
+def test_load_points_refuses_a_malformed_file(text, message, tmp_path):
+    p = tmp_path / "pts.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_points(p)

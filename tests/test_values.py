@@ -81,6 +81,30 @@ def test_load_reports_line_numbers(tmp_path):
     assert ":2:" in str(err.value)
 
 
+def test_parse_values_skips_a_blank_line(tmp_path):
+    p = tmp_path / "v.txt"
+    p.write_text("0,1.0\n\n  \n1,2.0\n")
+    assert parse_values(p, 2) == [1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "text, n, message",
+    [
+        ("0,1.0\n1\n", None, r":2: expected 'node,value', got '1'$"),
+        ("0,1.0\n1,2.0,3.0\n", None, r":2: expected 'node,value', got '1,2.0,3.0'$"),
+        ("", None, r"v\.txt: empty value file$"),
+        ("\n", 2, r"v\.txt: empty value file$"),
+        ("0,1.0\n1,2.0\n", 3, r"v\.txt: expected 3 values, found 2$"),
+    ],
+    ids=["one-field", "three-fields", "empty", "only-blank-lines", "count-not-n"],
+)
+def test_parse_values_refuses_a_malformed_file(text, n, message, tmp_path):
+    p = tmp_path / "v.txt"
+    p.write_text(text)
+    with pytest.raises(ValueFormatError, match=message):
+        parse_values(p, n)
+
+
 def test_load_rejects_non_finite_values(tmp_path):
     p = tmp_path / "v.txt"
     for bad in ("nan", "inf", "-inf"):
