@@ -109,13 +109,20 @@ def simulated_annealing(
 def theory_sample_size(r: int, gamma: float, R: float) -> int:
     """Samples per estimate suggested by the analysis: ceil(2 r gamma^2 R^2),
     never below one. Exact when gamma and R are ints or Fractions; a float
-    among them puts the product in floats, so r must then fit a float."""
+    among them puts the product in floats, so r, gamma, R and the product
+    must then fit a float."""
     r = _whole("r", r, 0)
     _finite("gamma", gamma, 0)
     _finite("R", R, 0)
     if not (isinstance(gamma, (int, Fraction)) and isinstance(R, (int, Fraction))):
-        _as_float("r", r)
-    return max(1, math.ceil(2 * r * gamma * gamma * R * R))
+        for name, x in (("r", r), ("gamma", gamma), ("R", R)):
+            _as_float(name, x)
+    if not (r and gamma and R):
+        return 1  # a zero factor beside a huge float would make inf * 0 = nan
+    size = 2 * r * gamma * gamma * R * R
+    if isinstance(size, float) and not math.isfinite(size):
+        raise ValueError(f"gamma={gamma} and R={R} put 2 r gamma^2 R^2 beyond a float")
+    return max(1, math.ceil(size))
 
 
 class ConvexRoundBound(NamedTuple):

@@ -109,14 +109,22 @@ def successive_reject(
                 phase_means, taken = sampler(arms, pulls, rng)
             except BudgetExhaustedError:
                 return order[0]
-            for arm, mean, t in zip(arms, phase_means, taken):
-                sums[arm] += float(mean) * t
-                if done + t:
-                    means[arm] = sums[arm] / (done + t)
+            # only the last arm served may be short of its batch
+            full = len(taken) == len(arms) and taken[-1] == pulls
+            if full:
+                # every arm got pulls and now holds cumulative[k] in total
+                total = cumulative[k]
+                for arm, mean in zip(arms, phase_means):
+                    sums[arm] += float(mean) * pulls
+                    means[arm] = sums[arm] / total
+            else:
+                for arm, mean, t in zip(arms, phase_means, taken):
+                    sums[arm] += float(mean) * t
+                    if done + t:
+                        means[arm] = sums[arm] / (done + t)
             # a stable descending sort of ascending arms ranks ties by id
             order = sorted(arms, key=means.__getitem__, reverse=True)
-            # only the last arm served may be short of its batch
-            if len(taken) < len(arms) or taken[-1] < pulls:
+            if not full:
                 return order[0]
         order.pop()
     return order[0]
@@ -188,5 +196,9 @@ def sr_bound_loose(n: int, delta1: float, B: int) -> float:
     _as_float("B", B)
     if B <= n:
         return 1.0
-    raw = (n * (n - 1) / 2.0) * math.exp(-(B - n) * delta1**2 / (n * log_bar(n)))
+    try:
+        square = delta1**2
+    except OverflowError:  # the exponent runs to -inf
+        return 0.0
+    raw = (n * (n - 1) / 2.0) * math.exp(-(B - n) * square / (n * log_bar(n)))
     return min(1.0, raw)

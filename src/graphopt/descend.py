@@ -135,6 +135,9 @@ def ed_error_bound(d: int, schedule, per_round_smallest_gaps) -> float:
     gaps = [_as_float("gaps", x, 0, strict=True) for x in per_round_smallest_gaps]
     if len(schedule) != len(gaps):
         raise ValueError("schedule and gap lists must have equal length")
+    # a round of t <= d adds a term of at least 1, and d(d-1)/2 >= 1
+    if any(t <= d for t in schedule):
+        return 1.0
     lb = log_bar(d)
     total = sum(
         math.exp(-(t - d) * gap * gap / (d * lb)) for t, gap in zip(schedule, gaps)

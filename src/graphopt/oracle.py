@@ -97,7 +97,7 @@ class NoisyOracle:
         if self.noise not in ("bernoulli", "gaussian"):
             raise ValueError(f"unknown noise kind {self.noise!r}")
         if self.noise == "bernoulli":
-            lo, hi = self.values.means.min(), self.values.means.max()
+            lo, hi = self.values._bounds
             if lo < 0.0 or hi > 1.0:
                 raise ValueError("bernoulli noise needs values in [0, 1]")
         self.R = _as_float("R", self.R, 0 if self.noise == "gaussian" else None)
@@ -129,10 +129,12 @@ class NoisyOracle:
         A phase of at least ARRAY_DRAW_MIN batches is drawn with one array
         call, a narrower one with scalar calls.
         """
-        if not xs:
-            return [], []
+        if type(count) is not int:
+            count = _whole("count", count, 1)
         if count <= 0:
             raise ValueError("count must be >= 1")
+        if not xs:
+            return [], []
         want = len(xs) * count
         got = want if self.budget is None else min(want, self.budget - self.used)
         if got <= 0:

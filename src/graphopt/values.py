@@ -49,19 +49,30 @@ class ValueTable:
         indexes these several times faster than the numpy array."""
         return tuple(self.means.tolist())
 
+    @cached_property
+    def _bounds(self) -> tuple[float, float]:
+        """The least and the greatest value, found once per table."""
+        return float(self.means.min()), float(self.means.max())
+
+    @cached_property
+    def _extremes(self) -> tuple[int, int]:
+        """argmin and argmax, found once per table."""
+        return int(np.argmin(self.means)), int(np.argmax(self.means))
+
     def argmin(self) -> int:
-        return int(np.argmin(self.means))
+        return self._extremes[0]
 
     def argmax(self) -> int:
-        return int(np.argmax(self.means))
+        return self._extremes[1]
 
     def best(self, maximize: bool = False) -> int:
         return self.argmax() if maximize else self.argmin()
 
     def gap_to_best(self, x: int, maximize: bool = False) -> float:
         """Suboptimality of node x: always >= 0 regardless of sense."""
-        best = self.value(self.best(maximize))
-        return best - self.value(x) if maximize else self.value(x) - best
+        f = self.floats
+        best = f[self.best(maximize)]
+        return best - f[x] if maximize else f[x] - best
 
 
 def save_values(table: ValueTable | Sequence[float], path) -> None:

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,6 +139,32 @@ def test_theory_sample_size():
     assert theory_sample_size(2, 10.0, 0.5) == 100
     # 2 r gamma^2 R^2 below one floors at a single sample
     assert theory_sample_size(1, 0.1, 0.1) == 1
+
+
+@pytest.mark.parametrize("gamma, R", [(1e200, 1), (1.0, 1e200)])
+def test_theory_sample_size_refuses_a_float_product_beyond_a_float(gamma, R):
+    # math.ceil(inf) used to raise OverflowError
+    with pytest.raises(ValueError, match=re.escape(f"gamma={gamma} and R={R} put")):
+        theory_sample_size(2, gamma, R)
+
+
+def test_theory_sample_size_of_a_zero_factor_beside_a_huge_float_is_one():
+    # gamma^2 overflows to inf before R = 0 multiplies, which made nan
+    assert theory_sample_size(2, 1e200, 0.0) == theory_sample_size(2, 10**200, 0) == 1
+    assert theory_sample_size(0, 1e200, 1e200) == 1
+
+
+def test_theory_sample_size_refuses_an_exact_factor_beyond_a_float_beside_a_float():
+    # a float factor puts the product in floats, where 10**400 has no place
+    with pytest.raises(ValueError, match="R must be finite as a float"):
+        theory_sample_size(2, 1.0, 10**400)
+    with pytest.raises(ValueError, match="gamma must be finite as a float"):
+        theory_sample_size(2, Fraction(10**400), 0.5)
+
+
+def test_theory_sample_size_stays_exact_on_ints_and_fractions():
+    assert theory_sample_size(2, 10**200, 1) == 4 * 10**400
+    assert theory_sample_size(2, Fraction(10**200), Fraction(1, 2)) == 10**400
 
 
 def test_convex_round_bound():

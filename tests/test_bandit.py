@@ -332,6 +332,27 @@ def test_loose_bound_formula():
     assert sr_bound_loose(10, 0.3, 500) == 1.0  # clamped
 
 
+def test_loose_bound_takes_its_limit_where_delta1_squared_leaves_a_float():
+    # delta1**2 used to raise OverflowError; the exponent runs to -inf there
+    assert sr_bound_loose(10, 1e200, 5000) == 0.0
+    assert sr_bound_loose(10, 1.4e154, 5000) == 0.0
+    # a square that fits keeps the formula's bits
+    for d1 in (0.05, 0.5, 1e-150, 1e150, 1.3e154):
+        want = (10 * 9 / 2.0) * math.exp(-(5000 - 10) * d1**2 / (10 * log_bar(10)))
+        assert sr_bound_loose(10, d1, 5000) == min(1.0, want)
+
+
+def test_ed_bound_is_vacuous_at_a_round_of_at_most_d():
+    # such a round adds a term of at least 1; a large gap used to overflow exp
+    assert ed_error_bound(3, [1], [1000.0]) == 1.0
+    assert ed_error_bound(3, [500, 3], [0.5, 1e300]) == 1.0
+    # where exp did not overflow, the clamp gave the same 1.0
+    assert ed_error_bound(15, [500, 15], [0.4, 0.4]) == 1.0
+    t, gap = 500, 0.4
+    want = (15 * 14 / 2.0) * math.exp(-(t - 15) * gap * gap / (15 * log_bar(15)))
+    assert ed_error_bound(15, [t], [gap]) == min(1.0, want)
+
+
 # a three-node path for the certificate rows
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 # oracle and generator for the descent rows; each row fails before a draw

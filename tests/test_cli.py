@@ -405,6 +405,18 @@ def test_bound_commands(capsys):
     assert out == "gamma=100\nbeta=0.9540150699\nt_min=84\nfinal_bound=0.652388\n"
 
 
+def test_bound_commands_at_extreme_inputs(capsys):
+    # each of these used to end in a traceback from a float overflow
+    argv = ("bound", "ed", "--d", "3", "--schedule", "1", "--gaps", "1000")
+    assert run_cli(capsys, *argv) == (0, "1\n", "")
+    argv = ("bound", "sr-loose", "--n", "10", "--delta1", "1e200", "--B", "5000")
+    assert run_cli(capsys, *argv) == (0, "0\n", "")
+    argv = ("bound", "sa-samples", "--r", "2", "--gamma", "1e200", "--R", "1")
+    assert run_cli(capsys, *argv) == (
+        1, "", "error: gamma=1e+200 and R=1.0 put 2 r gamma^2 R^2 beyond a float\n"
+    )
+
+
 @pytest.mark.parametrize("r, d", [(11, 9), (400, 9), (40, 1)])
 def test_bound_sa_nearly_refuses_a_vacuous_bound(capsys, r, d):
     # beta rounds to 1 here (at r=400, d=9 the power itself is past a float)

@@ -94,6 +94,27 @@ def test_partial_batch_at_the_cap():
         o.sample_means([0], 1, rng)
 
 
+@pytest.mark.parametrize("count", [2.5, 0.0, math.nan, math.inf, "3", None])
+def test_sample_means_refuses_a_count_that_is_not_whole(count):
+    # 2.5 used to draw binomial(2), divide by 2.5 and meter 5.0
+    o = make_oracle(budget=100)
+    for xs in ([0, 1], []):
+        with pytest.raises(ValueError, match="count must be a whole number >= 1"):
+            o.sample_means(xs, count, np.random.default_rng(0))
+    assert o.used == 0
+
+
+def test_sample_means_takes_a_whole_count_of_another_type_as_its_int():
+    seen = []
+    for count in (4, 4.0, np.int64(4)):
+        o = make_oracle()
+        rng = np.random.default_rng(5)
+        means, taken = o.sample_means([0, 1, 2], count, rng)
+        seen.append(([m.hex() for m in means], taken, o.used, type(o.used), rng.random()))
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0][1:4] == ([4, 4, 4], 12, int)
+
+
 def test_invalid_noise_name():
     with pytest.raises(ValueError):
         NoisyOracle(ValueTable(np.array([0.5])), noise="cauchy")

@@ -36,6 +36,33 @@ def test_gap_to_best():
     assert t.gap_to_best(0, maximize=False) == 0.0
 
 
+# ties, signed zeros and extremes among any finite floats
+TABLE_VALUES = st.lists(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]) | st.floats(allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=TABLE_VALUES)
+@example(values=[0.0, -0.0])
+@example(values=[-0.0, 0.0, -0.0])
+def test_cached_table_facts_match_numpy_bit_for_bit(values):
+    t = ValueTable(np.array(values))
+    means = np.array(values)
+    # hex compares bit for bit, so the sign of a zero counts
+    assert [x.hex() for x in t._bounds] == [float(means.min()).hex(), float(means.max()).hex()]
+    assert (t.argmin(), t.argmax()) == (int(np.argmin(means)), int(np.argmax(means)))
+    # ties go to the lowest id
+    assert (t.argmin(), t.argmax()) == (values.index(min(values)), values.index(max(values)))
+    for maximize in (False, True):
+        best = float(means[np.argmax(means) if maximize else np.argmin(means)])
+        for x in range(len(values)):
+            want = best - float(means[x]) if maximize else float(means[x]) - best
+            assert t.gap_to_best(x, maximize).hex() == want.hex()
+
+
 def test_means_are_read_only():
     t = ValueTable(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
