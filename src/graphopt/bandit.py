@@ -3,11 +3,11 @@
 Arms are indexed 0..K-1. A sampler serves one phase: any callable
 ``sampler(arms, count, rng) -> (means, taken)`` that pulls each listed arm
 up to ``count`` times, in order, and returns per arm served the empirical
-mean and the number of pulls taken. Once an underlying budget runs dry it
-serves a prefix of the list (full batches, then at most one partial one),
-and it may raise BudgetExhaustedError when nothing is left. The algorithm
-picks the highest reward; ``oracle_sampler`` negates observations, which
-the optimizers minimize, into rewards.
+mean cost and the number of pulls taken. Once an underlying budget runs dry
+it serves a prefix of the list (full batches, then at most one partial
+one), and it may raise BudgetExhaustedError when nothing is left. Means
+are costs: the lowest wins and an arm never pulled counts as +inf.
+``NoisyOracle.sample_means`` is a sampler whose arms are its nodes.
 """
 
 from __future__ import annotations
@@ -72,13 +72,13 @@ def successive_reject(
     """Best-arm guess among K arms within budget B.
 
     With one arm, or a budget B <= K too small for eliminations, one phase
-    pulls arms 0..min(K, B)-1 once each and the best mean wins (ties to
-    the lowest id; arm 0 when the sampler serves nothing).
+    pulls arms 0..min(K, B)-1 once each and the lowest mean cost wins
+    (ties to the lowest id; arm 0 when the sampler serves nothing).
 
     Otherwise K-1 elimination phases run. Each tops every surviving arm up
     to the schedule's cumulative pull count, then rejects the arm with the
-    worst empirical mean (ties reject the higher index; an arm never
-    pulled counts as -inf). The first phase that comes back short (the
+    highest empirical mean (ties reject the higher index; an arm never
+    pulled counts as +inf). The first phase that comes back short (the
     sampler raises, serves fewer arms or a partial last batch) ends the
     run: the best arm by the means collected so far wins, since later
     eliminations would only drop arms ranked below it.
@@ -90,12 +90,12 @@ def successive_reject(
             phase_means, _ = sampler(range(min(K, B)), 1, rng)
         except BudgetExhaustedError:
             phase_means = ()
-        # max keeps the first of equal means
-        return max(range(len(phase_means)), key=phase_means.__getitem__, default=0)
+        # min keeps the first of equal means
+        return min(range(len(phase_means)), key=phase_means.__getitem__, default=0)
     cumulative = budget_schedule(K, B)
     sums = [0.0] * K
-    means = [-math.inf] * K
-    # Survivors ranked by (mean, -arm), best first, so the next arm to
+    means = [math.inf] * K
+    # Survivors ranked by (mean, arm), best first, so the next arm to
     # reject is always the last one. Means change only in phases that
     # pull, so the ranking is rebuilt only there.
     order = list(range(K))
@@ -115,15 +115,15 @@ def successive_reject(
                 # every arm got pulls and now holds cumulative[k] in total
                 total = cumulative[k]
                 for arm, mean in zip(arms, phase_means):
-                    sums[arm] += float(mean) * pulls
+                    sums[arm] += mean * pulls
                     means[arm] = sums[arm] / total
             else:
                 for arm, mean, t in zip(arms, phase_means, taken):
-                    sums[arm] += float(mean) * t
+                    sums[arm] += mean * t
                     if done + t:
                         means[arm] = sums[arm] / (done + t)
-            # a stable descending sort of ascending arms ranks ties by id
-            order = sorted(arms, key=means.__getitem__, reverse=True)
+            # a stable sort of ascending arms ranks ties by id
+            order = sorted(arms, key=means.__getitem__)
             if not full:
                 return order[0]
         order.pop()
@@ -131,28 +131,26 @@ def successive_reject(
 
 
 def oracle_sampler(oracle: NoisyOracle, arms: Sequence[int]) -> Sampler:
-    """Adapt a NoisyOracle to the sampler protocol.
-
-    ``arms[i]`` is the node behind arm i, and its reward is the negated
-    observation, so the lowest observed value wins. An oracle built with
-    ``maximize=True`` already negates, so there the highest value wins.
-    """
+    """Adapt a NoisyOracle to the sampler protocol: ``arms[i]`` is the node
+    behind arm i, and its cost is the observation, so the lowest observed
+    value wins. An oracle built with ``maximize=True`` negates its
+    observations, so there the highest value wins."""
 
     def pull(phase: Sequence[int], count: int, rng: np.random.Generator):
-        means, taken = oracle.sample_means([arms[a] for a in phase], count, rng)
-        return [-m for m in means], taken
+        return oracle.sample_means([arms[a] for a in phase], count, rng)
 
     return pull
 
 
 def bernoulli_sampler(means: Sequence[float]) -> Sampler:
-    """Unmetered Bernoulli arms with the given success probabilities."""
+    """Unmetered Bernoulli arms with success probabilities ``means``, a
+    non-empty 1-d sequence in [0, 1]; an arm's cost is its negated rate."""
     p = np.asarray(means, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("bernoulli means must lie in [0, 1]")
+    if p.ndim != 1 or p.size == 0 or not np.all((p >= 0) & (p <= 1)):
+        raise ValueError("means must be a non-empty 1-d sequence of values in [0, 1]")
 
     def pull(phase: Sequence[int], count: int, rng: np.random.Generator):
-        return [float(rng.binomial(count, p[a])) / count for a in phase], [count] * len(phase)
+        return [-(float(rng.binomial(count, p[a])) / count) for a in phase], [count] * len(phase)
 
     return pull
 

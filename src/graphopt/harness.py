@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .annealing import SAConfig, simulated_annealing
-from .bandit import oracle_sampler, successive_reject
+from .bandit import successive_reject
 from .descend import explore_descend_restarts
 from .graphs import Graph
 from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _whole
@@ -127,7 +127,8 @@ def _run_one(cfg: ExperimentConfig, oracle: NoisyOracle, budget: int, rng: np.ra
     n = cfg.graph.n
     p = cfg.params
     if cfg.algo == "sr":
-        return successive_reject(n, oracle_sampler(oracle, range(n)), budget, rng)
+        # arm i is node i, so the oracle serves the phases itself
+        return successive_reject(n, oracle.sample_means, budget, rng)
     if cfg.algo == "ed":
         return explore_descend_restarts(
             cfg.graph, oracle, budget, rng, path_len=p["path_len"], restarts=p["restarts"]

@@ -154,7 +154,7 @@ class NoisyOracle:
             return [sign * (f[x] + R / math.sqrt(k) * normal()) for x, k in zip(xs, taken)], taken
         # one array call draws what the same scalar calls would, in order
         f = self.values.means[np.asarray(xs[: len(taken)])]
-        k = np.array(taken)
+        k = count if got == want else np.array(taken)
         if self.noise == "bernoulli":
             means = rng.binomial(k, f, len(taken)) / k
         else:

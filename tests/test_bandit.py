@@ -149,6 +149,25 @@ def test_bernoulli_sampler_validates_means():
         bernoulli_sampler([0.5, 1.2])
 
 
+@pytest.mark.parametrize(
+    "means",
+    [[math.nan, 0.5], [0.5, math.inf], [-math.inf], [[0.2, 0.5]], [], 0.5],
+    ids=["nan", "inf", "-inf", "2-d", "empty", "0-d"],
+)
+def test_bernoulli_sampler_refuses_means_at_construction(means):
+    # NaN used to pass the range check and fail inside numpy at the first pull
+    with pytest.raises(ValueError, match="means"):
+        bernoulli_sampler(means)
+
+
+def test_samplers_return_costs():
+    # the lowest mean wins: the likeliest Bernoulli arm, the lowest node value
+    assert bernoulli_sampler([0.0, 1.0])([0, 1], 3, np.random.default_rng(0)) == ([-0.0, -1.0], [3, 3])
+    o = NoisyOracle(ValueTable(np.array([0.1, 0.9])), noise="gaussian", R=0.0)
+    assert oracle_sampler(o, [1, 0])([0, 1], 2, np.random.default_rng(0)) == ([0.9, 0.1], [2, 2])
+    assert successive_reject(2, bernoulli_sampler([0.0, 1.0]), 10, np.random.default_rng(0)) == 1
+
+
 def test_bernoulli_identification_rate_is_reasonable():
     sampler = bernoulli_sampler([0.7, 0.3])
     rng = np.random.default_rng(2)
@@ -213,12 +232,13 @@ def per_arm_small_budget(K, sampler, B, rng):
 
 
 def one_arm(algorithm):
-    """Run a per-arm reference on a phase sampler, one arm per phase."""
+    """Run a per-arm reference, which takes the highest mean, on a phase
+    sampler, which returns costs: one arm per phase, its mean negated."""
 
     def run(K, sampler, B, rng):
         def pull(arm, count, rng):
             means, taken = sampler([arm], count, rng)
-            return means[0], taken[0]
+            return -means[0], taken[0]
 
         return algorithm(K, pull, B, rng)
 

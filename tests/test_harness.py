@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -324,3 +325,24 @@ def test_ed_on_the_augmented_grid_smoke():
     recs = run_trials(cfg)
     assert all(r.node >= 0 for r in recs)
     assert all(r.samples <= 200 for r in recs)
+
+
+@pytest.mark.parametrize(
+    "algo, budgets, maximize, want",
+    [
+        # direct successive rejects over all 441 nodes, budgets above n
+        ("sr", (1000, 4000), True, "c57d16d54daa0b91fa820eabef8ad62265091c78d5cc7fe9dfb75120e0cda0b1"),
+        ("sr", (1000, 4000), False, "9fa10f8a9b60ba6eccc66e56db6c044242ec51c310afd8f241ac633425d86800"),
+        # at 2000, three restarts run and their finals are re-estimated
+        ("ed", (200, 2000), True, "4282c55bcf454a1250e6cad0c1fffcdf054566c8fe433f584810564aada8e8c9"),
+        ("ed", (300,), False, "50f2eb972d7ec1105e336c04822421c0bf4cedd83c5a0768b486ee7e56805773"),
+    ],
+)
+def test_sweep_bytes_are_pinned(algo, budgets, maximize, want):
+    # the row bytes less time_ms pin every winner, gap and sample count, and
+    # so the draws that chose them; a change to the draws or to a tie must
+    # say so and update these digests
+    g, t = make_grid_graph(GridSpec(D=10, target_degree=15, seed=0))
+    cfg = ExperimentConfig(g, t, algo, budgets, 10, seed=7, maximize=maximize)
+    text = strip_time(records_to_csv(run_trials(cfg)))
+    assert hashlib.sha256(text.encode()).hexdigest() == want

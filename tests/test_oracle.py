@@ -238,6 +238,54 @@ def test_sample_means_equals_sample_mean_one_by_one(case):
     assert seen[0] == seen[1]
 
 
+@st.composite
+def wide_phase_cases(draw):
+    # array-path phases at counts where numpy's binomial leaves its
+    # inversion branch for BTPE (count * min(f, 1 - f) > 30)
+    values = draw(st.lists(st.floats(0.2, 0.8), min_size=1, max_size=8))
+    n = draw(st.integers(ARRAY_DRAW_MIN, 3 * ARRAY_DRAW_MIN))
+    xs = draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))
+    count = draw(st.integers(30, 400))
+    used = draw(st.integers(0, 3))
+    # dry before the list, after j full batches, inside batch j + 1, or never;
+    # j >= ARRAY_DRAW_MIN keeps a short phase on the array path
+    dry = draw(st.sampled_from(["before", "at", "inside", "never"]))
+    j = draw(st.integers(ARRAY_DRAW_MIN, n))
+    budget = {
+        "before": used,
+        "at": used + j * count,
+        "inside": used + j * count + draw(st.integers(1, count - 1)),
+        "never": None,
+    }[dry]
+    return dict(
+        values=values,
+        xs=xs,
+        count=count,
+        noise=draw(st.sampled_from(["bernoulli", "gaussian"])),
+        maximize=draw(st.booleans()),
+        budget=budget,
+        used=0 if budget is None else used,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=wide_phase_cases())
+def test_array_phases_at_large_counts_equal_sample_mean_one_by_one(case):
+    seen = []
+    for call in (NoisyOracle.sample_means, one_by_one):
+        o = NoisyOracle(
+            ValueTable(np.array(case["values"])),
+            noise=case["noise"],
+            R=0.4,
+            budget=case["budget"],
+            maximize=case["maximize"],
+        )
+        o.used = case["used"]
+        seen.append(observe(o, call, case["xs"], case["count"], case["seed"]))
+    assert seen[0] == seen[1]
+
+
 def test_sample_means_serves_a_prefix_then_raises():
     o = make_oracle(budget=5)
     rng = np.random.default_rng(7)
