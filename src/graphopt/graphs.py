@@ -8,6 +8,7 @@ undirected edge once as ``u v`` with u < v.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -28,8 +29,12 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable graph with sorted adjacency lists.
 
-    Invariants enforced at construction: node ids in range, no self-loops,
-    no duplicate edges, and symmetric adjacency when undirected.
+    Invariants: node ids in range, no self-loops, no duplicate edges, rows
+    sorted, and symmetric adjacency when undirected. They are checked once,
+    where a graph comes in from outside graphopt: ``Graph(...)`` checks
+    every field, and ``from_edges`` and ``load_graph`` check the edges they
+    are given. The grid and kNN builders make graphs that hold them by
+    construction, and those are not checked again.
     """
 
     n: int
@@ -104,11 +109,23 @@ def _row_fault(u: int, nbrs, n: int) -> str:
     return f"adjacency of node {u} not sorted"
 
 
+def _unchecked(n: int, directed: bool, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
+    """A Graph of fields that hold its invariants by construction, set
+    without checking them again."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "directed", directed)
+    object.__setattr__(g, "adjacency", adjacency)
+    return g
+
+
 def _from_pairs(n: int, directed: bool, u: np.ndarray, v: np.ndarray) -> Graph:
     """Graph on the edges (u[i], v[i]), both directions when undirected.
 
-    Raises on the first edge out of range or looping back to its source.
+    Raises on an n that is not a whole number >= 1, then on the first edge
+    out of range or looping back to its source.
     """
+    n = _whole("n", n, 1)
     out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     bad = out | (u == v)
     if bad.any():
@@ -121,11 +138,12 @@ def _from_pairs(n: int, directed: bool, u: np.ndarray, v: np.ndarray) -> Graph:
         keys = np.concatenate((keys, v * n + u))
     keys.sort()
     keys = keys[np.diff(keys, prepend=-1) != 0]  # each edge once
+    # ascending unique keys in range: rows sorted, no duplicate, symmetric when undirected
     src, dst = np.divmod(keys, n)
-    ends = np.cumsum(np.bincount(src, minlength=max(n, 0))).tolist()  # Graph rejects n <= 0
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
     dst = dst.tolist()
     starts = [0, *ends[:-1]]
-    return Graph(n, directed, tuple(tuple(dst[a:b]) for a, b in zip(starts, ends)))
+    return _unchecked(n, directed, tuple(tuple(dst[a:b]) for a, b in zip(starts, ends)))
 
 
 @dataclass(frozen=True)
@@ -359,7 +377,8 @@ def make_grid_graph(spec: GridSpec) -> tuple[Graph, ValueTable]:
             u, v = pairs[draws.integers(len(pairs))]
             connect(u, v)
 
-    g = Graph(n, False, tuple(tuple(sorted(s)) for s in adj))
+    # every edge joins two distinct nodes both ways
+    g = _unchecked(n, False, tuple(tuple(sorted(s)) for s in adj))
     return g, table
 
 
@@ -377,7 +396,8 @@ def make_knn_graph(points, N: int) -> Graph:
 
     Distance is Euclidean; ties prefer the lower node id. ``points`` is an
     (n, dim) finite float array (or anything exposing ``coords`` shaped
-    that way).
+    that way). A cloud where some point's squared distance to one of its
+    N nearest overflows a float is refused.
     """
     coords = np.asarray(getattr(points, "coords", points), dtype=float)
     if coords.ndim != 2 or coords.shape[0] < 2:
@@ -388,8 +408,13 @@ def make_knn_graph(points, N: int) -> Graph:
     N = _whole("N", N)
     if not 0 < N < n:
         raise ValueError(f"N must be in 1..{n - 1}")
-    ids, _ = _nearest(coords, coords, N, skip_self=True)
-    return Graph(n, True, tuple(map(tuple, ids.tolist())))
+    ids, d2 = _nearest(coords, coords, N, skip_self=True)
+    overflow = np.isinf(d2).any(axis=1)
+    if overflow.any():
+        i = int(np.argmax(overflow))
+        raise ValueError(f"squared distance from point {i} to a nearest neighbour overflows a float")
+    # finite picks never include the point itself (at inf) or a padding slot
+    return _unchecked(n, True, tuple(map(tuple, ids.tolist())))
 
 
 def _nearest(queries: np.ndarray, points: np.ndarray, K: int, skip_self: bool):
@@ -501,20 +526,27 @@ def save_graph(g: Graph, path, values: ValueTable | None = None) -> None:
         if values.n != g.n:
             raise ValueError(f"{values.n} values for a graph of {g.n} nodes")
         save_values(values, f"{path}.values")
-    lines = [f"n {g.n} directed {1 if g.directed else 0}\n"]
+    names = list(map(str, range(g.n)))
+    parts = [f"n {g.n} directed {1 if g.directed else 0}\n"]
     # rows are sorted, so this is ascending (u, v) order
-    lines += [
-        f"{u} {v}\n"
-        for u, nbrs in enumerate(g.adjacency)
-        for v in nbrs
-        if g.directed or u < v
-    ]
+    for u, nbrs in enumerate(g.adjacency):
+        if not g.directed:
+            nbrs = nbrs[bisect_right(nbrs, u) :]  # each undirected edge once, from its lower end
+        if nbrs:
+            lead = names[u] + " "
+            parts.append(lead + ("\n" + lead).join(map(names.__getitem__, nbrs)) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        fh.write("".join(parts))
 
 
 def load_graph(path, *, with_values: bool = True) -> tuple[Graph, ValueTable | None]:
     """Parse a graph file; raises GraphFormatError with the line number.
+
+    The edge lines are read in bulk when they hold only ASCII digits and
+    ASCII whitespace, with every line blank or ``u v`` and no number
+    longer than 18 digits, and every edge valid. Any other file (a sign,
+    ``_``, a non-ASCII digit or space, a longer number, or a fault) is
+    read line by line, which names the first faulty line.
 
     Values are loaded from ``<path>.values`` when that file exists;
     otherwise None is returned in their place. ``with_values=False``
@@ -534,22 +566,40 @@ def load_graph(path, *, with_values: bool = True) -> tuple[Graph, ValueTable | N
     return g, load_values(values_path, n=g.n)
 
 
+# the class of each byte on the bulk path: 1 for an ASCII digit, 2 for the
+# ASCII whitespace that str.split() splits on, 0 for anything else
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[ord("0") : ord("9") + 1] = 1
+_BYTE_CLASS[[c for c in range(128) if chr(c).isspace()]] = 2
+
+# the longest run of digits the bulk path reads: 10**18 - 1 fits int64
+_BULK_DIGITS = 18
+
+
 def _parse_edges(path) -> tuple[int, bool, np.ndarray, np.ndarray]:
     """n, directed and the edge arrays of a graph file; its text is freed
     before the graph is built from them.
 
-    numpy checks all edge lines at once; only when a check fails does a
-    walk over the lines find the first faulty one to report.
+    numpy reads and checks the edge lines in bulk (see ``_bulk_edges``);
+    a body it does not take is walked line by line, and the first faulty
+    line is reported.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")  # the lines readlines() gives, unterminated
-    head = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if head is None:
-        raise GraphFormatError(f"{path}: missing header line")
-    parts = lines[head].split()
-    where = f"{path}:{head + 1}"
+        text = fh.read()
+    # the header is the first line that is not blank; head is its line number
+    start, head = 0, 1
+    while True:
+        end = text.find("\n", start)
+        header = text[start:] if end < 0 else text[start:end]
+        if header.strip():
+            break
+        if end < 0:
+            raise GraphFormatError(f"{path}: missing header line")
+        start, head = end + 1, head + 1
+    parts = header.split()
+    where = f"{path}:{head}"
     if len(parts) != 4 or parts[0] != "n" or parts[2] != "directed":
-        raise GraphFormatError(f"{where}: bad header {lines[head].strip()!r}")
+        raise GraphFormatError(f"{where}: bad header {header.strip()!r}")
     try:
         n = int(parts[1])
         flag = int(parts[3])
@@ -560,41 +610,71 @@ def _parse_edges(path) -> tuple[int, bool, np.ndarray, np.ndarray]:
         raise GraphFormatError(f"{where}: bad header values")
     directed = bool(flag)
 
-    body = lines[head + 1 :]
-    try:
-        if not {0, 2}.issuperset(map(len, map(str.split, body))):
-            raise ValueError("a line is neither blank nor 'u v'")
-        pairs = np.array(list(map(int, " ".join(body).split())), dtype=np.int64)
-        u, v = pairs.reshape(-1, 2).T
-        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+    body = "" if end < 0 else text[end + 1 :]
+    del text
+    pairs = _bulk_edges(body) if body.isascii() else None
+    if pairs is not None:
+        u, v = pairs[0::2], pairs[1::2]
+        # digits only: no value is negative
+        bad = (u >= n) | (v >= n) | (u == v)
         if not directed:
             bad |= u > v
-        faulty = bad.any()
-    except (ValueError, OverflowError):  # a misshapen line, a non-integer or one beyond int64
-        faulty = True
-    if faulty:
-        # n fits int64, so a token beyond int64 is out of range: some line is at fault
-        for lineno, line in enumerate(body, start=head + 2):
-            if fault := _edge_line_fault(line, n, directed):
-                raise GraphFormatError(f"{path}:{lineno}: {fault}")
+        if not bad.any():
+            return n, directed, u, v
+    pairs = []
+    for lineno, line in enumerate(body.split("\n"), start=head + 1):
+        try:
+            edge = _edge_line(line, n, directed)
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
+        if edge is not None:
+            pairs.append(edge)
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     return n, directed, u, v
 
 
-def _edge_line_fault(line: str, n: int, directed: bool) -> str | None:
-    """The fault of one line after the header, in the order it is checked."""
+def _bulk_edges(body: str) -> np.ndarray | None:
+    """The numbers of an ASCII edge-line body in file order, as int64; None
+    unless every byte is a digit or whitespace, every line holds 0 or 2
+    numbers and none is longer than ``_BULK_DIGITS`` digits."""
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    kind = np.take(_BYTE_CLASS, b)
+    if not kind.all():
+        return None
+    # a number runs from a digit after a non-digit to the next non-digit
+    digit = np.zeros(len(b) + 2, dtype=bool)
+    digit[1:-1] = kind == 1
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, ends = bounds[0::2], bounds[1::2]
+    lens = ends - starts
+    width = int(lens.max(initial=0))
+    if width > _BULK_DIGITS or len(starts) % 2:
+        return None
+    # numbers 2i and 2i+1 share a line, and number 2i+2 is on a later one
+    line = np.searchsorted(np.flatnonzero(b == ord("\n")), starts)
+    if not (np.array_equal(line[0::2], line[1::2]) and (line[2::2] > line[1:-1:2]).all()):
+        return None
+    value = np.zeros(len(starts), dtype=np.int64)
+    for c in range(1, width + 1):  # the c-th digit from the right
+        d = b[np.maximum(ends - c, 0)].astype(np.int64) - ord("0")
+        d[lens < c] = 0
+        value += d * 10 ** (c - 1)
+    return value
+
+
+def _edge_line(line: str, n: int, directed: bool) -> tuple[int, int] | None:
+    """The edge on one line after the header, or None for a blank line;
+    ValueError names the line's first fault, in the order it is checked."""
     parts = line.split()
     if not parts:
         return None
     if len(parts) != 2:
-        return f"expected 'u v', got {line.strip()!r}"
-    try:
-        u, v = map(int, parts)
-    except ValueError as exc:
-        return str(exc)
+        raise ValueError(f"expected 'u v', got {line.strip()!r}")
+    u, v = map(int, parts)
     if not (0 <= u < n and 0 <= v < n):
-        return f"edge ({u},{v}) out of range"
+        raise ValueError(f"edge ({u},{v}) out of range")
     if u == v:
-        return f"self-loop at {u}"
+        raise ValueError(f"self-loop at {u}")
     if not directed and u > v:
-        return "undirected edges need u < v"
-    return None
+        raise ValueError("undirected edges need u < v")
+    return u, v

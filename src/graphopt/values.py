@@ -102,10 +102,16 @@ def exact_ratio(token: str) -> tuple[int, int]:
     decimal keeps a power of ten below it but drops its trailing zeros, so
     ``1.50`` is ``(15, 10)`` and ``1.000`` is ``(1, 1)``, and a zero is
     ``(0, 1)``.
+
+    A nonzero value that a float cannot hold raises ValueError: one that
+    ``float`` rounds to infinity (at least ``2**1024 - 2**970``) or to zero
+    (at most ``2**-1075``). A decimal's power of ten is not built before
+    that test, so the cost of a token does not grow with its exponent.
     """
     m = _DECIMAL.fullmatch(token)
     if m is None:
         f = Fraction(token)
+        _refuse_beyond_float(token, f)
         return f.numerator, f.denominator
     sign, whole, frac, exp = m.groups("")
     # Fraction's own steps, so an over-long digit string fails the same way
@@ -117,13 +123,37 @@ def exact_ratio(token: str) -> tuple[int, int]:
     k = len(frac) - int(exp or "0")
     if num == 0:  # 0e-99999 must not raise a common denominator to 10**99999
         return 0, 1
+    digits = whole + frac
+    # 1 <= |num| < 10**len(digits), so the value lies in 10**-k .. 10**(len(digits) - k)
+    if not len(digits) - 300 <= k <= 300:
+        # past 10**310 and below 10**-325 no 10**k is built: a bound stands in
+        if k < -309:
+            _refuse_beyond_float(token, _FLOAT_INF)
+        elif k > len(digits) + 324:
+            _refuse_beyond_float(token, _FLOAT_ZERO)
+        else:
+            _refuse_beyond_float(token, num * Fraction(10) ** -k)
     if k <= 0:
         return num * 10**-k, 1
     # trailing zeros add digits but no value, and must not raise the common
     # denominator of a whole file
-    digits = whole + frac
     z = min(k, len(digits) - len(digits.rstrip("0")))
     return num // 10**z, 10 ** (k - z)
+
+
+# the least magnitudes that float() reads as infinity, and the greatest
+# nonzero one it reads as 0.0 (both ties round to even)
+_FLOAT_INF = Fraction(2**1024 - 2**970)
+_FLOAT_ZERO = Fraction(1, 2**1075)
+
+
+def _refuse_beyond_float(token: str, value) -> None:
+    """ValueError unless ``value``, the value of ``token``, is zero or one
+    that float() reads as a nonzero finite float."""
+    if abs(value) >= _FLOAT_INF:
+        raise ValueError(f"value {token} is beyond the largest float")
+    if abs(value) <= _FLOAT_ZERO and value:
+        raise ValueError(f"nonzero value {token} is below the least float")
 
 
 def common_denominator(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
@@ -178,5 +208,9 @@ def parse_values(path, n: int | None = None, number: Callable = float) -> list:
 
 
 def load_values(path, n: int | None = None) -> ValueTable:
-    """Read a ``node,value`` file (see parse_values) into a ValueTable."""
+    """Read a ``node,value`` file (see parse_values) into a ValueTable.
+
+    A nonzero token too small for a float, such as ``1e-400``, reads as
+    0.0 here, where ``exact_ratio`` refuses it.
+    """
     return ValueTable(np.array(parse_values(path, n)))

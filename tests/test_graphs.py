@@ -48,6 +48,9 @@ def test_validation_rejects_bad_adjacency():
         Graph(2, False, ((1,), (0, 5)))  # out of range
     with pytest.raises(ValueError):
         Graph(3, False, ((1,), (), ()))  # asymmetric undirected
+    for n in (0, -1, 2.5):
+        with pytest.raises(ValueError, match=f"^n must be a whole number >= 1, got {n}$"):
+            Graph.from_edges(n, [])
 
 
 def test_directed_graph_may_be_asymmetric():
@@ -203,7 +206,8 @@ def test_knn_graph_tie_prefers_lower_id():
 
 
 def argsort_knn(coords, N):
-    """The per-row stable-argsort selection the block selection replaced."""
+    """The per-row stable-argsort selection the block selection replaced;
+    it refuses a row whose N nearest include an infinite squared distance."""
     n = coords.shape[0]
     adjacency = []
     chunk = max(1, min(n, 2_000_000 // n))
@@ -214,6 +218,10 @@ def argsort_knn(coords, N):
         for row in range(hi - lo):
             d2[row, lo + row] = np.inf
             order = np.argsort(d2[row], kind="stable")[:N]
+            if np.isinf(d2[row, order]).any():
+                raise ValueError(
+                    f"squared distance from point {lo + row} to a nearest neighbour overflows a float"
+                )
             adjacency.append(tuple(sorted(int(v) for v in order)))
     return Graph(n, True, tuple(adjacency))
 
@@ -279,11 +287,10 @@ def scaled_clouds():
         "x1e155-near": 1e155 * (1 + 0.01 * gauss),
         # squared norms finite, their pairwise sums not
         "x1e154-edge": 1e154 * rng.uniform(-1.3, 1.3, size=(90, 1)),
-        # squared differences overflow too: every row ties at inf and the
-        # lowest ids include the point itself, so both builds refuse it
+        # squared differences overflow too: both builds refuse the overflow
         "x1e155": 1e155 * gauss,
         "x1e200": 1e200 * gauss,
-        # every nonzero difference overflows; duplicates keep the graph buildable
+        # every nonzero difference overflows; at N=1 duplicates keep the graph buildable
         "x1e200-lattice": 1e200 * lattice,
         "x1e-160-subnormal": 1e-160 * gauss,
         "x1e-160-lattice": 1e-160 * lattice,
@@ -318,6 +325,13 @@ def test_knn_graph_memory_when_every_point_is_a_candidate():
 
     generic = peak(np.random.default_rng(3).normal(size=(1500, 10)))
     assert peak(np.full((1500, 10), 2.5)) <= 2 * generic
+
+
+def test_knn_graph_refuses_a_cloud_whose_distances_overflow():
+    coords = 1e155 * np.random.default_rng(0).normal(size=(50, 3))
+    message = r"^squared distance from point 0 to a nearest neighbour overflows a float$"
+    with pytest.raises(ValueError, match=message):
+        make_knn_graph(coords, 5)
 
 
 def test_knn_graph_rejects_non_finite_points():
@@ -522,15 +536,34 @@ def test_from_edges_keeps_repeated_and_reversed_edges_once():
     assert d.adjacency == ((1,), (0, 2), (3,), (2,)) == reference_from_edges(4, edges, True)
 
 
+# whitespace str.split() splits on: ASCII ones the bulk reader takes, then
+# the non-ASCII ones that send a file to the per-line walk
+SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2003")
+
+
+@st.composite
+def spelled(draw, x):
+    """Node id x as int() reads it: plain, zero-padded (past 18 digits the
+    bulk reader hands over), signed, or in Arabic-Indic digits."""
+    kind = draw(st.sampled_from(["plain", "zeros", "plus", "arabic"]))
+    if kind == "zeros":
+        return "0" * draw(st.integers(1, 20)) + str(x)
+    if kind == "plus":
+        return f"+{x}"
+    if kind == "arabic":
+        return "".join(chr(0x660 + int(c)) for c in str(x))
+    return str(x)
+
+
 @st.composite
 def reformatted(draw, text):
     """The same graph file with blank lines, surrounding whitespace and CRLF ends."""
-    pad = st.sampled_from(["", " ", "\t", "  \t "])
+    pad = st.sampled_from(["", " ", "\t", "  \t ", "\x0b", "\x0c", "\x1c\x1f", "\xa0", "\u2003"])
     out = []
     for line in text.splitlines():
         out.extend(draw(pad) for _ in range(draw(st.integers(0, 1))))
         u, *rest = line.split(" ")
-        sep = draw(st.sampled_from([" ", "\t", "   "]))
+        sep = draw(st.sampled_from([" ", "\t", "   ", *SEPARATORS]))
         out.append(draw(pad) + sep.join([u, *rest]) + draw(pad))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(out) + draw(st.sampled_from(["", end, end + end]))
@@ -647,9 +680,16 @@ def graph_files(draw):
     directed = draw(st.booleans())
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]), max_size=300))
-    lines = [f"{min(e)} {max(e)}" if not directed else f"{e[0]} {e[1]}" for e in edges]
+    edges = [sorted(e) if not directed else e for e in edges]
+    sep = draw(st.sampled_from([" ", *SEPARATORS]))
+    lines = [f"{u}{sep}{v}" for u, v in edges]
+    # a few lines spelled another way that int() and str.split() accept
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        at = draw(st.integers(0, len(lines) - 1))
+        u, v = edges[at]
+        lines[at] = draw(spelled(u)) + draw(st.sampled_from(SEPARATORS)) + draw(spelled(v))
     faults = st.sampled_from(
-        ["", "7", "1 2 3", "0 x", "x 0", "1 1", f"0 {n}", "-1 0", "1 0", "0 1", "+1  0_1"]
+        ["", "7", "1 2 3", "0 x", "x 0", "1 1", f"0 {n}", "-1 0", "1 0", "0 1", "+1  0_1", "٣ 0", "0 1 0 2"]
     )
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(lines)))
@@ -663,3 +703,70 @@ def test_graph_file_parse_matches_the_per_line_loop(text, tmp_path_factory):
     p = tmp_path_factory.mktemp("parse") / "g.txt"
     p.write_text(text)
     assert outcome(lambda: load_graph(p)[0].adjacency) == outcome(reference_parse, p)
+
+
+def assert_checks_pass(g):
+    """g, built without Graph's checks, passes them unchanged."""
+    checked = Graph(g.n, g.directed, g.adjacency)
+    assert (checked.n, checked.directed, checked.adjacency) == (g.n, g.directed, g.adjacency)
+    assert type(g.n) is int and type(g.directed) is bool
+    assert all(type(row) is tuple and all(type(v) is int for v in row) for row in g.adjacency)
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.integers(1, 3), extra=st.integers(0, 48), seed=st.integers(0, 2**32 - 1))
+def test_unchecked_grid_graphs_pass_the_checks(D, extra, seed):
+    # a target near n leaves pairs the random draws miss, so the fallback runs
+    target = min(8 + extra, (2 * D + 1) ** 2 - 1)
+    assert_checks_pass(make_grid_graph(GridSpec(D=D, target_degree=target, seed=seed))[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=edge_lists())
+def test_unchecked_edge_list_graphs_pass_the_checks(case):
+    n, edges, directed = case
+    if outcome(reference_from_edges, n, edges, directed)[0] is None:
+        assert_checks_pass(Graph.from_edges(n, edges, directed=directed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=graph_files())
+def test_unchecked_loaded_graphs_pass_the_checks(text, tmp_path_factory):
+    p = tmp_path_factory.mktemp("load") / "g.txt"
+    p.write_text(text)
+    if outcome(reference_parse, p)[0] is None:
+        assert_checks_pass(load_graph(p)[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=point_clouds())
+def test_unchecked_knn_graphs_pass_the_checks(case):
+    assert_checks_pass(make_knn_graph(*case))
+
+
+def reference_save_graph(g, path):
+    """save_graph as the per-edge f-string writer it replaced."""
+    lines = [f"n {g.n} directed {1 if g.directed else 0}\n"]
+    lines += [
+        f"{u} {v}\n"
+        for u, nbrs in enumerate(g.adjacency)
+        for v in nbrs
+        if g.directed or u < v
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=valid_adjacency(max_n=14))
+@example(case=(1, False, [[]]))
+@example(case=(1, True, [[]]))
+@example(case=(5, False, [[], [3], [], [1], []]))
+@example(case=(4, True, [[], [0, 2, 3], [], [1]]))
+def test_save_graph_writes_the_bytes_of_the_per_edge_writer(case, tmp_path_factory):
+    n, directed, rows = case
+    g = Graph(n, directed, tuple(map(tuple, rows)))
+    out = tmp_path_factory.mktemp("save")
+    save_graph(g, out / "new.txt")
+    reference_save_graph(g, out / "old.txt")
+    assert (out / "new.txt").read_bytes() == (out / "old.txt").read_bytes()

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,15 @@ def _outcome(read, token):
         return type(exc), str(exc)
 
 
+def _float_reading(f: Fraction) -> float:
+    """|f| rounded to a float as float() rounds it, inf past the largest
+    (int true division rounds correctly)."""
+    try:
+        return abs(f.numerator) / f.denominator
+    except OverflowError:
+        return math.inf
+
+
 _digits = st.text("0123456789", max_size=20)
 _decimal_tokens = st.builds(
     lambda sign, whole, frac, exp: sign + whole + frac + exp,
@@ -204,10 +214,15 @@ _ratio_tokens = st.builds(
 @example(token="1.d")
 @example(token="1" * 3000 + "." + "1" * 3000)
 @example(token="1" * 5000)  # over int()'s digit limit
+@example(token="2.4703282292062327e-324")  # just below half the least float
+@example(token="1.797693134862315807e308")  # float() rounds it down to the largest
+@example(token="-1/" + "9" * 330)
 def test_exact_ratio_matches_fraction(token):
     want = _outcome(Fraction, token)
     got = _outcome(exact_ratio, token)
-    if isinstance(want, Fraction):
+    if isinstance(want, Fraction) and want and _float_reading(want) in (0.0, math.inf):
+        assert got[0] is ValueError and " float" in got[1]
+    elif isinstance(want, Fraction):
         num, den = got
         assert type(num) is int and type(den) is int and den > 0
         assert Fraction(num, den) == want
@@ -241,3 +256,38 @@ def test_common_denominator_follows_values_not_spelling():
     assert (ints, L) == ([450, -75, 900, 100], 300)
     assert common_denominator([exact_ratio(t) for t in padded]) == (ints, L)
     assert common_denominator([]) == ([], 1)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("1e-20000", "nonzero value 1e-20000 is below the least float"),
+        ("-1e-20000", "nonzero value -1e-20000 is below the least float"),
+        ("0." + "0" * 400 + "1", "is below the least float"),
+        ("2.4703282292062327e-324", "is below the least float"),
+        ("1e400", "value 1e400 is beyond the largest float"),
+        ("1" + "0" * 400, "is beyond the largest float"),
+        ("1.797693134862315808e308", "is beyond the largest float"),
+        ("1/" + "7" * 400, "is below the least float"),
+        ("-" + "7" * 400 + "/3", "is beyond the largest float"),
+        # far past both ends: refused before any power of ten is built
+        ("1e-99999999999", "is below the least float"),
+        ("9e99999999999", "is beyond the largest float"),
+    ],
+)
+def test_exact_ratio_refuses_values_no_float_holds(token, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exact_ratio(token)
+
+
+def test_exact_reader_takes_every_float_the_writer_writes_and_names_the_line(tmp_path):
+    extremes = [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0]
+    p = tmp_path / "v.txt"
+    save_values(extremes, p)
+    # %.17g of the least subnormal lies below 2**-1074 but rounds to it
+    assert [a / b for a, b in parse_values(p, number=exact_ratio)] == extremes
+    p.write_text("0,0.5\n1,1e-20000\n")
+    with pytest.raises(ValueFormatError, match=r"v\.txt:2: nonzero value 1e-20000 is below the least float$"):
+        parse_values(p, number=exact_ratio)
+    # the float reader keeps reading an underflowing token as 0.0
+    assert load_values(p).means.tolist() == [0.5, 0.0]
