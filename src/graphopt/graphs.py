@@ -385,9 +385,9 @@ def make_grid_graph(spec: GridSpec) -> tuple[Graph, ValueTable]:
 # ---------------------------------------------------------------------------
 # k-nearest-neighbor graphs over point clouds
 
-# rows per kNN block: neither the (rows, n) estimate nor the gathered
-# (rows, width, dim) differences of the exact recheck hold more than this
-# many floats (2 MB), so each stays in cache between the passes over it
+# rows per kNN block: neither the (rows, n) estimate buffer, which one
+# product fills and every block reuses, nor the gathered (rows, width, dim)
+# differences of the exact recheck hold more than this many floats (2 MB)
 _KNN_BLOCK_FLOATS = 1 << 18
 
 
@@ -424,55 +424,64 @@ def _nearest(queries: np.ndarray, points: np.ndarray, K: int, skip_self: bool):
     The squared distance that decides is ``einsum`` over the differences
     ``query - point``; ties go to the lower id, which is the set a stable
     ``argsort(d2)[:K]`` takes. With ``skip_self`` the queries are the
-    points and row i never takes point i. A GEMM estimate only proposes
-    the candidates: it never decides, so its rounding (the BLAS build, its
-    kernels and thread count) cannot change the result.
+    points and row i never takes point i. An estimate only proposes the
+    candidates: one BLAS product of augmented rows ``[-2q, 1, |q|^2] .
+    [p, |p|^2, 1]`` per block of queries, written into one block buffer
+    that every block reuses. It never decides, so its rounding (the BLAS
+    build, its kernels and thread count) cannot change the result.
     """
     m, dim = queries.shape
     n = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
     sq_q = sq if skip_self else np.einsum("ij,ij->i", queries, queries)
-    # The estimate e = sq_i + sq_j - 2 q.p of the exact d = |q - p|^2 (both
-    # as computed) is within E = 3 (dim+2) eps (sq_i + sq_j) + A of d, for
-    # any summation order, blocking and FMA use. With u = eps/2, g_k = k u /
-    # (1 - k u), S = |q|^2 + |p|^2 and D = |q - p|^2 exactly:
+    # The estimate e = -2 q.p + sq_j + sq_i, a dot product of dim+2 terms
+    # whose last two (1 * sq_j, sq_i * 1) are exact, is within E = 3 (dim+2)
+    # eps (sq_i + sq_j) + A of the exact d = |q - p|^2 (both as computed),
+    # for any summation order, blocking and FMA use. With u = eps/2, g_k =
+    # k u / (1 - k u), S = |q|^2 + |p|^2 and D = |q - p|^2 exactly:
     # - a sum of k products, each term through at most k roundings, is off
-    #   by at most g_k times the sum of the absolute products, plus k A0 of
-    #   underflow (A0 = 2**-1075 per product; a sum that underflows is
-    #   exact). So sq_i, sq_j and 2 q.p are off by g_dim S_i, g_dim S_j and
-    #   g_dim S (since 2|q_k p_k| <= q_k^2 + p_k^2), the two additions of e
-    #   add g_2 (1 + g_dim) 2S, and |e - D| <= 2 g_(dim+2) S;
+    #   by at most g_k times the sum of the absolute products, plus A0 per
+    #   rounded product of underflow (A0 = 2**-1075; a sum that underflows
+    #   is exact). So sq_i and sq_j are off by g_dim S_i + dim A0 and g_dim
+    #   S_j + dim A0, and the terms of e sum to D plus those two errors;
+    # - -2q is exact, and 2|q_k p_k| <= q_k^2 + p_k^2, so the terms' absolute
+    #   values sum to at most S + sq_i + sq_j and |e - D| <= g_dim S +
+    #   g_(dim+2) (S + sq_i + sq_j) + 3 dim A0;
     # - each of d's dim terms is rounded by its difference, its square and
-    #   at most dim - 1 additions: |d - D| <= g_(dim+2) D, and D <= 2S;
-    # - so |e - d| <= 4 g_(dim+2) S + 5 dim A0 <= 2.05 (dim+2) eps (sq_i +
-    #   sq_j) + A, with S <= 1.01 (sq_i + sq_j) + 2 dim A0 from the first
-    #   step. c = 3 leaves room for the rounding of E and of the threshold
-    #   below, and A = 4 (dim+2) 2**-1074 covers the underflow terms.
+    #   at most dim - 1 additions: |d - D| <= g_(dim+2) D + dim A0, D <= 2S;
+    # - so |e - d| <= 4 g_(dim+2) S + g_(dim+2) (sq_i + sq_j) + 4 dim A0 <=
+    #   2.55 (dim+2) eps (sq_i + sq_j) + A, with S <= 1.011 (sq_i + sq_j +
+    #   2 dim A0) from the first step and g_k <= 1.011 k u (dim below
+    #   10**13). c = 3 leaves room for the rounding of E and of the
+    #   threshold below, and A = 4 (dim+2) 2**-1074 covers the underflow terms.
     # The K-th smallest estimate is within max_j E of the K-th smallest d,
     # so every point whose d is at most that K-th d has an estimate at most
     # the K-th estimate plus 2 max_j E, and is a candidate. The bound needs
     # no overflow: a row whose sq_i + max sq exceeds 2**1020 (coordinates
     # about 1e153 and up) takes every point as a candidate, as a full scan.
+    # Every term of a bounded row's product lies below 2**1021, and -2q
+    # overflows only where sq_i is already inf, in an unbounded row.
     ids = np.empty((m, K), dtype=np.intp)
     d2 = np.empty((m, K))
     rows = max(1, _KNN_BLOCK_FLOATS // n)
+    est = np.empty((min(rows, m), n))
     # overflow only ever makes a row unbounded, and NaN estimates stay in those rows
     with np.errstate(over="ignore", invalid="ignore"):
         sq_max = float(sq.max())
         err = 3 * (dim + 2) * np.finfo(float).eps * (sq_q + sq_max) + 4 * (dim + 2) * 2.0**-1074
         unbounded = sq_q + sq_max > 2.0**1020
+        left = np.hstack([-2.0 * queries, np.ones((m, 1)), sq_q[:, None]])
+        right = np.hstack([points, sq[:, None], np.ones((n, 1))]).T
         for lo in range(0, m, rows):
             hi = min(m, lo + rows)
-            est = queries[lo:hi] @ points.T
-            est *= -2.0
-            est += sq
-            est += sq_q[lo:hi, None]
+            block = np.matmul(left[lo:hi], right, out=est[: hi - lo])
             if skip_self:
-                est[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-            kth = np.partition(est, K - 1, axis=1)[:, K - 1]
-            cand = est <= (kth + 2 * err[lo:hi])[:, None]
+                block[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            # a view of the partitioned copy, which goes with it before _decide
+            kth = np.partition(block, K - 1, axis=1)[:, K - 1]
+            cand = block <= (kth + 2 * err[lo:hi])[:, None]
             cand[unbounded[lo:hi]] = True
-            del est, kth
+            del kth
             first = lo if skip_self else None
             ids[lo:hi], d2[lo:hi] = _decide(queries[lo:hi], points, K, first, cand)
     return ids, d2

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -106,13 +106,13 @@ def exact_ratio(token: str) -> tuple[int, int]:
     A nonzero value that a float cannot hold raises ValueError: one that
     ``float`` rounds to infinity (at least ``2**1024 - 2**970``) or to zero
     (at most ``2**-1075``). A decimal's power of ten is not built before
-    that test, so the cost of a token does not grow with its exponent.
+    that test, also where Fraction reads the decimal (whitespace, ``_`` or
+    non-ASCII digits), so the cost of a token does not grow with its
+    exponent.
     """
     m = _DECIMAL.fullmatch(token)
     if m is None:
-        f = Fraction(token)
-        _refuse_beyond_float(token, f)
-        return f.numerator, f.denominator
+        return _fraction_ratio(token)
     sign, whole, frac, exp = m.groups("")
     # Fraction's own steps, so an over-long digit string fails the same way
     num = int(whole or "0")
@@ -126,13 +126,8 @@ def exact_ratio(token: str) -> tuple[int, int]:
     digits = whole + frac
     # 1 <= |num| < 10**len(digits), so the value lies in 10**-k .. 10**(len(digits) - k)
     if not len(digits) - 300 <= k <= 300:
-        # past 10**310 and below 10**-325 no 10**k is built: a bound stands in
-        if k < -309:
-            _refuse_beyond_float(token, _FLOAT_INF)
-        elif k > len(digits) + 324:
-            _refuse_beyond_float(token, _FLOAT_ZERO)
-        else:
-            _refuse_beyond_float(token, num * Fraction(10) ** -k)
+        _refuse_far_beyond_float(token, k, len(digits))
+        _refuse_beyond_float(token, num * Fraction(10) ** -k)
     if k <= 0:
         return num * 10**-k, 1
     # trailing zeros add digits but no value, and must not raise the common
@@ -145,6 +140,41 @@ def exact_ratio(token: str) -> tuple[int, int]:
 # nonzero one it reads as 0.0 (both ties round to even)
 _FLOAT_INF = Fraction(2**1024 - 2**970)
 _FLOAT_ZERO = Fraction(1, 2**1075)
+
+
+def _fraction_ratio(token: str) -> tuple[int, int]:
+    """``exact_ratio`` of a token that is not an ASCII decimal: what
+    ``Fraction(token)`` makes of it. A decimal with an exponent in Fraction's
+    grammar (whitespace, ``_`` and any Unicode digits) is zero or refused
+    when far past the float range before Fraction builds ``10**|exponent|``;
+    Fraction's own steps up to that power run first, in its order, so a
+    token it would refuse raises its error.
+    """
+    m = _RATIONAL_FORMAT.match(token)  # the pattern Fraction(token) matches
+    if m is not None and m["exp"]:
+        num = int(m["num"] or "0")
+        frac = (m["decimal"] or "").replace("_", "")
+        if frac:
+            num = num * 10 ** len(frac) + int(frac)
+        exp = int(m["exp"])
+        if num == 0:
+            return 0, 1
+        # 1 <= |num| < 10**ndigits, and the value is num / 10**(len(frac) - exp)
+        ndigits = len(m["num"].replace("_", "")) + len(frac)
+        _refuse_far_beyond_float(token, len(frac) - exp, ndigits)
+    f = Fraction(token)
+    _refuse_beyond_float(token, f)
+    return f.numerator, f.denominator
+
+
+def _refuse_far_beyond_float(token: str, k: int, ndigits: int) -> None:
+    """ValueError if ``num / 10**k``, the value of ``token`` with ``1 <=
+    |num| < 10**ndigits``, is past 10**309 or below 10**-324: a bound
+    stands in for the value, so no power of ten is built."""
+    if k < -309:
+        _refuse_beyond_float(token, _FLOAT_INF)
+    elif k > ndigits + 324:
+        _refuse_beyond_float(token, _FLOAT_ZERO)
 
 
 def _refuse_beyond_float(token: str, value) -> None:

@@ -88,6 +88,20 @@ def test_exact_nn_matches_the_per_query_scan(case):
         assert exact_nn(ps, q, K) == res
 
 
+def test_exact_nn_matches_the_per_query_scan_across_query_blocks():
+    # 2000 points make blocks of 131 queries: 300 queries run 131, 131 and a
+    # short 38 through one reused estimate buffer; the lattice makes ties
+    rng = np.random.default_rng(8)
+    coords = rng.integers(-2, 3, size=(2300, 4)).astype(float)
+    points, queries = coords[:2000], coords[2000:]
+    ps = PointSet(points)
+    results = exact_nn_all(ps, queries, 50)
+    assert len(results) == 300
+    for q, res in zip(queries, results):
+        assert (res.candidates, res.distances) == scan_nn(points, q, 50)
+    assert exact_nn_all(ps, np.zeros((0, 4)), 50) == []
+
+
 def test_exact_nn_refuses_non_finite_queries():
     ps = PointSet(np.arange(6, dtype=float).reshape(3, 2))
     for q in ([0.0, np.nan], [np.inf, 1.0]):

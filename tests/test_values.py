@@ -17,6 +17,7 @@ from graphopt import (
     parse_values,
     save_graph,
     save_values,
+    values,
 )
 
 
@@ -278,6 +279,34 @@ def test_common_denominator_follows_values_not_spelling():
 def test_exact_ratio_refuses_values_no_float_holds(token, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         exact_ratio(token)
+
+
+def _no_fraction(*args):
+    raise AssertionError("Fraction called")
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        (" 1e-200000", "nonzero value  1e-200000 is below the least float"),
+        ("١e-400000", "nonzero value ١e-400000 is below the least float"),
+        (" 1e-800000", "nonzero value  1e-800000 is below the least float"),
+        (" 1e800000", "value  1e800000 is beyond the largest float"),
+        ("1_0e-800000", "nonzero value 1_0e-800000 is below the least float"),
+    ],
+)
+def test_exact_ratio_refuses_fraction_spellings_before_fraction_reads_them(token, message, monkeypatch):
+    # whitespace, "_" and non-ASCII digits take Fraction's path; a far
+    # exponent is refused before Fraction would build 10**|exponent|
+    monkeypatch.setattr(values, "Fraction", _no_fraction)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exact_ratio(token)
+
+
+def test_exact_ratio_reads_a_zero_fraction_spelling_without_its_power(monkeypatch):
+    monkeypatch.setattr(values, "Fraction", _no_fraction)
+    assert exact_ratio(" 0e-900000") == (0, 1)
+    assert exact_ratio("٠.0e900000") == (0, 1)
 
 
 def test_exact_reader_takes_every_float_the_writer_writes_and_names_the_line(tmp_path):
