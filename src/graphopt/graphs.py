@@ -11,8 +11,7 @@ import os
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import length_hint
+from operator import index, length_hint
 from typing import Iterable
 
 import numpy as np
@@ -29,12 +28,13 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable graph with sorted adjacency lists.
 
-    Invariants: node ids in range, no self-loops, no duplicate edges, rows
-    sorted, and symmetric adjacency when undirected. They are checked once,
-    where a graph comes in from outside graphopt: ``Graph(...)`` checks
-    every field, and ``from_edges`` and ``load_graph`` check the edges they
-    are given. The grid and kNN builders make graphs that hold them by
-    construction, and those are not checked again.
+    Invariants: node ids are integers in range, no self-loops, no duplicate
+    edges, rows sorted, and symmetric adjacency when undirected. They are
+    checked once, where a graph comes in from outside graphopt, by plain
+    loops: ``Graph(...)`` checks every entry in turn and then every row,
+    and ``from_edges`` and ``load_graph`` check the edges they are given.
+    The grid and kNN builders make graphs that hold them by construction,
+    and those are not checked again.
     """
 
     n: int
@@ -42,34 +42,51 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __post_init__(self):
-        n = self.n
+        n, adjacency = self.n, self.adjacency
         if n <= 0:
             raise ValueError("graph must have at least one node")
-        if len(self.adjacency) != n:
+        if len(adjacency) != n:
             raise ValueError("adjacency length must equal n")
-        lens = np.fromiter(map(len, self.adjacency), dtype=np.intp, count=n)
-        dst = _int_array(list(chain.from_iterable(self.adjacency)))
-        src = np.repeat(np.arange(n), lens)
-        fault = (dst < 0) | (dst >= n) | (dst == src)
-        # a row that rises strictly is sorted and free of duplicates
-        fault[1:] |= (dst[1:] <= dst[:-1]) & (src[1:] == src[:-1])
-        if fault.any():
-            u = int(src[np.argmax(fault)])
-            raise ValueError(_row_fault(u, self.adjacency[u], n))
+        for u, nbrs in enumerate(adjacency):
+            seen = set()
+            for v in nbrs:
+                if not isinstance(v, (int, np.integer)):
+                    raise ValueError(f"node {u}: neighbor {v!r} is not an integer")
+                if not 0 <= v < n:
+                    raise ValueError(f"node {u}: neighbor {v} out of range")
+                if v == u:
+                    raise ValueError(f"self-loop at node {u}")
+                if v in seen:
+                    raise ValueError(f"duplicate edge {u}->{v}")
+                seen.add(v)
+            if any(a > b for a, b in zip(nbrs, nbrs[1:])):
+                raise ValueError(f"adjacency of node {u} not sorted")
         if not self.directed:
-            # keys u*n+v ascend already (rows in order, each rising); the
-            # graph is symmetric iff they equal the reversed keys v*n+u
-            keys = src * n + dst
-            back = np.sort(dst * n + src)
-            if not np.array_equal(keys, back):
-                i = int(np.argmax(~np.isin(keys, back)))
-                raise ValueError(f"asymmetric undirected edge {src[i]}-{dst[i]}")
+            edges = [(u, v) for u, nbrs in enumerate(adjacency) for v in nbrs]
+            back = set(edges)
+            for u, v in edges:
+                if (v, u) not in back:
+                    raise ValueError(f"asymmetric undirected edge {u}-{v}")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]], directed: bool = False) -> "Graph":
-        """Graph on the set of ``edges``; a repeated edge is allowed."""
-        pairs = _int_array(list(edges)).reshape(-1, 2)
-        return _from_pairs(n, directed, pairs[:, 0], pairs[:, 1])
+        """Graph on the set of ``edges``, each a pair of integers (numpy ones
+        are stored as Python ints); a repeated edge is allowed."""
+        n = _whole("n", n, 1)
+        adj = [set() for _ in range(n)]
+        for edge in edges:
+            try:
+                u, v = map(index, edge)
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not a pair of integers") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range")
+            if u == v:
+                raise ValueError(f"self-loop at node {u}")
+            adj[u].add(v)
+            if not directed:
+                adj[v].add(u)
+        return _unchecked(n, directed, tuple(tuple(sorted(s)) for s in adj))
 
     def neighbors(self, x: int) -> tuple[int, ...]:
         return self.adjacency[x]
@@ -86,29 +103,6 @@ class Graph:
         return total if self.directed else total // 2
 
 
-def _int_array(values: list) -> np.ndarray:
-    """``values`` as int64, or as exact Python ints when one lies beyond
-    int64 (and so out of range of any graph)."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _row_fault(u: int, nbrs, n: int) -> str:
-    """The first fault in a faulty adjacency row, in the order it is checked."""
-    seen = set()
-    for v in nbrs:
-        if not 0 <= v < n:
-            return f"node {u}: neighbor {v} out of range"
-        if v == u:
-            return f"self-loop at node {u}"
-        if v in seen:
-            return f"duplicate edge {u}->{v}"
-        seen.add(v)
-    return f"adjacency of node {u} not sorted"
-
-
 def _unchecked(n: int, directed: bool, adjacency: tuple[tuple[int, ...], ...]) -> Graph:
     """A Graph of fields that hold its invariants by construction, set
     without checking them again."""
@@ -120,19 +114,12 @@ def _unchecked(n: int, directed: bool, adjacency: tuple[tuple[int, ...], ...]) -
 
 
 def _from_pairs(n: int, directed: bool, u: np.ndarray, v: np.ndarray) -> Graph:
-    """Graph on the edges (u[i], v[i]), both directions when undirected.
+    """Graph on the int64 edges (u[i], v[i]), both directions when undirected.
 
-    Raises on an n that is not a whole number >= 1, then on the first edge
-    out of range or looping back to its source.
+    It checks nothing and trusts its callers for ids in 0..n-1 and no
+    self-loop: ``load_graph`` passes the edges ``_parse_edges`` checked,
+    and ``make_plain_grid`` edges that hold by construction.
     """
-    n = _whole("n", n, 1)
-    out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    bad = out | (u == v)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if out[i]:
-            raise ValueError(f"edge ({u[i]},{v[i]}) out of range")
-        raise ValueError(f"self-loop at node {u[i]}")
     keys = u * n + v
     if not directed:
         keys = np.concatenate((keys, v * n + u))

@@ -172,12 +172,15 @@ def sgnn_query(
 
     The K nearest of the final pool are returned; a pool smaller than K
     (the evaluated nodes reach fewer than K) is returned whole and
-    flagged short.
+    flagged short. A graph whose node count is not the number of points
+    raises ValueError before any draw.
     """
     I = _whole("I", I, 1)
     J = _whole("J", J, 0)
     T = _whole("T", T, 0)
     K = _whole("K", K, 1)
+    if g.n != points.n:
+        raise ValueError(f"a graph of {g.n} nodes for {points.n} points")
     cache = DistanceCache(points, query)
     with _Draws(rng) as draws:
         for _ in range(I):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from contextlib import nullcontext
 
@@ -385,8 +386,8 @@ def test_load_graph_reports_bad_lines(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Graph validation, edge building and the graph file format against the
-# per-element loops they replaced
+# Graph validation, edge building and the graph file format against
+# per-element reference loops
 
 
 def reference_validate(n, directed, adjacency):
@@ -503,6 +504,33 @@ def test_validation_reports_the_lowest_faulty_node():
         Graph(2, True, ((2**70,), ()))
     with pytest.raises(ValueError, match="^asymmetric undirected edge 0-2$"):
         Graph(3, False, ((1, 2), (0,), ()))
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", None, np.float64(1.0)])
+def test_validation_refuses_an_id_that_is_not_an_integer(bad):
+    # an int64 cast used to read 1.5 and 1.0 as node 1 and take "1"
+    with pytest.raises(ValueError, match=rf"^node 2: neighbor {re.escape(repr(bad))} is not an integer$"):
+        Graph(3, True, ((1,), (), (0, bad)))
+    # the type is checked before the range: 7.5 is named as not an integer
+    with pytest.raises(ValueError, match=r"^node 0: neighbor 7.5 is not an integer$"):
+        Graph(3, True, ((7.5,), (), ()))
+    # numpy ints are integers
+    assert Graph(3, False, ((np.int64(1),), (np.int32(0),), ())).edge_count() == 1
+
+
+@pytest.mark.parametrize("edge", [(0, 1.5), (0, 1.0), (0, "1"), ("0", 1), (0, None), (0, 1, 2, 3), (0,), 1, "01"])
+def test_from_edges_refuses_an_edge_that_is_not_a_pair_of_integers(edge):
+    # (0, 1.5) used to build the edge 0-1, and a 4-tuple two edges
+    with pytest.raises(ValueError, match=rf"^edge {re.escape(repr(edge))} is not a pair of integers$"):
+        Graph.from_edges(4, [(1, 2), edge])
+
+
+def test_from_edges_stores_numpy_ints_as_python_ints():
+    edges = [(np.int64(0), np.int64(2)), np.array([1, 2]), (np.int32(3), 1)]
+    for directed in (False, True):
+        g = Graph.from_edges(np.int64(4), edges, directed=directed)
+        assert g.adjacency == reference_from_edges(4, [(0, 2), (1, 2), (3, 1)], directed)
+        assert_checks_pass(g)
 
 
 @st.composite

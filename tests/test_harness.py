@@ -13,6 +13,7 @@ from graphopt import (
     ValueTable,
     gap_statistics,
     make_grid_graph,
+    make_plain_grid,
     records_to_csv,
     run_trials,
     stats_to_csv,
@@ -55,6 +56,17 @@ def test_config_validation():
         ExperimentConfig(g, t, "sr", (10,), 1, 1.5)
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(g, t, "sr", (10,), 1, -1)
+
+
+@pytest.mark.parametrize("k", [20, 26])
+@pytest.mark.parametrize("algo", ["sr", "ed", "sa"])
+def test_config_refuses_a_value_table_that_does_not_fit_the_graph(algo, k):
+    # 26 values made a gap against a value no node has; 20 failed in sr's
+    # draws or gave ed a gap of 0.0
+    g, _ = make_plain_grid(2)
+    values = ValueTable(np.linspace(0.0, 0.95, k))
+    with pytest.raises(ValueError, match=f"^{k} values for a graph of 25 nodes$"):
+        ExperimentConfig(g, values, algo, (200,), 2, 0, maximize=True, params={"gamma": 1.0} if algo == "sa" else {})
 
 
 def test_non_finite_settings_rejected_up_front():

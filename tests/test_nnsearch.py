@@ -270,6 +270,19 @@ def test_sgnn_query_refuses_a_non_pcg64_generator():
         sgnn_query(g, ps, np.array([0.0]), I=1, J=1, T=1, K=1, rng=mt)
 
 
+@pytest.mark.parametrize("n_graph", [100, 400])
+def test_sgnn_query_refuses_a_graph_not_of_the_points(n_graph):
+    # a smaller graph answered from its ids alone; a larger one hit an IndexError
+    rng = np.random.default_rng(5)
+    ps = PointSet(rng.normal(size=(300, 3)))
+    g = make_knn_graph(rng.normal(size=(n_graph, 3)), 5)
+    draws = np.random.default_rng(0)
+    before = draws.bit_generator.state
+    with pytest.raises(ValueError, match=f"^a graph of {n_graph} nodes for 300 points$"):
+        sgnn_query(g, ps, np.zeros(3), I=3, J=3, T=1, K=5, rng=draws)
+    assert draws.bit_generator.state == before
+
+
 def test_recall_trend_is_non_decreasing_in_restarts():
     rng = np.random.default_rng(17)
     coords = rng.normal(size=(256, 3))
