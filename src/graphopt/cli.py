@@ -8,6 +8,7 @@ go to stdout unless --out names a file.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -245,7 +246,11 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. ``parse_args``
+    makes a fresh namespace on every call, and each command reads this
+    module's names when it runs, so reuse carries nothing between calls."""
     parser = argparse.ArgumentParser(prog="graphopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

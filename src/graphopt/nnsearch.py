@@ -229,7 +229,8 @@ def exact_nn(points: PointSet, query, K: int) -> QueryResult:
 def exact_nn_all(points: PointSet, queries, K: int) -> list[QueryResult]:
     """``exact_nn`` for each row of the (m, dim) ``queries``, from one
     blocked scan of the points: per query the K nearest, nearest first and
-    ties by id, with their distances."""
+    ties by id, with their distances. A query whose squared distance to one
+    of its K nearest overflows a float is refused."""
     K = _whole("K", K)
     if not 1 <= K <= points.n:
         raise ValueError(f"K must be in 1..{points.n}")
@@ -239,6 +240,10 @@ def exact_nn_all(points: PointSet, queries, K: int) -> list[QueryResult]:
     if not np.all(np.isfinite(qs)):
         raise ValueError("query coordinates must be finite")
     ids, d2 = _nearest(qs, points.coords, K, skip_self=False)
+    overflow = np.isinf(d2).any(axis=1)
+    if overflow.any():
+        i = int(np.argmax(overflow))
+        raise ValueError(f"squared distance from query {i} to a nearest point overflows a float")
     # ids ascend along each row, so a stable sort by distance breaks ties by id
     order = np.argsort(d2, axis=1, kind="stable")
     ids = np.take_along_axis(ids, order, axis=1).tolist()

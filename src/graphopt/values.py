@@ -83,9 +83,9 @@ def save_values(table: ValueTable | Sequence[float], path) -> None:
     """
     if not isinstance(table, ValueTable):
         table = ValueTable(table)
+    text = "".join([f"{i},{v:.17g}\n" for i, v in enumerate(table.floats)])
     with open(path, "w", encoding="utf-8") as fh:
-        for i, v in enumerate(table.means):
-            fh.write(f"{i},{float(v):.17g}\n")
+        fh.write(text)
 
 
 # an ASCII decimal: sign, digits with an optional point, optional exponent
@@ -206,8 +206,17 @@ def parse_values(path, n: int | None = None, number: Callable = float) -> list:
     ``number=exact_ratio`` (or ``fractions.Fraction``) to read the values
     exactly. Raises ValueFormatError with the offending line number on any
     defect.
+
+    With ``number=exact_ratio``, a file in the form ``save_values`` writes
+    is read in one numpy pass (see ``_bulk_exact``). Any other file, and
+    any fault, is walked line by line, which names the first faulty line.
     """
-    vals: list = []
+    if number is exact_ratio:
+        with open(path, "rb") as fh:
+            vals = _bulk_exact(fh.read(), n)
+        if vals is not None:
+            return vals
+    vals = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -235,6 +244,117 @@ def parse_values(path, n: int | None = None, number: Callable = float) -> list:
     if n is not None and len(vals) != n:
         raise ValueFormatError(f"{path}: expected {n} values, found {len(vals)}")
     return vals
+
+
+# the byte classes of the bulk pass (0 for a byte save_values never writes),
+# and which class may follow which in `<id>,[-]<m>[.<m>][e(-|+)<m>]\n`
+_DIGIT, _COMMA, _NEWLINE, _MINUS, _PLUS, _POINT, _EXP = range(1, 8)
+_VALUE_CLASS = np.zeros(256, dtype=np.uint8)
+for _k, _chars in enumerate(("0123456789", ",", "\n", "-", "+", ".", "e"), start=1):
+    _VALUE_CLASS[list(_chars.encode())] = _k
+_VALUE_PAIR = np.zeros(64, dtype=bool)
+for _k, _next in {
+    _DIGIT: (_DIGIT, _COMMA, _POINT, _EXP, _NEWLINE),
+    _COMMA: (_DIGIT, _MINUS),
+    _NEWLINE: (_DIGIT,),
+    _MINUS: (_DIGIT,),
+    _PLUS: (_DIGIT,),
+    _POINT: (_DIGIT,),
+    _EXP: (_MINUS, _PLUS),
+}.items():
+    _VALUE_PAIR[[8 * _k + j for j in _next]] = True
+
+# the value of each digit byte, 0 for any other byte
+_DIGIT_VALUE = np.zeros(256, dtype=np.uint8)
+_DIGIT_VALUE[_VALUE_CLASS == _DIGIT] = range(10)
+# the bulk pass reads a number of at most 21 digits ('%.17g' writes up to
+# '0.000' and 17 more), of which only the last 18 may be nonzero: 10**18 - 1
+# fits int64
+_BULK_WIDTH, _BULK_DIGITS = 21, 18
+_TENS = 10 ** np.arange(_BULK_DIGITS, dtype=np.int64)
+
+
+def _bulk_exact(data: bytes, n: int | None) -> list[tuple[int, int]] | None:
+    """``exact_ratio`` of each value of a file in the form ``save_values``
+    writes, in one numpy pass; None for any other file.
+
+    Every line is ``<id>,[-]<digits>[.<digits>][e(-|+)<digits>]`` in ASCII,
+    with ids 0, 1, ... (n lines when n is given) and a final newline. Each
+    number has at most 21 digits and no nonzero one before its last 18, a
+    fraction does not end in 0 (``exact_ratio`` drops such zeros), and each
+    value is ``m / 10**k`` with ``len(digits) - 300 <= k <= 300``, where
+    ``exact_ratio`` makes no far-range test.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    if not len(b) or b[-1] != ord("\n"):
+        return None
+    cls = np.take(_VALUE_CLASS, b)
+    if cls[0] != _DIGIT or not np.take(_VALUE_PAIR, cls[:-1] * 8 + cls[1:]).all():
+        return None
+    nl = np.flatnonzero(cls == _NEWLINE)
+    lines = len(nl)
+    comma = np.flatnonzero(cls == _COMMA)
+    if (n is not None and lines != n) or not np.array_equal(np.searchsorted(nl, comma), np.arange(lines)):
+        return None
+    # at most one point and one exponent per line, after its comma; the
+    # mantissa ends at the exponent, or at the newline where there is none
+    point = np.full(lines, -1)
+    mend = nl.copy()
+    for c, into in ((_POINT, point), (_EXP, mend)):
+        at = np.flatnonzero(cls == c)
+        line = np.searchsorted(nl, at)
+        if (np.diff(line) <= 0).any() or (at < comma[line]).any():
+            return None
+        into[line] = at
+    if (point >= mend).any():
+        return None
+    # the byte after a comma or an e is the sign; after a newline, a digit
+    minus = np.append(cls == _MINUS, False)
+    negative, negative_power = minus[comma + 1], minus[mend + 1]
+    # without its point a mantissa is one run of digits; the places of the
+    # comma, e and newline move back by the points before them
+    has_point, has_power = point >= 0, mend < nl
+    frac = np.where(has_point, mend - point - 1, 0)
+    shift = np.cumsum(has_point)
+    digits = np.take(_DIGIT_VALUE, b[cls != _POINT])
+    comma, mend, nl = comma - (shift - has_point), mend - shift, nl - shift
+    lo = comma + 1 + negative
+    ids, m, power = (
+        _digit_runs(digits, first, end)
+        for first, end in (
+            (np.concatenate(([0], nl[:-1] + 1)), comma),
+            (lo, mend),
+            # a line without a power gets an empty run after its newline
+            (np.where(has_power, mend + 2, nl + 1), np.where(has_power, nl, nl + 1)),
+        )
+    )
+    if ids is None or m is None or power is None or not np.array_equal(ids, np.arange(lines)):
+        return None
+    # the value is m / 10**k
+    k = frac - np.where(negative_power, -power, power)
+    if ((k > 300) | (k < mend - lo - 300) | ((k > 0) & (m % 10 == 0) & (m != 0))).any():
+        return None
+    m = np.where(negative, -m, m)
+    k[m == 0] = 0
+    tens = {p: 10 ** abs(p) for p in set(k.tolist())}
+    return [(v, tens[p]) if p > 0 else (v * tens[p], 1) for v, p in zip(m.tolist(), k.tolist())]
+
+
+def _digit_runs(digits: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The numbers that the runs ``digits[first:end]`` spell, as int64 (0
+    for an empty run); None if a run is longer than 21 digits or has a
+    nonzero one before its last 18. ``digits[first - 1]`` must be 0 (the
+    value of a byte that is no digit)."""
+    width = int((end - first).max(initial=0))
+    if width > _BULK_WIDTH:
+        return None
+    # the j-th digit from the right, or the 0 before the run where it has none
+    at = end[:, None] - np.arange(1, width + 1)
+    np.maximum(at, first[:, None] - 1, out=at)
+    d = np.take(digits, at)
+    if d[:, _BULK_DIGITS:].any():
+        return None
+    return d[:, :_BULK_DIGITS] @ _TENS[: min(width, _BULK_DIGITS)]
 
 
 def load_values(path, n: int | None = None) -> ValueTable:

@@ -9,7 +9,8 @@ import pytest
 
 import graphopt
 from graphopt import Graph, PointSet, load_graph, save_graph, save_points
-from graphopt.cli import cli
+from graphopt import cli as cli_module
+from graphopt.cli import build_parser, cli
 
 
 def run_cli(capsys, *argv):
@@ -463,6 +464,34 @@ def test_bound_rejects_non_finite_inputs(capsys, argv):
     assert exc.value.code != 0
     assert "must be finite" in captured.err
     assert captured.out == ""
+
+
+def test_the_parser_is_built_once_and_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    grid = tmp_path / "grid.txt"
+    run_cli(capsys, "gen-grid", "--D", "2", "--target-degree", "8", "--seed", "5", "--out", str(grid))
+    run = ("run", "--graph", str(grid), "--budget", "200", "--trials", "3", "--seed", "1")
+    calls = [
+        # sa's --gamma has a SUPPRESS default: a later sr run must not see it
+        (*run, "--algo", "sa", "--gamma", "250"),
+        (*run, "--algo", "sr"),
+        ("certify", "--graph", str(grid), "--nearly", "--c", "1/10"),
+        ("certify", "--graph", str(grid), "--nearly", "--alpha", "3/10", "--c", "1/10", "--negate"),
+        ("bound", "sr", "--K", "4", "--H", "50", "--B", "200"),
+        ("bound", "sa-samples", "--r", "2", "--gamma", "10", "--R", "0.5"),
+    ]
+
+    def outcomes():
+        # a run row's last field is its time_ms
+        return [
+            (code, "".join(line.rsplit(",", 1)[0] + "\n" for line in out.splitlines()), err)
+            for code, out, err in (run_cli(capsys, *argv) for argv in calls)
+        ]
+
+    cached = outcomes()
+    assert [code for code, _, _ in cached] == [0, 0, 2, 0, 0, 0]
+    monkeypatch.setattr(cli_module, "build_parser", build_parser.__wrapped__)
+    assert outcomes() == cached
 
 
 def test_python_m_graphopt_cli_runs_the_command(tmp_path):

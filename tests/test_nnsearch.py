@@ -50,12 +50,23 @@ def test_exact_nn_orders_by_distance_then_id():
     assert not res.short
 
 
-def scan_nn(coords, query, K):
-    """The per-query scan exact_nn ran before its blocked prefilter."""
+def scan_nn(coords, query, K, qi=0):
+    """The per-query scan exact_nn ran before its blocked prefilter; it
+    refuses query ``qi`` when its K nearest include an infinite squared
+    distance."""
     diff = coords - query
     d2 = np.einsum("ij,ij->i", diff, diff)
     order = np.argsort(d2, kind="stable")[:K]
+    if np.isinf(d2[order]).any():
+        raise ValueError(f"squared distance from query {qi} to a nearest point overflows a float")
     return tuple(int(i) for i in order), tuple(float(math.sqrt(d2[i])) for i in order)
+
+
+def _nn_outcome(search, *args):
+    try:
+        return search(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 @st.composite
@@ -81,11 +92,17 @@ def scan_cases(draw):
 def test_exact_nn_matches_the_per_query_scan(case):
     coords, queries, K = case
     ps = PointSet(coords)
-    for q, res in zip(queries, exact_nn_all(ps, queries, K)):
-        want = scan_nn(coords, q, K)
-        assert (res.candidates, res.distances) == want
-        assert res.distance_evals == len(coords) and not res.short
-        assert exact_nn(ps, q, K) == res
+
+    def found(results):
+        assert all(r.distance_evals == len(coords) and not r.short for r in results)
+        return [(r.candidates, r.distances) for r in results]
+
+    # both refuse the first query whose distances overflow, and exact_nn
+    # calls its one query 0
+    want = _nn_outcome(lambda: [scan_nn(coords, q, K, qi) for qi, q in enumerate(queries)])
+    assert _nn_outcome(lambda: found(exact_nn_all(ps, queries, K))) == want
+    for q in queries:
+        assert _nn_outcome(lambda: found([exact_nn(ps, q, K)])[0]) == _nn_outcome(scan_nn, coords, q, K)
 
 
 def test_exact_nn_matches_the_per_query_scan_across_query_blocks():
@@ -100,6 +117,17 @@ def test_exact_nn_matches_the_per_query_scan_across_query_blocks():
     for q, res in zip(queries, results):
         assert (res.candidates, res.distances) == scan_nn(points, q, 50)
     assert exact_nn_all(ps, np.zeros((0, 4)), 50) == []
+
+
+def test_exact_nn_refuses_a_query_whose_distances_overflow():
+    # math.dist would give finite distances here; the squared ones overflow
+    ps = PointSet(1e155 * np.random.default_rng(0).normal(size=(50, 3)))
+    message = r"^squared distance from query 0 to a nearest point overflows a float$"
+    with pytest.raises(ValueError, match=message):
+        exact_nn(ps, np.zeros(3), 5)
+    queries = np.vstack([ps.coords[:1], np.zeros((1, 3))])
+    with pytest.raises(ValueError, match=message.replace("query 0", "query 1")):
+        exact_nn_all(ps, queries, 1)
 
 
 def test_exact_nn_refuses_non_finite_queries():

@@ -320,3 +320,136 @@ def test_exact_reader_takes_every_float_the_writer_writes_and_names_the_line(tmp
         parse_values(p, number=exact_ratio)
     # the float reader keeps reading an underflowing token as 0.0
     assert load_values(p).means.tolist() == [0.5, 0.0]
+
+
+def per_line_save(table, path):
+    """The writer save_values replaced: one write per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, v in enumerate(ValueTable(table).means):
+            fh.write(f"{i},{float(v):.17g}\n")
+
+
+# signed zeros, subnormals, the float extremes, integral values and any float
+WRITTEN_VALUES = st.lists(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, 1e-4, 1e-5, 0.1])
+    | st.integers(-(10**17), 10**17).map(float)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=WRITTEN_VALUES)
+@example(table=[-0.0, 5e-324, 1e308, 3.0, 1e17, 123456789012345678.0])
+def test_save_values_writes_the_per_line_writers_bytes(table, tmp_path_factory):
+    out = tmp_path_factory.mktemp("save")
+    save_values(table, out / "new.txt")
+    per_line_save(table, out / "old.txt")
+    assert (out / "new.txt").read_bytes() == (out / "old.txt").read_bytes()
+
+
+def _walk(path, n):
+    """parse_values' line walk with exact_ratio: a number that is not
+    exact_ratio itself never takes the bulk pass."""
+    return parse_values(path, n, number=lambda token: exact_ratio(token))
+
+
+def _exact(path, n):
+    return parse_values(path, n, number=exact_ratio)
+
+
+def _in_bulk_range(v):
+    # '%.17g' writes these as m / 10**k with -250 <= k <= 266: inside the bulk range
+    return v == 0 or 1e-250 <= abs(v) <= 1e250
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=WRITTEN_VALUES)
+@example(table=[0.0, -0.0, 1.0, 0.00012345678901234567, -123.25, 1e16, 2.5e-250])
+@example(table=[5e-324, 0.5])  # a subnormal's exponent sends the file to the walk
+@example(table=[1e308, 0.5])
+def test_bulk_exact_pass_matches_the_line_walk_on_written_files(table, tmp_path_factory):
+    p = tmp_path_factory.mktemp("bulk") / "v.txt"
+    save_values(table, p)
+    n = len(table)
+    got = values._bulk_exact(p.read_bytes(), n)
+    want = _walk(p, n)
+    assert got is None or got == want
+    if all(_in_bulk_range(v) for v in table):
+        assert got == want
+    assert _exact(p, n) == want
+    assert _exact(p, None) == want
+
+
+def _with_token(token):
+    def mutate(lines, i):
+        return "".join(f"{j},{token}\n" if j == i else f"{line}\n" for j, line in enumerate(lines))
+
+    return mutate
+
+
+def _swap_ids(lines, i):
+    lines = list(lines)
+    j = (i + 1) % len(lines)
+    lines[i], lines[j] = lines[j], lines[i]
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _id_gap(lines, i):
+    value = lines[-1].split(",")[1]
+    return "".join(f"{line}\n" for line in lines[:-1]) + f"{len(lines)},{value}\n"
+
+
+# file mutations that the bulk pass must leave to the walk; (lines, i) -> text
+MUTATIONS = {
+    "crlf": lambda lines, i: "".join(f"{line}\r\n" for line in lines),
+    "trailing-blank-line": lambda lines, i: "".join(f"{line}\n" for line in lines) + "\n",
+    "no-final-newline": lambda lines, i: "\n".join(lines),
+    "plus": _with_token("+1.5"),
+    "underscore": _with_token("1_0"),
+    "arabic-indic-digits": _with_token("١٢"),
+    "ratio": _with_token("1/3"),
+    "trailing-zero": _with_token("1.50"),
+    "no-whole-digits": _with_token(".5"),
+    "no-fraction-digits": _with_token("5."),
+    "below-float": _with_token("1e-400"),
+    "beyond-float": _with_token("1e400"),
+    "5000-digits": _with_token("1" * 5000),
+    "ids-out-of-order": _swap_ids,
+    "id-gap": _id_gap,
+    "empty": lambda lines, i: "",
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    table=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12),
+    mutation=st.sampled_from(sorted(MUTATIONS) + ["wrong-count"]),
+    data=st.data(),
+)
+def test_bulk_exact_pass_leaves_other_files_to_the_line_walk(table, mutation, data, tmp_path_factory):
+    p = tmp_path_factory.mktemp("mutated") / "v.txt"
+    save_values(table, p)
+    n = len(table)
+    if mutation == "wrong-count":
+        n += data.draw(st.sampled_from([-1, 1]))
+    else:
+        lines = p.read_text().splitlines()
+        p.write_bytes(MUTATIONS[mutation](lines, data.draw(st.integers(0, n - 1))).encode("utf-8"))
+    assert values._bulk_exact(p.read_bytes(), n) is None
+    assert _outcome(lambda path: _exact(path, n), p) == _outcome(lambda path: _walk(path, n), p)
+
+
+def test_a_written_file_takes_the_bulk_pass(tmp_path, monkeypatch):
+    p = tmp_path / "v.txt"
+    table = [0.0, -0.0, 0.031360000000000013, -1.5, 3.0, 1e-05, 2.5e+200, 0.00012345678901234567]
+    save_values(table, p)
+    want = _walk(p, len(table))
+    assert [a / b for a, b in want] == table
+
+    def no_exact_ratio(token):
+        raise AssertionError("exact_ratio called")
+
+    monkeypatch.setattr(values, "exact_ratio", no_exact_ratio)
+    assert parse_values(p, len(table), number=values.exact_ratio) == want
