@@ -32,7 +32,6 @@ from .convexity import (
     best_improvement,
     certify_nearly_convex,
     certify_strongly_convex,
-    improvement_delta,
     is_strongly_convex_path,
     lemma1_gap_bound,
 )
@@ -47,8 +46,6 @@ from .graphs import (
     GraphFormatError,
     GridSpec,
     Path,
-    grid_coords,
-    grid_node_id,
     grid_value,
     load_graph,
     make_grid_graph,

@@ -50,6 +50,7 @@ def sa_transition_probs(
     divided by deg(x); the leftover mass is the self-loop. Returns the
     target list (neighbors in adjacency order, then x itself) and the
     matching probability vector, which is non-negative and sums to 1.
+    The paper's kernel, kept for ``test_kernel_satisfies_detailed_balance``.
     """
     gamma = _as_float("gamma", gamma, 0)
     nbrs = g.neighbors(x)

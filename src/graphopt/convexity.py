@@ -49,16 +49,9 @@ def _split(ratio, types):
     return ratio, 1
 
 
-def improvement_delta(g: Graph, values, x: int, z: int):
-    """Improvement f(x) - f(z) of the step x -> z; may be negative."""
-    if not g.has_edge(x, z):
-        raise ValueError(f"{z} is not a neighbor of {x}")
-    vals, _ = _vals(values)
-    return vals[x] - vals[z]
-
-
 def best_improvement(g: Graph, values, x: int):
-    """Largest one-step improvement from x (negative at a local minimum)."""
+    """Largest one-step improvement from x (negative at a local minimum):
+    the paper's core test, kept for test_convexity's ``reference_near``."""
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"node {x} has no neighbors")
@@ -71,7 +64,8 @@ def is_strongly_convex_path(values, p: Path, m) -> bool:
 
     Every step must strictly improve and consecutive improvements must
     shrink geometrically: delta_{i-1} >= (1+m) * delta_i. A single edge
-    only needs a strict improvement.
+    only needs a strict improvement. The paper's definition, kept for
+    ``test_dp_matches_exhaustive_enumeration``.
     """
     _finite("m", m, 0, strict=True)
     if len(p.nodes) < 2:
@@ -269,7 +263,8 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
 
 
 def lemma1_gap_bound(m, delta):
-    """Optimality-gap bound (m+1)/m * delta from a first-step improvement."""
+    """Optimality-gap bound (m+1)/m * delta from a first-step improvement:
+    the paper's Lemma 1, kept for ``test_lemma1_gap_bound``."""
     _finite("m", m, 0, strict=True)
     _finite("delta", delta)
     return (m + 1) / m * delta

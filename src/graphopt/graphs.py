@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .oracle import _whole
-from .values import ValueTable, load_values, save_values
+from .values import ValueTable, _digit_runs, load_values, save_values
 
 
 class GraphFormatError(ValueError):
@@ -274,20 +274,6 @@ class GridSpec:
             raise ValueError("target_degree must be < number of nodes")
 
 
-def grid_node_id(x: int, y: int, D: int) -> int:
-    """Node id of grid coordinate (x, y), both in -D..D."""
-    if not (-D <= x <= D and -D <= y <= D):
-        raise ValueError(f"coordinate ({x},{y}) outside the grid")
-    return (x + D) * (2 * D + 1) + (y + D)
-
-
-def grid_coords(node: int, D: int) -> tuple[int, int]:
-    side = 2 * D + 1
-    if not 0 <= node < side * side:
-        raise ValueError(f"node {node} outside the grid")
-    return node // side - D, node % side - D
-
-
 def grid_value(x: int, y: int, D: int) -> float:
     """Height of the grid hill at (x, y): 0.8 * (1 - (x^2+y^2) / (2 D^2))."""
     return 0.8 * (1.0 - (x * x + y * y) / (2.0 * D * D))
@@ -539,10 +525,11 @@ def load_graph(path, *, with_values: bool = True) -> tuple[Graph, ValueTable | N
     """Parse a graph file; raises GraphFormatError with the line number.
 
     The edge lines are read in bulk when they hold only ASCII digits and
-    ASCII whitespace, with every line blank or ``u v`` and no number
-    longer than 18 digits, and every edge valid. Any other file (a sign,
-    ``_``, a non-ASCII digit or space, a longer number, or a fault) is
-    read line by line, which names the first faulty line.
+    ASCII whitespace, with every line blank or ``u v``, every number at
+    most 21 digits long with only its last 18 nonzero, and every edge
+    valid. Any other file (a sign, ``_``, a non-ASCII digit or space, a
+    longer number, or a fault) is read line by line, which names the first
+    faulty line.
 
     Values are loaded from ``<path>.values`` when that file exists;
     otherwise None is returned in their place. ``with_values=False``
@@ -567,9 +554,6 @@ def load_graph(path, *, with_values: bool = True) -> tuple[Graph, ValueTable | N
 _BYTE_CLASS = np.zeros(256, dtype=np.uint8)
 _BYTE_CLASS[ord("0") : ord("9") + 1] = 1
 _BYTE_CLASS[[c for c in range(128) if chr(c).isspace()]] = 2
-
-# the longest run of digits the bulk path reads: 10**18 - 1 fits int64
-_BULK_DIGITS = 18
 
 
 def _parse_edges(path) -> tuple[int, bool, np.ndarray, np.ndarray]:
@@ -632,7 +616,8 @@ def _parse_edges(path) -> tuple[int, bool, np.ndarray, np.ndarray]:
 def _bulk_edges(body: str) -> np.ndarray | None:
     """The numbers of an ASCII edge-line body in file order, as int64; None
     unless every byte is a digit or whitespace, every line holds 0 or 2
-    numbers and none is longer than ``_BULK_DIGITS`` digits."""
+    numbers and each number is one that ``values._digit_runs`` reads: at
+    most 21 digits, of which only the last 18 may be nonzero."""
     b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
     kind = np.take(_BYTE_CLASS, b)
     if not kind.all():
@@ -641,21 +626,14 @@ def _bulk_edges(body: str) -> np.ndarray | None:
     digit = np.zeros(len(b) + 2, dtype=bool)
     digit[1:-1] = kind == 1
     bounds = np.flatnonzero(digit[1:] != digit[:-1])
-    starts, ends = bounds[0::2], bounds[1::2]
-    lens = ends - starts
-    width = int(lens.max(initial=0))
-    if width > _BULK_DIGITS or len(starts) % 2:
+    starts = bounds[0::2]
+    if len(starts) % 2:
         return None
     # numbers 2i and 2i+1 share a line, and number 2i+2 is on a later one
     line = np.searchsorted(np.flatnonzero(b == ord("\n")), starts)
     if not (np.array_equal(line[0::2], line[1::2]) and (line[2::2] > line[1:-1:2]).all()):
         return None
-    value = np.zeros(len(starts), dtype=np.int64)
-    for c in range(1, width + 1):  # the c-th digit from the right
-        d = b[np.maximum(ends - c, 0)].astype(np.int64) - ord("0")
-        d[lens < c] = 0
-        value += d * 10 ** (c - 1)
-    return value
+    return _digit_runs(b, starts, bounds[1::2])
 
 
 def _edge_line(line: str, n: int, directed: bool) -> tuple[int, int] | None:

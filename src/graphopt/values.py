@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import _RATIONAL_FORMAT, Fraction
 from functools import cached_property
@@ -88,45 +87,45 @@ def save_values(table: ValueTable | Sequence[float], path) -> None:
         fh.write(text)
 
 
-# an ASCII decimal: sign, digits with an optional point, optional exponent
-_DECIMAL = re.compile(r"([-+]?)(?=[0-9]|\.[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?")
-
-
 def exact_ratio(token: str) -> tuple[int, int]:
     """The exact value of ``token`` as a ``(numerator, denominator)`` pair.
 
-    An ASCII decimal such as ``-2.5e-3``, ``.5`` or ``5.`` is read as its
-    digits over a power of ten (over 1 when the exponent leaves no
-    fraction); any other token is whatever ``Fraction(token)`` makes of it,
-    errors included. The pair equals ``Fraction(token)`` as a value; a
-    decimal keeps a power of ten below it but drops its trailing zeros, so
-    ``1.50`` is ``(15, 10)`` and ``1.000`` is ``(1, 1)``, and a zero is
-    ``(0, 1)``.
+    Every token is read in Fraction's grammar, errors included. A decimal
+    such as ``-2.5e-3``, ``.5``, `` 1_0.5`` or one in non-ASCII digits is
+    its digits over a power of ten (over 1 when the exponent leaves no
+    fraction); a ratio ``p/q``, and any token that grammar does not take,
+    is whatever ``Fraction(token)`` makes of it. The pair equals
+    ``Fraction(token)`` as a value; a decimal keeps a power of ten below it
+    but drops its trailing ASCII zeros, so ``1.50`` is ``(15, 10)`` and
+    ``1.000`` is ``(1, 1)``, and a zero is ``(0, 1)``.
 
     A nonzero value that a float cannot hold raises ValueError: one that
     ``float`` rounds to infinity (at least ``2**1024 - 2**970``) or to zero
-    (at most ``2**-1075``). A decimal's power of ten is not built before
-    that test, also where Fraction reads the decimal (whitespace, ``_`` or
-    non-ASCII digits), so the cost of a token does not grow with its
-    exponent.
+    (at most ``2**-1075``). A decimal far past that range is refused before
+    its power of ten is built, so the cost of a token does not grow with
+    its exponent.
     """
-    m = _DECIMAL.fullmatch(token)
-    if m is None:
-        return _fraction_ratio(token)
-    sign, whole, frac, exp = m.groups("")
-    # Fraction's own steps, so an over-long digit string fails the same way
+    m = _RATIONAL_FORMAT.match(token)  # the pattern Fraction(token) matches
+    if m is None or m["denom"]:
+        f = Fraction(token)
+        _refuse_beyond_float(token, f)
+        return f.numerator, f.denominator
+    # Fraction's own steps in its order, so a group it refuses fails the same way
+    whole, frac = m["num"], (m["decimal"] or "").replace("_", "")
     num = int(whole or "0")
     if frac:
         num = num * 10 ** len(frac) + int(frac)
-    if sign == "-":
-        num = -num
-    k = len(frac) - int(exp or "0")
+    k = len(frac) - int(m["exp"] or "0")
     if num == 0:  # 0e-99999 must not raise a common denominator to 10**99999
         return 0, 1
-    digits = whole + frac
+    if m["sign"] == "-":
+        num = -num
+    digits = whole.replace("_", "") + frac
     # 1 <= |num| < 10**len(digits), so the value lies in 10**-k .. 10**(len(digits) - k)
     if not len(digits) - 300 <= k <= 300:
-        _refuse_far_beyond_float(token, k, len(digits))
+        # past 10**309 or below 10**-324 a bound stands in for the value
+        if k < -309 or k > len(digits) + 324:
+            _refuse_beyond_float(token, _FLOAT_INF if k < 0 else _FLOAT_ZERO)
         _refuse_beyond_float(token, num * Fraction(10) ** -k)
     if k <= 0:
         return num * 10**-k, 1
@@ -140,41 +139,6 @@ def exact_ratio(token: str) -> tuple[int, int]:
 # nonzero one it reads as 0.0 (both ties round to even)
 _FLOAT_INF = Fraction(2**1024 - 2**970)
 _FLOAT_ZERO = Fraction(1, 2**1075)
-
-
-def _fraction_ratio(token: str) -> tuple[int, int]:
-    """``exact_ratio`` of a token that is not an ASCII decimal: what
-    ``Fraction(token)`` makes of it. A decimal with an exponent in Fraction's
-    grammar (whitespace, ``_`` and any Unicode digits) is zero or refused
-    when far past the float range before Fraction builds ``10**|exponent|``;
-    Fraction's own steps up to that power run first, in its order, so a
-    token it would refuse raises its error.
-    """
-    m = _RATIONAL_FORMAT.match(token)  # the pattern Fraction(token) matches
-    if m is not None and m["exp"]:
-        num = int(m["num"] or "0")
-        frac = (m["decimal"] or "").replace("_", "")
-        if frac:
-            num = num * 10 ** len(frac) + int(frac)
-        exp = int(m["exp"])
-        if num == 0:
-            return 0, 1
-        # 1 <= |num| < 10**ndigits, and the value is num / 10**(len(frac) - exp)
-        ndigits = len(m["num"].replace("_", "")) + len(frac)
-        _refuse_far_beyond_float(token, len(frac) - exp, ndigits)
-    f = Fraction(token)
-    _refuse_beyond_float(token, f)
-    return f.numerator, f.denominator
-
-
-def _refuse_far_beyond_float(token: str, k: int, ndigits: int) -> None:
-    """ValueError if ``num / 10**k``, the value of ``token`` with ``1 <=
-    |num| < 10**ndigits``, is past 10**309 or below 10**-324: a bound
-    stands in for the value, so no power of ten is built."""
-    if k < -309:
-        _refuse_beyond_float(token, _FLOAT_INF)
-    elif k > ndigits + 324:
-        _refuse_beyond_float(token, _FLOAT_ZERO)
 
 
 def _refuse_beyond_float(token: str, value) -> None:
@@ -208,8 +172,10 @@ def parse_values(path, n: int | None = None, number: Callable = float) -> list:
     defect.
 
     With ``number=exact_ratio``, a file in the form ``save_values`` writes
-    is read in one numpy pass (see ``_bulk_exact``). Any other file, and
-    any fault, is walked line by line, which names the first faulty line.
+    is read in one numpy pass (see ``_bulk_exact``), whose digits are read
+    as graph files' are (``_digit_runs``). Any other file, and any fault,
+    is walked line by line, which reads each value in Fraction's grammar
+    and names the first faulty line.
     """
     if number is exact_ratio:
         with open(path, "rb") as fh:
@@ -264,14 +230,10 @@ for _k, _next in {
 }.items():
     _VALUE_PAIR[[8 * _k + j for j in _next]] = True
 
-# the value of each digit byte, 0 for any other byte
-_DIGIT_VALUE = np.zeros(256, dtype=np.uint8)
-_DIGIT_VALUE[_VALUE_CLASS == _DIGIT] = range(10)
-# the bulk pass reads a number of at most 21 digits ('%.17g' writes up to
+# the bulk passes read a number of at most 21 digits ('%.17g' writes up to
 # '0.000' and 17 more), of which only the last 18 may be nonzero: 10**18 - 1
 # fits int64
 _BULK_WIDTH, _BULK_DIGITS = 21, 18
-_TENS = 10 ** np.arange(_BULK_DIGITS, dtype=np.int64)
 
 
 def _bulk_exact(data: bytes, n: int | None) -> list[tuple[int, int]] | None:
@@ -316,16 +278,16 @@ def _bulk_exact(data: bytes, n: int | None) -> list[tuple[int, int]] | None:
     has_point, has_power = point >= 0, mend < nl
     frac = np.where(has_point, mend - point - 1, 0)
     shift = np.cumsum(has_point)
-    digits = np.take(_DIGIT_VALUE, b[cls != _POINT])
+    b = b[cls != _POINT]
     comma, mend, nl = comma - (shift - has_point), mend - shift, nl - shift
     lo = comma + 1 + negative
     ids, m, power = (
-        _digit_runs(digits, first, end)
+        _digit_runs(b, first, end)
         for first, end in (
             (np.concatenate(([0], nl[:-1] + 1)), comma),
             (lo, mend),
-            # a line without a power gets an empty run after its newline
-            (np.where(has_power, mend + 2, nl + 1), np.where(has_power, nl, nl + 1)),
+            # a line without a power has mend == nl: an empty run
+            (np.where(has_power, mend + 2, nl), nl),
         )
     )
     if ids is None or m is None or power is None or not np.array_equal(ids, np.arange(lines)):
@@ -340,21 +302,23 @@ def _bulk_exact(data: bytes, n: int | None) -> list[tuple[int, int]] | None:
     return [(v, tens[p]) if p > 0 else (v * tens[p], 1) for v, p in zip(m.tolist(), k.tolist())]
 
 
-def _digit_runs(digits: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """The numbers that the runs ``digits[first:end]`` spell, as int64 (0
-    for an empty run); None if a run is longer than 21 digits or has a
-    nonzero one before its last 18. ``digits[first - 1]`` must be 0 (the
-    value of a byte that is no digit)."""
-    width = int((end - first).max(initial=0))
+def _digit_runs(b: np.ndarray, first: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The numbers that the ASCII digit runs ``b[first:end]`` spell, as
+    int64 (0 for an empty run); None if a run is longer than 21 digits or
+    has a nonzero one before its last 18."""
+    lens = end - first
+    width = int(lens.max(initial=0))
     if width > _BULK_WIDTH:
         return None
-    # the j-th digit from the right, or the 0 before the run where it has none
-    at = end[:, None] - np.arange(1, width + 1)
-    np.maximum(at, first[:, None] - 1, out=at)
-    d = np.take(digits, at)
-    if d[:, _BULK_DIGITS:].any():
-        return None
-    return d[:, :_BULK_DIGITS] @ _TENS[: min(width, _BULK_DIGITS)]
+    value = np.zeros(len(first), dtype=np.int64)
+    for c in range(1, width + 1):  # the c-th digit from the right
+        d = b[np.maximum(end - c, 0)].astype(np.int64) - ord("0")
+        d[lens < c] = 0
+        if c <= _BULK_DIGITS:
+            value += d * 10 ** (c - 1)
+        elif d.any():
+            return None
+    return value
 
 
 def load_values(path, n: int | None = None) -> ValueTable:

@@ -13,6 +13,7 @@ import numpy as np
 
 import graphopt as go
 from graphopt.bandit import bernoulli_sampler
+from references import grid_coords
 
 GRID_SPEC = go.GridSpec(D=10, target_degree=15, seed=0)
 _cache = {}
@@ -159,7 +160,7 @@ def test_criterion_3_certifier_equivalence_and_grid_knife_edge():
     g, _ = go.make_plain_grid(10)
     vals = []
     for i in range(g.n):
-        x, y = go.grid_coords(i, 10)
+        x, y = grid_coords(i, 10)
         vals.append(-(Fraction(4, 5) * (1 - Fraction(x * x + y * y, 200))))
     at_knife = go.certify_strongly_convex(g, vals, Fraction(2, 17)).certified
     above = go.certify_strongly_convex(g, vals, Fraction(1, 5)).certified
@@ -263,7 +264,7 @@ def test_criterion_6_near_convexity_witnesses_and_implication():
     t0 = time.perf_counter()
     g, _ = go.make_plain_grid(3)
     base = np.array(
-        [sum(c * c for c in go.grid_coords(i, 3)) / 18.0 for i in range(g.n)]
+        [sum(c * c for c in grid_coords(i, 3)) / 18.0 for i in range(g.n)]
     )
     alpha, c = 0.3, 0.1
     failures = 0
@@ -294,7 +295,7 @@ def test_criterion_6_near_convexity_witnesses_and_implication():
         gg, _ = go.make_plain_grid(D)
         vals = []
         for i in range(gg.n):
-            x, y = go.grid_coords(i, D)
+            x, y = grid_coords(i, D)
             vals.append(-(Fraction(4, 5) * (1 - Fraction(x * x + y * y, 2 * D * D))))
         assert go.certify_strongly_convex(gg, vals, m).certified
         rep = go.certify_nearly_convex(gg, vals, m / (m + 1), Fraction(0))

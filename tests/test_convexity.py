@@ -13,12 +13,11 @@ from graphopt import (
     best_improvement,
     certify_nearly_convex,
     certify_strongly_convex,
-    improvement_delta,
     is_strongly_convex_path,
     lemma1_gap_bound,
-    grid_coords,
     make_plain_grid,
 )
+from references import grid_coords, improvement_delta
 
 
 def exists_convex_path(g, vals, x, target, m):
@@ -114,7 +113,6 @@ def test_line_certificate_knife_edge():
 
 def grid_fractions(D):
     g, _ = make_plain_grid(D)
-    from graphopt import grid_coords
 
     vals = []
     for i in range(g.n):

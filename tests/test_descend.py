@@ -23,13 +23,12 @@ from graphopt import (
     make_plain_grid,
     run_trials,
 )
-from graphopt import grid_node_id
+from references import grid_coords, grid_node_id
 
 
 def bowl_instance(D=3):
     """Plain grid with f = squared radius, unique minimum at the center."""
     g, _ = make_plain_grid(D)
-    from graphopt import grid_coords
 
     vals = np.array(
         [float(sum(c * c for c in grid_coords(i, D))) for i in range(g.n)]

@@ -14,8 +14,6 @@ from graphopt import (
     Path,
     PointSet,
     graphs,
-    grid_coords,
-    grid_node_id,
     grid_value,
     load_graph,
     make_grid_graph,
@@ -24,6 +22,7 @@ from graphopt import (
     random_walk,
     save_graph,
 )
+from references import grid_coords, grid_node_id
 
 
 def triangle():
@@ -571,7 +570,7 @@ SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2003")
 
 @st.composite
 def spelled(draw, x):
-    """Node id x as int() reads it: plain, zero-padded (past 18 digits the
+    """Node id x as int() reads it: plain, zero-padded (past 21 digits the
     bulk reader hands over), signed, or in Arabic-Indic digits."""
     kind = draw(st.sampled_from(["plain", "zeros", "plus", "arabic"]))
     if kind == "zeros":
@@ -730,6 +729,33 @@ def graph_files(draw):
 def test_graph_file_parse_matches_the_per_line_loop(text, tmp_path_factory):
     p = tmp_path_factory.mktemp("parse") / "g.txt"
     p.write_text(text)
+    assert outcome(lambda: load_graph(p)[0].adjacency) == outcome(reference_parse, p)
+
+
+@pytest.mark.parametrize("width", [19, 20, 21])
+def test_bulk_edges_read_zero_padded_ids_of_up_to_21_digits(width, tmp_path):
+    body = f"{1:0{width}d} {2:0{width}d}\n\n0\t{1:0{width}d}\n"
+    assert graphs._bulk_edges(body).tolist() == [1, 2, 0, 1]
+    p = tmp_path / "g.txt"
+    p.write_text("n 3 directed 0\n" + body)
+    assert load_graph(p)[0].adjacency == reference_parse(p) == ((1,), (0, 2), (1,))
+
+
+@pytest.mark.parametrize(
+    "id_text",
+    [
+        "0" * 21 + "2",  # 22 digits
+        "0" * 21 + "7",
+        "1" + "0" * 18,  # a nonzero digit before the last 18
+        "1" + "0" * 17 + "2",
+        "3" + "0" * 20,
+    ],
+)
+def test_bulk_edges_leave_wider_numbers_to_the_line_walk(id_text, tmp_path):
+    body = f"0 1\n1 {id_text}\n"
+    assert graphs._bulk_edges(body) is None
+    p = tmp_path / "g.txt"
+    p.write_text("n 3 directed 0\n" + body)
     assert outcome(lambda: load_graph(p)[0].adjacency) == outcome(reference_parse, p)
 
 

@@ -309,6 +309,25 @@ def test_exact_ratio_reads_a_zero_fraction_spelling_without_its_power(monkeypatc
     assert exact_ratio("٠.0e900000") == (0, 1)
 
 
+@pytest.mark.parametrize(
+    "token",
+    ["2.5e-3", " 1.5", "-0.25\t", "1_0.2_5", "1_0e-1_2", "\u0661\u0662.\u0665", " -\u0663e-\u0662 ", "+.5E3"],
+)
+def test_exact_ratio_reads_every_decimal_spelling_without_fraction(token, monkeypatch):
+    want = Fraction(token)
+    monkeypatch.setattr(values, "Fraction", _no_fraction)
+    p, q = exact_ratio(token)
+    assert type(p) is int and type(q) is int and q > 0
+    assert Fraction(p, q) == want
+
+
+@pytest.mark.parametrize("token", ["1/3", " -2/4 ", "1.5x", "one", ""])
+def test_exact_ratio_hands_ratios_and_other_tokens_to_fraction(token, monkeypatch):
+    monkeypatch.setattr(values, "Fraction", _no_fraction)
+    with pytest.raises(AssertionError, match="Fraction called"):
+        exact_ratio(token)
+
+
 def test_exact_reader_takes_every_float_the_writer_writes_and_names_the_line(tmp_path):
     extremes = [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0]
     p = tmp_path / "v.txt"
