@@ -67,12 +67,16 @@ class QueryResult:
 
     ``distance_evals`` counts unique points whose exact distance was
     computed; ``short`` marks a pool smaller than the K requested.
+    ``chain_evals`` is the part of ``distance_evals`` that an SGNN query's
+    chains computed before refinement (0 for an exact scan), so
+    ``distance_evals - chain_evals`` is the refinement's share.
     """
 
     candidates: tuple[int, ...]
     distances: tuple[float, ...]
     distance_evals: int
     short: bool = False
+    chain_evals: int = 0
 
 
 def _query(points: PointSet, query) -> np.ndarray:
@@ -119,21 +123,30 @@ def smoothed_sa_search(
     random-walk endpoint. Better candidates always win; worse ones are
     accepted with probability e^{(f(y)-f(v))/tau} at temperature
     tau = 1 - j/J (floored just above zero, so the last iteration is
-    effectively greedy). J=0 returns the start unevaluated.
+    effectively greedy). J=0 returns the start unevaluated. J and T must
+    be whole numbers >= 0 (else ValueError). The endpoints are scored
+    through the cache's memo directly, so they count in ``cache.evals``.
     """
-    if J < 0:
-        raise ValueError("J must be >= 0")
+    J = _whole("J", J, 0)
+    T = _whole("T", T, 0)
     if not 0 <= start < g.n:
         raise ValueError(f"start node {start} out of range")
+    memo, rows, query, adjacency = cache._dist, cache._rows, cache._query, g.adjacency
     x = start
     for j in range(1, J + 1):
         tau = max(1.0 - j / J, TAU_FLOOR)
-        fy = cache.evaluate(random_walk(g, x, T, rng))
-        nbrs = g.neighbors(x)
+        end = random_walk(g, x, T, rng)
+        fy = memo.get(end)
+        if fy is None:
+            fy = memo[end] = math.dist(rows[end], query)
+        nbrs = adjacency[x]
         if not nbrs:
             break
         u = nbrs[int(rng.integers(len(nbrs)))]
-        fv = cache.evaluate(random_walk(g, u, T, rng))
+        end = random_walk(g, u, T, rng)
+        fv = memo.get(end)
+        if fv is None:
+            fv = memo[end] = math.dist(rows[end], query)
         if fv <= fy or rng.random() < math.exp((fy - fv) / tau):
             x = u
     return x
@@ -170,10 +183,13 @@ def sgnn_query(
     The chains draw through ``graphs._Draws``: the same numbers as numpy's
     scalar calls, faster; ``rng`` must therefore be PCG64 (else TypeError).
 
-    The K nearest of the final pool are returned; a pool smaller than K
-    (the evaluated nodes reach fewer than K) is returned whole and
-    flagged short. A graph whose node count is not the number of points
-    raises ValueError before any draw.
+    The K nearest of the final pool, ties by id, are returned; the
+    refinement keeps them in a bounded top-K heap as it evaluates, so the
+    pool is never sorted whole. A pool smaller than K (the evaluated nodes
+    reach fewer than K) is returned whole and flagged short. The result's
+    ``chain_evals`` counts the pool the chains left, before refinement.
+    A graph whose node count is not the number of points raises
+    ValueError before any draw.
     """
     I = _whole("I", I, 1)
     J = _whole("J", J, 0)
@@ -187,38 +203,51 @@ def sgnn_query(
             start = draws.integers(g.n)
             x = smoothed_sa_search(g, cache, start, J, T, draws)
             cache.evaluate(x)
-    _expand_best_first(g, cache, K)
-    top = cache.nearest()[:K]
+    chain_evals = cache.evals
+    top = _expand_best_first(g, cache, K)
     return QueryResult(
         candidates=tuple(node for _, node in top),
         distances=tuple(d for d, _ in top),
         distance_evals=cache.evals,
         short=cache.evals < K,
+        chain_evals=chain_evals,
     )
 
 
-def _expand_best_first(g: Graph, cache: DistanceCache, K: int) -> None:
+def _expand_best_first(g: Graph, cache: DistanceCache, K: int) -> list[tuple[float, int]]:
     """Evaluate into ``cache`` the nodes that best-first search over the
-    out-edges of ``g`` reaches from the evaluated ones (see ``sgnn_query``)."""
-    evaluate, evaluated = cache.evaluate, cache._dist  # the memo is the visited set
+    out-edges of ``g`` reaches from the evaluated ones (see ``sgnn_query``);
+    return the K nearest evaluated nodes as (distance, node), nearest
+    first, ties by id: ``cache.nearest()[:K]``.
+
+    The K best are kept as a max-heap of (-distance, -node), whose top is
+    the K-th best in (distance, node) order. A new node at exactly the
+    K-th distance with a lower id replaces the top, so ties rank by id as
+    in a sort, but it leaves the K-th distance as it was and so does not
+    join the frontier.
+    """
+    memo, rows, query = cache._dist, cache._rows, cache._query  # the memo is the visited set
     frontier = cache.nearest()  # sorted, so already a heap
-    kth = [-d for d, _ in frontier[:K]]  # max-heap of the K best distances
-    heapq.heapify(kth)
+    top = [(-d, -node) for d, node in frontier[:K]]
+    heapq.heapify(top)
     while frontier:
         d, node = heapq.heappop(frontier)
-        if len(kth) == K and d > -kth[0]:
+        if len(top) == K and d > -top[0][0]:
             break
         for nbr in g.adjacency[node]:
-            if nbr in evaluated:
+            if nbr in memo:
                 continue
-            dn = evaluate(nbr)
-            if len(kth) < K:
-                heapq.heappush(kth, -dn)
-            elif dn < -kth[0]:
-                heapq.heapreplace(kth, -dn)
+            dn = memo[nbr] = math.dist(rows[nbr], query)
+            if len(top) < K:
+                heapq.heappush(top, (-dn, -nbr))
+            elif dn < -top[0][0]:
+                heapq.heapreplace(top, (-dn, -nbr))
             else:
+                if dn == -top[0][0] and nbr < -top[0][1]:
+                    heapq.heapreplace(top, (-dn, -nbr))
                 continue
             heapq.heappush(frontier, (dn, nbr))
+    return sorted((-nd, -nn) for nd, nn in top)
 
 
 def exact_nn(points: PointSet, query, K: int) -> QueryResult:

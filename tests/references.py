@@ -4,6 +4,12 @@ The grid's node numbering is the one ``make_plain_grid`` and
 ``make_grid_graph`` build, so tests can name nodes by coordinate.
 """
 
+import heapq
+import math
+
+from graphopt.graphs import random_walk
+from graphopt.nnsearch import TAU_FLOOR, DistanceCache, QueryResult
+
 
 def grid_node_id(x: int, y: int, D: int) -> int:
     """Node id of grid coordinate (x, y), both in -D..D."""
@@ -25,3 +31,54 @@ def improvement_delta(g, values, x: int, z: int):
     if not g.has_edge(x, z):
         raise ValueError(f"{z} is not a neighbor of {x}")
     return values[x] - values[z]
+
+
+def sgnn_query_reference(g, points, query, I: int, J: int, T: int, K: int, rng):
+    """``sgnn_query`` composed the plain way, for tests to compare against.
+
+    The I chains run on ``rng`` itself (no ``_Draws``), score each walk
+    endpoint through ``cache.evaluate(random_walk(...))``, and evaluate
+    their terminal. The refinement tracks only the K best distances and
+    takes the result from a full sort of the pool, ``cache.nearest()[:K]``.
+    """
+    cache = DistanceCache(points, query)
+    for _ in range(I):
+        x = int(rng.integers(g.n))
+        for j in range(1, J + 1):
+            tau = max(1.0 - j / J, TAU_FLOOR)
+            fy = cache.evaluate(random_walk(g, x, T, rng))
+            nbrs = g.neighbors(x)
+            if not nbrs:
+                break
+            u = nbrs[int(rng.integers(len(nbrs)))]
+            fv = cache.evaluate(random_walk(g, u, T, rng))
+            if fv <= fy or rng.random() < math.exp((fy - fv) / tau):
+                x = u
+        cache.evaluate(x)
+    chain_evals = cache.evals
+    frontier = cache.nearest()
+    kth = [-d for d, _ in frontier[:K]]  # max-heap of the K best distances
+    heapq.heapify(kth)
+    while frontier:
+        d, node = heapq.heappop(frontier)
+        if len(kth) == K and d > -kth[0]:
+            break
+        for nbr in g.neighbors(node):
+            if nbr in cache._dist:
+                continue
+            dn = cache.evaluate(nbr)
+            if len(kth) < K:
+                heapq.heappush(kth, -dn)
+            elif dn < -kth[0]:
+                heapq.heapreplace(kth, -dn)
+            else:
+                continue
+            heapq.heappush(frontier, (dn, nbr))
+    top = cache.nearest()[:K]
+    return QueryResult(
+        candidates=tuple(node for _, node in top),
+        distances=tuple(d for d, _ in top),
+        distance_evals=cache.evals,
+        short=cache.evals < K,
+        chain_evals=chain_evals,
+    )

@@ -21,6 +21,7 @@ from graphopt import (
     smoothed_sa_search,
 )
 from graphopt.nnsearch import _expand_best_first
+from references import sgnn_query_reference
 
 
 def test_pointset_shape_and_labels():
@@ -94,7 +95,8 @@ def test_exact_nn_matches_the_per_query_scan(case):
     ps = PointSet(coords)
 
     def found(results):
-        assert all(r.distance_evals == len(coords) and not r.short for r in results)
+        assert all(r.distance_evals == len(coords) and not r.short and r.chain_evals == 0
+                   for r in results)
         return [(r.candidates, r.distances) for r in results]
 
     # both refuse the first query whose distances overflow, and exact_nn
@@ -201,6 +203,27 @@ def test_search_zero_rounds_returns_start():
     assert smoothed_sa_search(g, cache, 1, 0, 0, np.random.default_rng(0)) == 1
 
 
+def test_search_takes_J_and_T_as_whole_numbers():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    ps = PointSet(np.array([[1.0], [1.2], [0.5]]))
+    q = np.array([0.0])
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^T must be a whole number >= 0, got -1$"):
+        smoothed_sa_search(g, DistanceCache(ps, q), 1, 0, -1, rng)
+    for J in (-1, 2.5, "2"):
+        with pytest.raises(ValueError, match=f"^J must be a whole number >= 0, got {J}$"):
+            smoothed_sa_search(g, DistanceCache(ps, q), 1, J, 1, rng)
+    assert rng.bit_generator.state == before
+    # J=2.0 is J=2, as in sgnn_query: the same end node and the same draws
+    twin = np.random.default_rng(0)
+    for seed in range(10):
+        ends = [smoothed_sa_search(g, DistanceCache(ps, q), seed % 3, J, 1, r)
+                for J, r in ((2.0, rng), (2, twin))]
+        assert ends[0] == ends[1]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_search_stops_at_a_sink():
     # 0 -> 1 -> 2 with the query on node 2: the walk reaches the sink, which
     # has no neighbour to propose, after evaluating nodes 1 and 2
@@ -218,6 +241,7 @@ def test_sgnn_single_restart_zero_rounds():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     res = sgnn_query(path, ps, q, I=1, J=0, T=0, K=2, rng=np.random.default_rng(3))
     assert res.distance_evals == 3
+    assert res.chain_evals == 1
     assert res.candidates == (2, 0)
     assert res.distances == pytest.approx((0.5, 1.0))
     assert not res.short
@@ -282,12 +306,48 @@ def test_sgnn_query_draws_as_numpy_chains():
         for _ in range(I):
             start = int(twin.integers(g.n))
             cache.evaluate(smoothed_sa_search(g, cache, start, J, T, twin))
-        _expand_best_first(g, cache, K)
-        top = cache.nearest()[:K]
+        assert res.chain_evals == cache.evals
+        top = _expand_best_first(g, cache, K)
+        assert top == cache.nearest()[:K]
         assert res.candidates == tuple(node for _, node in top)
         assert res.distances == tuple(d for d, _ in top)
         assert res.distance_evals == cache.evals
         assert ours.bit_generator.state == twin.bit_generator.state
+
+
+@st.composite
+def lattice_queries(draw):
+    """A small integer-lattice cloud (many exact distance ties, duplicate
+    points included), its kNN graph with some nodes made sinks, a lattice
+    query and SGNN settings."""
+    n = draw(st.integers(2, 60))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = rng.integers(-3, 4, size=(n, dim)).astype(float)
+    knn = make_knn_graph(coords, draw(st.integers(1, min(6, n - 1))))
+    sinks = draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+    adjacency = tuple(() if u in sinks else nbrs for u, nbrs in enumerate(knn.adjacency))
+    query = rng.integers(-3, 4, size=dim).astype(float)
+    kw = dict(
+        I=draw(st.integers(1, 4)), J=draw(st.integers(0, 4)), T=draw(st.integers(0, 2)),
+        K=draw(st.integers(1, n)),
+    )
+    return Graph(n, True, adjacency), PointSet(coords), query, kw, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lattice_queries())
+def test_sgnn_query_matches_the_plain_composition(case):
+    """sgnn_query equals the reference that chains through cache.evaluate on
+    a plain Generator and sorts the whole pool: same result, chain count
+    and final generator state, with ties at the K-th distance ranked by id."""
+    g, ps, q, kw, seed = case
+    ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    if seed % 2:  # open on a buffered half-word
+        for r in (ours, twin):
+            r.integers(3)
+    assert sgnn_query(g, ps, q, rng=ours, **kw) == sgnn_query_reference(g, ps, q, rng=twin, **kw)
+    assert ours.bit_generator.state == twin.bit_generator.state
 
 
 def test_sgnn_query_refuses_a_non_pcg64_generator():
