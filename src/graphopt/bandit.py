@@ -3,22 +3,26 @@
 Arms are indexed 0..K-1. A sampler serves one phase: any callable
 ``sampler(arms, count, rng) -> (means, taken)`` that pulls each listed arm
 up to ``count`` times, in order, and returns per arm served the empirical
-mean cost and the number of pulls taken. Once an underlying budget runs dry
-it serves a prefix of the list (full batches, then at most one partial
-one), and it may raise BudgetExhaustedError when nothing is left. Means
-are costs: the lowest wins and an arm never pulled counts as +inf.
+mean cost and the number of pulls taken. ``arms`` is a list, a range or,
+in a phase of at least ARRAY_DRAW_MIN arms, an ascending int64 array;
+``means`` may be any sequence of floats, a float array included, and the
+library's samplers return floats. Once an underlying budget runs dry it
+serves a prefix of the list (full batches, then at most one partial one),
+and it may raise BudgetExhaustedError when nothing is left. Means are
+costs: the lowest wins and an arm never pulled counts as +inf.
 ``NoisyOracle.sample_means`` is a sampler whose arms are its nodes.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _whole
+from .oracle import ARRAY_DRAW_MIN, BudgetExhaustedError, NoisyOracle, _as_float, _whole
 
 Sampler = Callable[
     [Sequence[int], int, np.random.Generator], tuple[Sequence[float], Sequence[int]]
@@ -69,7 +73,7 @@ def budget_schedule(K: int, B: int) -> tuple[int, ...]:
 def successive_reject(
     K: int, sampler: Sampler, B: int, rng: np.random.Generator
 ) -> int:
-    """Best-arm guess among K arms within budget B.
+    """Best-arm guess among K arms within budget B, as an int.
 
     With one arm, or a budget B <= K too small for eliminations, one phase
     pulls arms 0..min(K, B)-1 once each and the lowest mean cost wins
@@ -82,6 +86,13 @@ def successive_reject(
     sampler raises, serves fewer arms or a partial last batch) ends the
     run: the best arm by the means collected so far wins, since later
     eliminations would only drop arms ranked below it.
+
+    While at least ARRAY_DRAW_MIN arms survive, the phases run on numpy
+    arrays: the sampler gets the survivors as an ascending int64 array and
+    may return its means as a float array, and a phase that pulls nothing
+    costs nothing. Narrower phases, and a K below ARRAY_DRAW_MIN, run on
+    lists. Both do the same float operations and rank alike, so the
+    winner and the draws do not depend on the split.
     """
     K = _whole("K", K, 1)
     B = _whole("B", B, 0)
@@ -89,17 +100,50 @@ def successive_reject(
         try:
             phase_means, _ = sampler(range(min(K, B)), 1, rng)
         except BudgetExhaustedError:
-            phase_means = ()
-        # min keeps the first of equal means
-        return min(range(len(phase_means)), key=phase_means.__getitem__, default=0)
+            return 0
+        # argmin keeps the first of equal means
+        return int(np.argmin(phase_means)) if len(phase_means) else 0
     cumulative = budget_schedule(K, B)
-    sums = [0.0] * K
-    means = [math.inf] * K
+    k = 1
+    if K >= ARRAY_DRAW_MIN:
+        # Phase k has K - k + 1 survivors; from phase `narrow` on there are
+        # fewer than ARRAY_DRAW_MIN and the lists below take over. Until
+        # then the survivors are the head of `ranked`, ranked by (mean, arm)
+        # best first, so a phase that pulls nothing only shortens that head.
+        narrow = K + 2 - ARRAY_DRAW_MIN
+        ranked, sums, means = np.arange(K), np.zeros(K), np.full(K, math.inf)
+        while True:
+            # the next phase that pulls: the first to raise the cumulative count
+            k = bisect.bisect_right(cumulative, cumulative[k - 1], k)
+            if k >= narrow:
+                break
+            done = cumulative[k - 1]
+            pulls = cumulative[k] - done
+            arms = np.sort(ranked[: K - k + 1])
+            try:
+                phase_means, taken = sampler(arms, pulls, rng)
+            except BudgetExhaustedError:
+                return int(ranked[0])
+            if len(taken) != len(arms) or taken[-1] != pulls:
+                return _short_phase_winner(
+                    arms.tolist(), phase_means, taken, done, sums.tolist(), means.tolist()
+                )
+            # the list update below as array operations, in the same order
+            s = sums[arms] + np.asarray(phase_means, dtype=float) * pulls
+            sums[arms] = s
+            s /= cumulative[k]
+            means[arms] = s
+            # a stable sort of ascending arms ranks ties by id
+            ranked = arms[np.argsort(s, kind="stable")]
+            k += 1
+        k = narrow
+        order, sums, means = ranked[: K - k + 1].tolist(), sums.tolist(), means.tolist()
+    else:
+        order, sums, means = list(range(K)), [0.0] * K, [math.inf] * K
     # Survivors ranked by (mean, arm), best first, so the next arm to
     # reject is always the last one. Means change only in phases that
     # pull, so the ranking is rebuilt only there.
-    order = list(range(K))
-    for k in range(1, K):
+    for k in range(k, K):
         # every earlier phase came back full, so each survivor holds done pulls
         done = cumulative[k - 1]
         pulls = cumulative[k] - done
@@ -110,24 +154,28 @@ def successive_reject(
             except BudgetExhaustedError:
                 return order[0]
             # only the last arm served may be short of its batch
-            full = len(taken) == len(arms) and taken[-1] == pulls
-            if full:
-                # every arm got pulls and now holds cumulative[k] in total
-                total = cumulative[k]
-                for arm, mean in zip(arms, phase_means):
-                    sums[arm] += mean * pulls
-                    means[arm] = sums[arm] / total
-            else:
-                for arm, mean, t in zip(arms, phase_means, taken):
-                    sums[arm] += mean * t
-                    if done + t:
-                        means[arm] = sums[arm] / (done + t)
+            if len(taken) != len(arms) or taken[-1] != pulls:
+                return _short_phase_winner(arms, phase_means, taken, done, sums, means)
+            # every arm got pulls and now holds cumulative[k] in total
+            total = cumulative[k]
+            for arm, mean in zip(arms, phase_means):
+                sums[arm] += mean * pulls
+                means[arm] = sums[arm] / total
             # a stable sort of ascending arms ranks ties by id
             order = sorted(arms, key=means.__getitem__)
-            if not full:
-                return order[0]
         order.pop()
     return order[0]
+
+
+def _short_phase_winner(arms, phase_means, taken, done, sums, means) -> int:
+    """The best of the ascending ``arms`` after a phase that came back
+    short: each arm served adds its ``taken`` pulls to the ``done`` it held,
+    and the lowest mean wins, ties to the lowest id."""
+    for arm, mean, t in zip(arms, phase_means, taken):
+        sums[arm] += mean * t
+        if done + t:
+            means[arm] = sums[arm] / (done + t)
+    return min(arms, key=means.__getitem__)
 
 
 def oracle_sampler(oracle: NoisyOracle, arms: Sequence[int]) -> Sampler:

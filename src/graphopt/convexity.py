@@ -7,7 +7,8 @@ values and the ratio (m or alpha) are all ``numbers.Rational``, the ratio
 is split once into an integer numerator and denominator, so int values are
 compared on ints alone; put Fractions on one denominator first with
 ``values.common_denominator``, as ``certify`` does, to get that speed.
-ValueTable, numpy array and numpy scalar inputs become Python numbers.
+ValueTable, numpy array and numpy scalar inputs become Python numbers,
+and a NaN or infinite float value is refused by node.
 
 All definitions are oriented toward minimization: a step x -> z improves
 when f(x) - f(z) > 0. Negate the values to reason about maximization.
@@ -15,6 +16,7 @@ when f(x) - f(z) > 0. Negate the values to reason about maximization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Rational
 from typing import Sequence
@@ -29,7 +31,8 @@ from .values import ValueTable
 def _vals(values) -> tuple[Sequence, set]:
     """The values as Python numbers, and the set of their types. A
     ValueTable, a numpy array and numpy scalars are unwrapped, so an int64
-    cannot overflow in p * M(z); a list holding no numpy scalar is kept."""
+    cannot overflow in p * M(z); a list holding no numpy scalar is kept.
+    A float value that is NaN or +-inf raises ValueError naming its node."""
     if isinstance(values, ValueTable):
         values = values.means
     if isinstance(values, np.ndarray):
@@ -38,6 +41,10 @@ def _vals(values) -> tuple[Sequence, set]:
     if any(issubclass(t, np.generic) for t in types):
         values = [v.item() if isinstance(v, np.generic) else v for v in values]
         types = set(map(type, values))
+    if any(issubclass(t, float) for t in types):
+        for x, v in enumerate(values):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"value of node {x} must be finite, got {v}")
     return values, types
 
 

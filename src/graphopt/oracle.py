@@ -117,9 +117,9 @@ class NoisyOracle:
 
     def sample_means(
         self, xs: Sequence[int], count: int, rng: np.random.Generator
-    ) -> tuple[list[float], list[int]]:
+    ) -> tuple[Sequence[float], list[int]]:
         """Mean of up to ``count`` observations of each x in turn, with the
-        number taken, as two lists. This is the oracle's one draw path.
+        number taken. This is the oracle's one draw path.
 
         Each mean is one closed-form draw, which matches the distribution
         of k independent observations: binomial(k, f) / k, or
@@ -127,13 +127,16 @@ class NoisyOracle:
         whole list. When it runs dry only a prefix is served: full
         batches, then at most one partial batch; a spent budget raises.
         A phase of at least ARRAY_DRAW_MIN batches is drawn with one array
-        call, a narrower one with scalar calls.
+        call and its means come back as a float array; a narrower one is
+        drawn with scalar calls and its means come back as a list of
+        floats. ``xs`` may be any sequence of node ids, an int64 array
+        included; ``taken`` is always a list.
         """
         if type(count) is not int:
             count = _whole("count", count, 1)
         if count <= 0:
             raise ValueError("count must be >= 1")
-        if not xs:
+        if len(xs) == 0:
             return [], []
         want = len(xs) * count
         got = want if self.budget is None else min(want, self.budget - self.used)
@@ -159,4 +162,4 @@ class NoisyOracle:
             means = rng.binomial(k, f, len(taken)) / k
         else:
             means = f + self.R / np.sqrt(k) * rng.standard_normal(len(taken))
-        return (-means if self.maximize else means).tolist(), taken
+        return (-means if self.maximize else means), taken

@@ -41,7 +41,7 @@ from graphopt import (
     theory_sample_size,
 )
 from graphopt.bandit import LOG_BAR_LOOP_MAX, bernoulli_sampler
-from graphopt.oracle import BudgetExhaustedError
+from graphopt.oracle import ARRAY_DRAW_MIN, BudgetExhaustedError
 
 
 def test_log_bar_values():
@@ -321,6 +321,68 @@ def test_successive_reject_matches_keyed_min_reference(case):
 def test_successive_reject_small_budget_matches_per_arm_reference(case):
     reference = one_arm(per_arm_small_budget)
     assert run_case(case, successive_reject) == run_case(case, reference)
+
+
+def spent_before_phases(K, B):
+    """Pulls a full run of successive rejects has spent before each phase
+    k = 1..K-1, and the pulls per arm and survivors of that phase."""
+    cumulative = budget_schedule(K, B)
+    spent, phases = 0, []
+    for k in range(1, K):
+        pulls, alive = cumulative[k] - cumulative[k - 1], K - k + 1
+        phases.append((spent, pulls, alive))
+        spent += pulls * alive
+    return phases
+
+
+@st.composite
+def wide_sr_cases(draw):
+    K = draw(st.integers(ARRAY_DRAW_MIN, 150))
+    lattice = draw(st.booleans())
+    element = st.sampled_from([0, 1 / 3, 2 / 3, 1]) if lattice else st.floats(0, 1)
+    B = K + draw(st.integers(1, 3000))
+    # the oracle runs dry before, between or inside the batches of a wide
+    # phase that pulls, or not at all
+    wide = [p for p in spent_before_phases(K, B) if p[1] > 0 and p[2] >= ARRAY_DRAW_MIN]
+    spent, pulls, alive = draw(st.sampled_from(wide))
+    j = draw(st.integers(0, alive - 1))
+    dry = draw(st.sampled_from(["before", "between", "inside", "never"]))
+    budget = {
+        "before": spent,
+        "between": spent + j * pulls,
+        "inside": spent + j * pulls + draw(st.integers(0, pulls - 1)),
+        "never": None,
+    }[dry]
+    return dict(
+        K=K,
+        values=draw(st.lists(element, min_size=K, max_size=K)),
+        noise=draw(st.sampled_from(["bernoulli", "gaussian"])),
+        B=B,
+        budget=budget,
+        maximize=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=wide_sr_cases())
+def test_wide_phases_on_the_oracle_match_keyed_min_reference(case):
+    # the oracle itself is the sampler, so wide phases hand it int64 arrays
+    # and get float arrays back; the reference pulls one arm per call
+    seen = []
+    for algorithm in (successive_reject, one_arm(keyed_min_successive_reject)):
+        oracle = NoisyOracle(
+            ValueTable(np.array(case["values"])),
+            noise=case["noise"],
+            R=0.5,
+            budget=case["budget"],
+            maximize=case["maximize"],
+        )
+        rng = np.random.default_rng(case["seed"])
+        winner = algorithm(case["K"], oracle.sample_means, case["B"], rng)
+        seen.append((winner, type(winner), oracle.used, rng.random()))
+    assert seen[0] == seen[1]
+    assert seen[0][1] is int
 
 
 def test_hardness_pseudo_gap():

@@ -413,3 +413,23 @@ def test_int_values_give_int_certificates():
         rep = certify_nearly_convex(path, [0, 5, 3, 4], alpha, c)
         assert rep.elevation == {2: 2, 3: 1}
         assert all(type(v) is int for v in rep.elevation.values())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_certifiers_refuse_non_finite_values_by_node(bad):
+    # NaN compared false everywhere, so the near certificate used to come
+    # back certified and the strong one uncertifiable
+    g, table = make_plain_grid(2)
+    floats = (-table.means).tolist()
+    floats[3] = bad
+    exact = [Fraction(1, 3)] * g.n
+    exact[3] = bad
+    for vals in (floats, np.array(floats), [np.float64(v) for v in floats], exact):
+        with pytest.raises(ValueError, match="value of node 3 must be finite"):
+            certify_nearly_convex(g, vals, 0.3, 0.1)
+        with pytest.raises(ValueError, match="value of node 3 must be finite"):
+            certify_strongly_convex(g, vals, 0.001)
+        with pytest.raises(ValueError, match="value of node 3 must be finite"):
+            best_improvement(g, vals, 0)
+        with pytest.raises(ValueError, match="value of node 3 must be finite"):
+            is_strongly_convex_path(vals, Path(g, (0, 1)), 0.5)

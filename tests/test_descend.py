@@ -23,6 +23,7 @@ from graphopt import (
     make_plain_grid,
     run_trials,
 )
+from graphopt.oracle import ARRAY_DRAW_MIN
 from references import grid_coords, grid_node_id
 
 
@@ -203,6 +204,25 @@ def test_restart_reestimation_runs_dry_like_the_one_by_one_loop(seed):
             o = NoisyOracle(table, noise="gaussian", R=0.05, budget=cap)
             rng = np.random.default_rng(seed)
             node = run(g, o, 960, rng, path_len=8, restarts=8)
+            seen.append((node, o.used, rng.random()))
+        assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_wide_restart_reestimation_runs_dry_like_the_one_by_one_loop(seed):
+    # 24 restarts re-estimate their finals in one array draw, whose means
+    # come back as an array; 24 batches of 5 are reserved, and caps from the
+    # descents' use up to full cover every place the oracle runs dry
+    restarts = ARRAY_DRAW_MIN + 4
+    g, table = double_well()
+    full = NoisyOracle(table, noise="gaussian", R=0.05)
+    explore_descend_restarts(g, full, 2400, np.random.default_rng(seed), path_len=4, restarts=restarts)
+    for cap in range(full.used - 5 * restarts, full.used + 1):
+        seen = []
+        for run in (explore_descend_restarts, restarts_one_by_one):
+            o = NoisyOracle(table, noise="gaussian", R=0.05, budget=cap)
+            rng = np.random.default_rng(seed)
+            node = run(g, o, 2400, rng, path_len=4, restarts=restarts)
             seen.append((node, o.used, rng.random()))
         assert seen[0] == seen[1]
 
