@@ -185,6 +185,8 @@ def oracle_sampler(oracle: NoisyOracle, arms: Sequence[int]) -> Sampler:
     observations, so there the highest value wins."""
 
     def pull(phase: Sequence[int], count: int, rng: np.random.Generator):
+        if type(phase) is np.ndarray:  # a wide phase: map Python ints, not numpy scalars
+            phase = phase.tolist()
         return oracle.sample_means([arms[a] for a in phase], count, rng)
 
     return pull

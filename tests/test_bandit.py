@@ -360,6 +360,9 @@ def wide_sr_cases(draw):
         B=B,
         budget=budget,
         maximize=draw(st.booleans()),
+        # the oracle serves arm i as node i, or through oracle_sampler as
+        # node K - 1 - i
+        direct=draw(st.booleans()),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -367,8 +370,8 @@ def wide_sr_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=wide_sr_cases())
 def test_wide_phases_on_the_oracle_match_keyed_min_reference(case):
-    # the oracle itself is the sampler, so wide phases hand it int64 arrays
-    # and get float arrays back; the reference pulls one arm per call
+    # wide phases hand the oracle int64 arrays and get float arrays back;
+    # the reference pulls one arm per call
     seen = []
     for algorithm in (successive_reject, one_arm(keyed_min_successive_reject)):
         oracle = NoisyOracle(
@@ -378,8 +381,12 @@ def test_wide_phases_on_the_oracle_match_keyed_min_reference(case):
             budget=case["budget"],
             maximize=case["maximize"],
         )
+        if case["direct"]:
+            sampler = oracle.sample_means
+        else:
+            sampler = oracle_sampler(oracle, range(case["K"] - 1, -1, -1))
         rng = np.random.default_rng(case["seed"])
-        winner = algorithm(case["K"], oracle.sample_means, case["B"], rng)
+        winner = algorithm(case["K"], sampler, case["B"], rng)
         seen.append((winner, type(winner), oracle.used, rng.random()))
     assert seen[0] == seen[1]
     assert seen[0][1] is int
