@@ -173,6 +173,12 @@ def sa_round_bound_nearly(
     e^r is reported unclamped (it is comparative and can exceed the
     range; a warning is emitted when it does exceed F). When beta rounds
     to 1 no step count reaches F and ValueError names r and d.
+
+    On the repository's own certified instances the final accuracy is
+    vacuous. The perturbed D=10 grid certifies at alpha 0.3, c 0.2, r 1
+    with degree about 15, where it is 3/(0.3*5) * 15^2 * e, about 1.2e3,
+    while the value range is below 1. Only ``beta`` and ``t_min`` can be
+    checked against a chain there.
     """
     alpha = _as_float("alpha", alpha, 0, strict=True, hi=1)
     c = _as_float("c", c, 0, strict=True)

@@ -381,7 +381,7 @@ def make_knn_graph(points, N: int) -> Graph:
     N = _whole("N", N)
     if not 0 < N < n:
         raise ValueError(f"N must be in 1..{n - 1}")
-    ids, d2 = _nearest(coords, coords, N, skip_self=True)
+    ids, d2 = _nearest(coords, coords, _point_side(coords), N, skip_self=True)
     overflow = np.isinf(d2).any(axis=1)
     if overflow.any():
         i = int(np.argmax(overflow))
@@ -390,7 +390,14 @@ def make_knn_graph(points, N: int) -> Graph:
     return _unchecked(n, True, tuple(map(tuple, ids.tolist())))
 
 
-def _nearest(queries: np.ndarray, points: np.ndarray, K: int, skip_self: bool):
+def _point_side(points: np.ndarray):
+    """``(sq, right)`` of the points for ``_nearest``: their squared norms,
+    and the (dim+2, n) augmented points ``[p, |p|^2, 1]`` of its estimate."""
+    sq = np.einsum("ij,ij->i", points, points)
+    return sq, np.hstack([points, sq[:, None], np.ones((len(points), 1))]).T
+
+
+def _nearest(queries: np.ndarray, points: np.ndarray, side, K: int, skip_self: bool):
     """The K nearest points to each query: ``(ids, d2)``, both (m, K), ids
     ascending along each row with their squared distances.
 
@@ -402,10 +409,11 @@ def _nearest(queries: np.ndarray, points: np.ndarray, K: int, skip_self: bool):
     [p, |p|^2, 1]`` per block of queries, written into one block buffer
     that every block reuses. It never decides, so its rounding (the BLAS
     build, its kernels and thread count) cannot change the result.
+    ``side`` is ``_point_side(points)``, which a caller may keep.
     """
     m, dim = queries.shape
     n = points.shape[0]
-    sq = np.einsum("ij,ij->i", points, points)
+    sq, right = side
     sq_q = sq if skip_self else np.einsum("ij,ij->i", queries, queries)
     # The estimate e = -2 q.p + sq_j + sq_i, a dot product of dim+2 terms
     # whose last two (1 * sq_j, sq_i * 1) are exact, is within E = 3 (dim+2)
@@ -444,7 +452,6 @@ def _nearest(queries: np.ndarray, points: np.ndarray, K: int, skip_self: bool):
         err = 3 * (dim + 2) * np.finfo(float).eps * (sq_q + sq_max) + 4 * (dim + 2) * 2.0**-1074
         unbounded = sq_q + sq_max > 2.0**1020
         left = np.hstack([-2.0 * queries, np.ones((m, 1)), sq_q[:, None]])
-        right = np.hstack([points, sq[:, None], np.ones((n, 1))]).T
         for lo in range(0, m, rows):
             hi = min(m, lo + rows)
             block = np.matmul(left[lo:hi], right, out=est[: hi - lo])

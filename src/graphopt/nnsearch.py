@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, _Draws, _nearest, random_walk
+from .graphs import Graph, _Draws, _nearest, _point_side, random_walk
 from .oracle import _whole
 
 TAU_FLOOR = 1e-9
@@ -59,6 +59,12 @@ class PointSet:
         """The coordinates as tuples of Python floats, built once; scalar
         ``math.dist`` on these is several times faster than numpy per point."""
         return tuple(map(tuple, self.coords.tolist()))
+
+    @cached_property
+    def _side(self):
+        """The points' side of the exact scan's estimate, built once, so a
+        one-query ``exact_nn`` does not build it on every call."""
+        return _point_side(self.coords)
 
 
 @dataclass(frozen=True)
@@ -268,7 +274,7 @@ def exact_nn_all(points: PointSet, queries, K: int) -> list[QueryResult]:
         raise ValueError(f"queries must be an (m, {points.dim}) array")
     if not np.all(np.isfinite(qs)):
         raise ValueError("query coordinates must be finite")
-    ids, d2 = _nearest(qs, points.coords, K, skip_self=False)
+    ids, d2 = _nearest(qs, points.coords, points._side, K, skip_self=False)
     overflow = np.isinf(d2).any(axis=1)
     if overflow.any():
         i = int(np.argmax(overflow))
@@ -316,6 +322,12 @@ def save_points(ps: PointSet, path) -> None:
     """Write the points to ``path``, and their labels to ``<path>.labels``
     when they have any.
 
+    The points file holds one point per line: each coordinate as ``%.17g``
+    (enough digits to read back the same float), fields separated by ``,``
+    and lines ended by ``\\r\\n`` (CRLF), with no quoting. These are the bytes a
+    ``csv.writer`` writes for those fields. The labels file holds one label
+    per line, and each file is written in one call.
+
     Each label must be a non-empty ``str`` that encodes as UTF-8, with no
     line break and no surrounding whitespace: the labels ``load_points``
     reads back as written. Any other raises ValueError before a file is
@@ -330,17 +342,26 @@ def save_points(ps: PointSet, path) -> None:
                 f"label {i} ({lab!r}) cannot be saved: labels must be non-empty UTF-8"
                 " strings with no line break or surrounding whitespace"
             )
+    row = ",".join(["%.17g"] * ps.dim) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in ps.coords:
-            writer.writerow([f"{v:.17g}" for v in row])
+        fh.write("".join([row % tuple(r) for r in ps.coords.tolist()]))
     if ps.labels is not None:
         with open(f"{path}.labels", "w", encoding="utf-8") as fh:
-            for lab in ps.labels:
-                fh.write(f"{lab}\n")
+            fh.write("".join([f"{lab}\n" for lab in ps.labels]))
 
 
 def load_points(path) -> PointSet:
+    """Read the point file at ``path``, with labels from ``<path>.labels``
+    when that file exists.
+
+    The points file is any CSV that the ``csv`` module splits into rows and
+    whose every field ``float()`` takes, so it need not be one that
+    ``save_points`` wrote. Blank rows are skipped, and every other row must
+    have the same dimension. The labels file holds one label per line,
+    stripped, with blank lines skipped, and must hold one label per point.
+    A field ``float()`` refuses or a row of another dimension raises
+    ValueError naming ``<path>:<line>``.
+    """
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):

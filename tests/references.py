@@ -4,6 +4,7 @@ The grid's node numbering is the one ``make_plain_grid`` and
 ``make_grid_graph`` build, so tests can name nodes by coordinate.
 """
 
+import csv
 import heapq
 import math
 
@@ -82,3 +83,17 @@ def sgnn_query_reference(g, points, query, I: int, J: int, T: int, K: int, rng):
         short=cache.evals < K,
         chain_evals=chain_evals,
     )
+
+
+def save_points_reference(ps, path) -> None:
+    """``save_points``' files written through ``csv.writer``, one row per
+    point with each coordinate formatted on its own, and one write per
+    label, for tests to compare bytes against. Labels are not checked."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in ps.coords:
+            writer.writerow([f"{v:.17g}" for v in row])
+    if ps.labels is not None:
+        with open(f"{path}.labels", "w", encoding="utf-8") as fh:
+            for lab in ps.labels:
+                fh.write(f"{lab}\n")

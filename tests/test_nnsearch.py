@@ -21,7 +21,7 @@ from graphopt import (
     smoothed_sa_search,
 )
 from graphopt.nnsearch import _expand_best_first
-from references import sgnn_query_reference
+from references import save_points_reference, sgnn_query_reference
 
 
 def test_pointset_shape_and_labels():
@@ -440,6 +440,46 @@ def test_point_file_round_trip(case, tmp_path_factory):
     assert (out / "again.csv").read_bytes() == (out / "p.csv").read_bytes()
     if labels is not None:
         assert (out / "again.csv.labels").read_bytes() == (out / "p.csv.labels").read_bytes()
+
+
+# the edges of the %.17g form: signed zero, the smallest subnormal and
+# normal, the largest finite floats, a decimal that needs all 17 digits,
+# and integral floats (written with no point below 1e17, with an exponent
+# from there)
+_edge_floats = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.1, -0.1, 1.0, -3.0, 1e16, 2.0**53 + 2, 1e17]
+
+
+@st.composite
+def written_clouds(draw):
+    n, dim = draw(st.integers(1, 50)), draw(st.integers(1, 12))
+    # the bulk from a seeded generator (drawing each float through hypothesis
+    # costs seconds): magnitudes 1e-300..1e300, about a third integral
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-300, 301, size=(n, dim))
+    integral = rng.random((n, dim)) < 0.3
+    coords[integral] = rng.integers(-10**6, 10**6, size=int(integral.sum()))
+    slot = st.integers(0, n * dim - 1)
+    for i, v in draw(st.lists(st.tuples(slot, st.sampled_from(_edge_floats) | st.floats(
+            allow_nan=False, allow_infinity=False)), max_size=3 * dim)):
+        coords.flat[i] = v
+    labels = draw(st.none() | st.lists(labels_text, min_size=n, max_size=n).map(tuple))
+    return coords, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=written_clouds())
+def test_save_points_writes_the_csv_writer_bytes(case, tmp_path_factory):
+    coords, labels = case
+    ps = PointSet(coords, labels)
+    out = tmp_path_factory.mktemp("written")
+    save_points(ps, out / "p.csv")
+    save_points_reference(ps, out / "ref.csv")
+    assert (out / "p.csv").read_bytes() == (out / "ref.csv").read_bytes()
+    assert (out / "p.csv.labels").exists() == (labels is not None)
+    if labels is not None:
+        assert (out / "p.csv.labels").read_bytes() == (out / "ref.csv.labels").read_bytes()
+    assert load_points(out / "p.csv").coords.tobytes() == ps.coords.tobytes()
 
 
 @pytest.mark.parametrize(
