@@ -72,6 +72,8 @@ def sa_step(g: Graph, oracle: NoisyOracle, x: int, cfg: SAConfig, rng: np.random
     covers only the samples still available; raises BudgetExhaustedError,
     leaving the state at x, when y cannot be estimated at all.
     """
+    if not 0 <= x < g.n:
+        raise ValueError(f"node {x} out of range")
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"node {x} has no neighbors")

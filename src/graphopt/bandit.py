@@ -87,12 +87,14 @@ def successive_reject(
     run: the best arm by the means collected so far wins, since later
     eliminations would only drop arms ranked below it.
 
-    While at least ARRAY_DRAW_MIN arms survive, the phases run on numpy
-    arrays: the sampler gets the survivors as an ascending int64 array and
-    may return its means as a float array, and a phase that pulls nothing
-    costs nothing. Narrower phases, and a K below ARRAY_DRAW_MIN, run on
-    lists. Both do the same float operations and rank alike, so the
-    winner and the draws do not depend on the split.
+    One loop runs the phases that pull; a phase that pulls nothing only
+    rejects an arm, so it costs nothing. While at least ARRAY_DRAW_MIN
+    arms survive, the survivors, their sums and their means are numpy
+    arrays, and the sampler gets the survivors as an ascending int64
+    array and may return its means as a float array. At the first
+    narrower phase they become lists, once; with K below ARRAY_DRAW_MIN
+    they are lists throughout. Both do the same float operations and rank
+    alike, so the winner and the draws do not depend on the switch.
     """
     K = _whole("K", K, 1)
     B = _whole("B", B, 0)
@@ -104,78 +106,56 @@ def successive_reject(
         # argmin keeps the first of equal means
         return int(np.argmin(phase_means)) if len(phase_means) else 0
     cumulative = budget_schedule(K, B)
-    k = 1
-    if K >= ARRAY_DRAW_MIN:
-        # Phase k has K - k + 1 survivors; from phase `narrow` on there are
-        # fewer than ARRAY_DRAW_MIN and the lists below take over. Until
-        # then the survivors are the head of `ranked`, ranked by (mean, arm)
-        # best first, so a phase that pulls nothing only shortens that head.
-        narrow = K + 2 - ARRAY_DRAW_MIN
+    # Arms ranked by (mean, arm), best first: phase k keeps the first
+    # K - k + 1 of them, so rejecting an arm only shortens the head.
+    wide = K >= ARRAY_DRAW_MIN
+    if wide:
         ranked, sums, means = np.arange(K), np.zeros(K), np.full(K, math.inf)
-        while True:
-            # the next phase that pulls: the first to raise the cumulative count
-            k = bisect.bisect_right(cumulative, cumulative[k - 1], k)
-            if k >= narrow:
-                break
-            done = cumulative[k - 1]
-            pulls = cumulative[k] - done
-            arms = np.sort(ranked[: K - k + 1])
-            try:
-                phase_means, taken = sampler(arms, pulls, rng)
-            except BudgetExhaustedError:
-                return int(ranked[0])
-            if len(taken) != len(arms) or taken[-1] != pulls:
-                return _short_phase_winner(
-                    arms.tolist(), phase_means, taken, done, sums.tolist(), means.tolist()
-                )
-            # the list update below as array operations, in the same order
+    else:
+        ranked, sums, means = list(range(K)), [0.0] * K, [math.inf] * K
+    k = 1
+    while True:
+        # the next phase that pulls: the first to raise the cumulative count
+        k = bisect.bisect_right(cumulative, cumulative[k - 1], k)
+        if k == K:
+            return int(ranked[0])
+        alive = K - k + 1
+        if wide and alive < ARRAY_DRAW_MIN:
+            wide = False
+            ranked, sums, means = ranked[:alive].tolist(), sums.tolist(), means.tolist()
+        # every earlier phase came back full, so each survivor holds done pulls
+        done, total = cumulative[k - 1], cumulative[k]
+        pulls = total - done
+        arms = np.sort(ranked[:alive]) if wide else sorted(ranked[:alive])
+        try:
+            phase_means, taken = sampler(arms, pulls, rng)
+        except BudgetExhaustedError:
+            return int(ranked[0])
+        # only the last arm served may be short of its batch
+        if len(taken) != len(arms) or taken[-1] != pulls:
+            # each arm served adds its taken pulls to the done it held, and
+            # the lowest mean wins, ties to the lowest id
+            if wide:
+                arms, sums, means = arms.tolist(), sums.tolist(), means.tolist()
+            for arm, mean, t in zip(arms, phase_means, taken):
+                sums[arm] += mean * t
+                if done + t:
+                    means[arm] = sums[arm] / (done + t)
+            return min(arms, key=means.__getitem__)
+        # every arm got pulls and now holds total; a stable sort of
+        # ascending arms ranks ties by id
+        if wide:
             s = sums[arms] + np.asarray(phase_means, dtype=float) * pulls
             sums[arms] = s
-            s /= cumulative[k]
+            s /= total
             means[arms] = s
-            # a stable sort of ascending arms ranks ties by id
             ranked = arms[np.argsort(s, kind="stable")]
-            k += 1
-        k = narrow
-        order, sums, means = ranked[: K - k + 1].tolist(), sums.tolist(), means.tolist()
-    else:
-        order, sums, means = list(range(K)), [0.0] * K, [math.inf] * K
-    # Survivors ranked by (mean, arm), best first, so the next arm to
-    # reject is always the last one. Means change only in phases that
-    # pull, so the ranking is rebuilt only there.
-    for k in range(k, K):
-        # every earlier phase came back full, so each survivor holds done pulls
-        done = cumulative[k - 1]
-        pulls = cumulative[k] - done
-        if pulls > 0:
-            arms = sorted(order)
-            try:
-                phase_means, taken = sampler(arms, pulls, rng)
-            except BudgetExhaustedError:
-                return order[0]
-            # only the last arm served may be short of its batch
-            if len(taken) != len(arms) or taken[-1] != pulls:
-                return _short_phase_winner(arms, phase_means, taken, done, sums, means)
-            # every arm got pulls and now holds cumulative[k] in total
-            total = cumulative[k]
+        else:
             for arm, mean in zip(arms, phase_means):
                 sums[arm] += mean * pulls
                 means[arm] = sums[arm] / total
-            # a stable sort of ascending arms ranks ties by id
-            order = sorted(arms, key=means.__getitem__)
-        order.pop()
-    return order[0]
-
-
-def _short_phase_winner(arms, phase_means, taken, done, sums, means) -> int:
-    """The best of the ascending ``arms`` after a phase that came back
-    short: each arm served adds its ``taken`` pulls to the ``done`` it held,
-    and the lowest mean wins, ties to the lowest id."""
-    for arm, mean, t in zip(arms, phase_means, taken):
-        sums[arm] += mean * t
-        if done + t:
-            means[arm] = sums[arm] / (done + t)
-    return min(arms, key=means.__getitem__)
+            ranked = sorted(arms, key=means.__getitem__)
+        k += 1
 
 
 def oracle_sampler(oracle: NoisyOracle, arms: Sequence[int]) -> Sampler:

@@ -29,6 +29,8 @@ def descent_oracle(
     winning node. If the oracle runs dry mid-round the current empirical
     winner is returned.
     """
+    if not 0 <= x < g.n:
+        raise ValueError(f"node {x} out of range")
     arms = (x,) + g.neighbors(x)
     K = len(arms)
     if round_budget <= K:

@@ -116,6 +116,18 @@ def test_maximize_flips_the_direction():
     assert sa_step(g, o, 0, cfg, rng) == 1
 
 
+@pytest.mark.parametrize("x", [-1, 25])
+def test_step_refuses_a_node_out_of_range(x):
+    # before any draw: -1 would otherwise step among node 24's neighbours
+    g, table = make_plain_grid(2)
+    o = NoisyOracle(table)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=rf"^node {x} out of range$"):
+        sa_step(g, o, x, SAConfig(gamma=1.0, s=1, steps=1), rng)
+    assert o.used == 0
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_run_meters_two_estimates_per_step():
     g = cycle_graph(9)
     o = NoisyOracle(ValueTable(np.linspace(0, 1, 9)))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphopt import (
@@ -308,8 +308,30 @@ def run_case(case, algorithm):
     return winner, oracle.used, calls, rng.random()
 
 
+def handoff_case(K, B=30):
+    """A noiseless run over lattice values with ties at budget B. At B = 30,
+    K = 19 runs on lists only, K = 20 hands its arrays to lists after
+    phase 1, and K = 25 pulls only in phase 1, so its winner comes
+    straight from the arrays."""
+    return dict(
+        K=K,
+        values=[(i * 7) % 4 / 3 for i in range(K)],
+        noise="gaussian",
+        R=0.0,
+        B=B,
+        oracle_budget=None,
+        maximize=False,
+        empty_call=None,
+        empty_mean=0.0,
+        seed=0,
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=sr_cases())
+@example(case=handoff_case(19))
+@example(case=handoff_case(20))
+@example(case=handoff_case(25))
 def test_successive_reject_matches_keyed_min_reference(case):
     # same winner, same pulls served in the same order, same draws
     reference = one_arm(keyed_min_successive_reject)

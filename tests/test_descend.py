@@ -55,6 +55,18 @@ def test_descent_oracle_requires_enough_budget():
         descent_oracle(g, o, center, g.degree(center) + 1, rng)
 
 
+@pytest.mark.parametrize("x", [-1, 25])
+def test_descent_oracle_refuses_a_node_out_of_range(x):
+    # before any draw: -1 would otherwise run a round among node 24's neighbours
+    g, table = make_plain_grid(2)
+    o = NoisyOracle(table)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=rf"^node {x} out of range$"):
+        descent_oracle(g, o, x, 200, rng)
+    assert o.used == 0
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_descent_stays_put_at_an_isolated_node():
     # one arm, no elimination: the node itself is pulled once and kept
     g = Graph.from_edges(3, [(1, 2)])
