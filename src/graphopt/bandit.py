@@ -92,9 +92,10 @@ def successive_reject(
     arms survive, the survivors, their sums and their means are numpy
     arrays, and the sampler gets the survivors as an ascending int64
     array and may return its means as a float array. At the first
-    narrower phase they become lists, once; with K below ARRAY_DRAW_MIN
-    they are lists throughout. Both do the same float operations and rank
-    alike, so the winner and the draws do not depend on the switch.
+    narrower phase that pulls they become lists, once; with K below
+    ARRAY_DRAW_MIN they are lists throughout. Both do the same float
+    operations and rank alike, so the winner and the draws do not depend
+    on the switch.
     """
     K = _whole("K", K, 1)
     B = _whole("B", B, 0)

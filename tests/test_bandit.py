@@ -308,8 +308,8 @@ def run_case(case, algorithm):
     return winner, oracle.used, calls, rng.random()
 
 
-def handoff_case(K, B=30):
-    """A noiseless run over lattice values with ties at budget B. At B = 30,
+def handoff_case(K):
+    """A noiseless run over lattice values with ties at budget B = 30:
     K = 19 runs on lists only, K = 20 hands its arrays to lists after
     phase 1, and K = 25 pulls only in phase 1, so its winner comes
     straight from the arrays."""
@@ -318,7 +318,7 @@ def handoff_case(K, B=30):
         values=[(i * 7) % 4 / 3 for i in range(K)],
         noise="gaussian",
         R=0.0,
-        B=B,
+        B=30,
         oracle_budget=None,
         maximize=False,
         empty_call=None,
