@@ -98,6 +98,7 @@ def simulated_annealing(
 
     Budget exhaustion stops the chain where it stands.
     """
+    x0 = _whole("start node", x0)
     if not 0 <= x0 < g.n:
         raise ValueError(f"start node {x0} out of range")
     x = x0

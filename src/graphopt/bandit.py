@@ -8,14 +8,13 @@ in a phase of at least ARRAY_DRAW_MIN arms, an ascending int64 array;
 ``means`` may be any sequence of floats, a float array included, and the
 library's samplers return floats. Once an underlying budget runs dry it
 serves a prefix of the list (full batches, then at most one partial one),
-and it may raise BudgetExhaustedError when nothing is left. Means are
-costs: the lowest wins and an arm never pulled counts as +inf.
+and it may raise BudgetExhaustedError, which counts as serving nothing.
+Means are costs: the lowest wins and an arm never pulled counts as +inf.
 ``NoisyOracle.sample_means`` is a sampler whose arms are its nodes.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from typing import Callable, Sequence
@@ -77,25 +76,25 @@ def successive_reject(
 
     With one arm, or a budget B <= K too small for eliminations, one phase
     pulls arms 0..min(K, B)-1 once each and the lowest mean cost wins
-    (ties to the lowest id; arm 0 when the sampler serves nothing).
+    (ties to the lowest id; arm 0 when the sampler serves nothing or raises).
 
     Otherwise K-1 elimination phases run. Each tops every surviving arm up
     to the schedule's cumulative pull count, then rejects the arm with the
     highest empirical mean (ties reject the higher index; an arm never
     pulled counts as +inf). The first phase that comes back short (the
-    sampler raises, serves fewer arms or a partial last batch) ends the
-    run: the best arm by the means collected so far wins, since later
-    eliminations would only drop arms ranked below it.
+    sampler serves fewer arms or a partial last batch; a raise counts as
+    serving none) ends the run: the best arm by the means collected so far
+    wins, since later eliminations would only drop arms ranked below it.
 
-    One loop runs the phases that pull; a phase that pulls nothing only
-    rejects an arm, so it costs nothing. While at least ARRAY_DRAW_MIN
-    arms survive, the survivors, their sums and their means are numpy
-    arrays, and the sampler gets the survivors as an ascending int64
-    array and may return its means as a float array. At the first
-    narrower phase that pulls they become lists, once; with K below
-    ARRAY_DRAW_MIN they are lists throughout. Both do the same float
-    operations and rank alike, so the winner and the draws do not depend
-    on the switch.
+    One loop runs the phases in turn and steps over a phase that pulls
+    nothing: with the survivors ranked best first, its rejection only
+    shortens the head. While at least ARRAY_DRAW_MIN arms survive, the
+    survivors, their sums and their means are numpy arrays, and the
+    sampler gets the survivors as an ascending int64 array and may return
+    its means as a float array. At the first narrower phase that pulls
+    they become lists, once; with K below ARRAY_DRAW_MIN they are lists
+    throughout. Both do the same float operations and rank alike, so the
+    winner and the draws do not depend on the switch.
     """
     K = _whole("K", K, 1)
     B = _whole("B", B, 0)
@@ -103,7 +102,7 @@ def successive_reject(
         try:
             phase_means, _ = sampler(range(min(K, B)), 1, rng)
         except BudgetExhaustedError:
-            return 0
+            phase_means = ()
         # argmin keeps the first of equal means
         return int(np.argmin(phase_means)) if len(phase_means) else 0
     cumulative = budget_schedule(K, B)
@@ -114,24 +113,21 @@ def successive_reject(
         ranked, sums, means = np.arange(K), np.zeros(K), np.full(K, math.inf)
     else:
         ranked, sums, means = list(range(K)), [0.0] * K, [math.inf] * K
-    k = 1
-    while True:
-        # the next phase that pulls: the first to raise the cumulative count
-        k = bisect.bisect_right(cumulative, cumulative[k - 1], k)
-        if k == K:
-            return int(ranked[0])
+    for k in range(1, K):
+        # every earlier phase came back full, so each survivor holds done pulls
+        done, total = cumulative[k - 1], cumulative[k]
+        if done == total:
+            continue
         alive = K - k + 1
         if wide and alive < ARRAY_DRAW_MIN:
             wide = False
             ranked, sums, means = ranked[:alive].tolist(), sums.tolist(), means.tolist()
-        # every earlier phase came back full, so each survivor holds done pulls
-        done, total = cumulative[k - 1], cumulative[k]
         pulls = total - done
         arms = np.sort(ranked[:alive]) if wide else sorted(ranked[:alive])
         try:
             phase_means, taken = sampler(arms, pulls, rng)
         except BudgetExhaustedError:
-            return int(ranked[0])
+            phase_means, taken = (), ()
         # only the last arm served may be short of its batch
         if len(taken) != len(arms) or taken[-1] != pulls:
             # each arm served adds its taken pulls to the done it held, and
@@ -156,7 +152,7 @@ def successive_reject(
                 sums[arm] += mean * pulls
                 means[arm] = sums[arm] / total
             ranked = sorted(arms, key=means.__getitem__)
-        k += 1
+    return int(ranked[0])
 
 
 def oracle_sampler(oracle: NoisyOracle, arms: Sequence[int]) -> Sampler:

@@ -29,8 +29,10 @@ def descent_oracle(
     winning node. If the oracle runs dry mid-round the current empirical
     winner is returned.
     """
+    x = _whole("node", x)
     if not 0 <= x < g.n:
         raise ValueError(f"node {x} out of range")
+    round_budget = _whole("round budget", round_budget, 1)
     arms = (x,) + g.neighbors(x)
     K = len(arms)
     if round_budget <= K:
@@ -56,6 +58,7 @@ def explore_descend(
     oracle is exhausted, the walk stops where it stands.
     """
     pending = [_whole("round budget", t, 1) for t in schedule]
+    x0 = _whole("start node", x0)
     if not 0 <= x0 < g.n:
         raise ValueError(f"start node {x0} out of range")
     x = x0
@@ -112,13 +115,7 @@ def explore_descend_restarts(
         ests, _ = oracle.sample_means(finals, eval_per, rng)
     except BudgetExhaustedError:
         ests = []
-    best_node = finals[0]
-    best_est = None
-    for node, est in zip(finals, ests):
-        if best_est is None or est < best_est or (est == best_est and node < best_node):
-            best_est = est
-            best_node = node
-    return best_node
+    return min(zip(ests, finals), default=(None, finals[0]))[1]
 
 
 def ed_error_bound(d: int, schedule, per_round_smallest_gaps) -> float:

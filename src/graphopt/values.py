@@ -40,6 +40,8 @@ class ValueTable:
         return int(self.means.shape[0])
 
     def value(self, x: int) -> float:
+        if not 0 <= x < self.n:
+            raise ValueError(f"node {x} out of range")
         return float(self.means[x])
 
     @cached_property
@@ -70,6 +72,8 @@ class ValueTable:
     def gap_to_best(self, x: int, maximize: bool = False) -> float:
         """Suboptimality of node x: always >= 0 regardless of sense."""
         f = self.floats
+        if not 0 <= x < len(f):
+            raise ValueError(f"node {x} out of range")
         best = f[self.best(maximize)]
         return best - f[x] if maximize else f[x] - best
 

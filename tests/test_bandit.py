@@ -20,6 +20,7 @@ from graphopt import (
     certify_nearly_convex,
     certify_strongly_convex,
     default_rounds,
+    descent_oracle,
     ed_error_bound,
     exact_nn_all,
     explore_descend,
@@ -327,11 +328,24 @@ def handoff_case(K):
     )
 
 
+def dry_before_phase_case(K, B, phase):
+    """A noiseless list run, best arm K - 1, whose oracle budget is what
+    phases 1..phase-1 spend, so the sampler raises when phase pulls."""
+    cumulative = budget_schedule(K, B)
+    spent = sum((cumulative[k] - cumulative[k - 1]) * (K - k + 1) for k in range(1, phase))
+    return dict(handoff_case(K), values=[1 - i / K for i in range(K)], B=B, oracle_budget=spent)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=sr_cases())
 @example(case=handoff_case(19))
 @example(case=handoff_case(20))
 @example(case=handoff_case(25))
+# only phase 1 pulls (the schedule is 0, 1, 1, ..., 1): the loop steps over
+# phases 2..18 and the winner is the head of phase 1's ranking
+@example(case=dict(handoff_case(19), B=20))
+# phases 1 and 2 spend the oracle's 67 samples, and phase 3's call raises
+@example(case=dry_before_phase_case(5, 100, 3))
 def test_successive_reject_matches_keyed_min_reference(case):
     # same winner, same pulls served in the same order, same draws
     reference = one_arm(keyed_min_successive_reject)
@@ -662,6 +676,10 @@ FRACTIONAL_COUNT_CASES = [
     (sgnn_query, (KNN, CLOUD, (0.0, 0.0), 2, 2.5, 1, 3, np.random.default_rng(0)), "J"),
     (sgnn_query, (KNN, CLOUD, (0.0, 0.0), 2, 2, 1.5, 3, np.random.default_rng(0)), "T"),
     (sgnn_query, (KNN, CLOUD, (0.0, 0.0), 2, math.nan, 1, 3, np.random.default_rng(0)), "J"),
+    (descent_oracle, (PATH3, PATH3_ORACLE, 0, 10.5, RNG0), "round budget"),
+    (descent_oracle, (PATH3, PATH3_ORACLE, 2.5, 40, RNG0), "node"),
+    (explore_descend, (PATH3, PATH3_ORACLE, 2.5, (40,), RNG0), "start node"),
+    (simulated_annealing, (PATH3, PATH3_ORACLE, 2.5, SAConfig(gamma=1.0, s=1, steps=1), RNG0), "start node"),
 ]
 
 

@@ -239,6 +239,22 @@ def test_wide_restart_reestimation_runs_dry_like_the_one_by_one_loop(seed):
         assert seen[0] == seen[1]
 
 
+@pytest.mark.parametrize("seed, node", [(3, 2), (7, 1), (9, 2)])
+def test_tied_restart_estimates_go_to_the_lowest_node_like_the_one_by_one_loop(seed, node):
+    # Bernoulli estimates of 6 samples tie often; at these seeds several
+    # finals share the lowest estimate, and the first of them is not the
+    # lowest node
+    g, table = double_well()
+    bernoulli = ValueTable((table.means + 0.125) / 1.35)
+    seen = []
+    for run in (explore_descend_restarts, restarts_one_by_one):
+        o = NoisyOracle(bernoulli)
+        rng = np.random.default_rng(seed)
+        seen.append((run(g, o, 960, rng, path_len=8, restarts=8), o.used, rng.random()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == node
+
+
 def test_restarts_escape_the_wrong_valley():
     g, table = double_well()
     hits_single, hits_multi = 0, 0

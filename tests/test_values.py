@@ -38,6 +38,15 @@ def test_gap_to_best():
     assert t.gap_to_best(0, maximize=False) == 0.0
 
 
+@pytest.mark.parametrize("x", [-1, 3])
+def test_table_refuses_a_node_out_of_range(x):
+    # -1 would otherwise read the last node: a gap of 0.8 here
+    t = ValueTable(np.array([0.1, 0.5, 0.9]))
+    for read in (t.value, t.gap_to_best):
+        with pytest.raises(ValueError, match=rf"^node {x} out of range$"):
+            read(x)
+
+
 # ties, signed zeros and extremes among any finite floats
 TABLE_VALUES = st.lists(
     st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]) | st.floats(allow_nan=False, allow_infinity=False),
