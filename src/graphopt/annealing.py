@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _finite, _whole
+from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _finite, _node, _whole
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ def sa_transition_probs(
     The paper's kernel, kept for ``test_kernel_satisfies_detailed_balance``.
     """
     gamma = _as_float("gamma", gamma, 0)
+    x = _node("node", x, g.n)
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"node {x} has no neighbors")
@@ -98,10 +99,7 @@ def simulated_annealing(
 
     Budget exhaustion stops the chain where it stands.
     """
-    x0 = _whole("start node", x0)
-    if not 0 <= x0 < g.n:
-        raise ValueError(f"start node {x0} out of range")
-    x = x0
+    x = _node("start node", x0, g.n)
     for _ in range(cfg.steps):
         try:
             x = sa_step(g, oracle, x, cfg, rng)

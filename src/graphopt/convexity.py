@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, Path
-from .oracle import _finite
+from .oracle import _finite, _node
 from .values import ValueTable
 
 
@@ -59,6 +59,7 @@ def _split(ratio, types):
 def best_improvement(g: Graph, values, x: int):
     """Largest one-step improvement from x (negative at a local minimum):
     the paper's core test, kept for test_convexity's ``reference_near``."""
+    x = _node("node", x, g.n)
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"node {x} has no neighbors")

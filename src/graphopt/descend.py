@@ -11,7 +11,7 @@ import numpy as np
 
 from .bandit import _ARMS_MAX, log_bar, oracle_sampler, successive_reject
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _whole
+from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _node, _whole
 
 
 def descent_oracle(
@@ -29,9 +29,7 @@ def descent_oracle(
     winning node. If the oracle runs dry mid-round the current empirical
     winner is returned.
     """
-    x = _whole("node", x)
-    if not 0 <= x < g.n:
-        raise ValueError(f"node {x} out of range")
+    x = _node("node", x, g.n)
     round_budget = _whole("round budget", round_budget, 1)
     arms = (x,) + g.neighbors(x)
     K = len(arms)
@@ -58,18 +56,13 @@ def explore_descend(
     oracle is exhausted, the walk stops where it stands.
     """
     pending = [_whole("round budget", t, 1) for t in schedule]
-    x0 = _whole("start node", x0)
-    if not 0 <= x0 < g.n:
-        raise ValueError(f"start node {x0} out of range")
-    x = x0
+    x = _node("start node", x0, g.n)
     while pending:
         t = pending.pop(0)
         needed = g.degree(x) + 2
         while t < needed and pending:
             t += pending.pop()
-        if t < needed:
-            break
-        if oracle.remaining == 0:
+        if t < needed or oracle.remaining == 0:
             break
         x = descent_oracle(g, oracle, x, t, rng)
     return x

@@ -12,11 +12,11 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import index, length_hint
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .oracle import _whole
+from .oracle import _node, _whole
 from .values import ValueTable, _digit_runs, load_values, save_values
 
 
@@ -145,20 +145,15 @@ class Path:
     nodes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        n = self.graph.n
+        object.__setattr__(self, "nodes", tuple(_node("path node", x, n) for x in self.nodes))
         if not self.nodes:
             raise ValueError("path must contain at least one node")
-        for x in self.nodes:
-            if not 0 <= x < self.graph.n:
-                raise ValueError(f"path node {x} out of range")
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("path repeats a node")
         for a, b in zip(self.nodes, self.nodes[1:]):
             if not self.graph.has_edge(a, b):
                 raise ValueError(f"consecutive path nodes {a},{b} are not adjacent")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 # 64-bit words a _Draws fetches per refill; those left unused are rewound
@@ -324,7 +319,6 @@ def make_grid_graph(spec: GridSpec) -> tuple[Graph, ValueTable]:
 
     with _Draws(np.random.default_rng(spec.seed)) as draws:
         while len(cands) >= 2:
-            added = False
             for _ in range(200):
                 i = draws.integers(len(cands))
                 j = draws.integers(len(cands))
@@ -334,21 +328,19 @@ def make_grid_graph(spec: GridSpec) -> tuple[Graph, ValueTable]:
                 if v in adj[u]:
                     continue
                 connect(u, v)
-                added = True
                 break
-            if added:
-                continue
-            ordered = sorted(cands)
-            pairs = [
-                (u, v)
-                for ii, u in enumerate(ordered)
-                for v in ordered[ii + 1 :]
-                if v not in adj[u]
-            ]
-            if not pairs:
-                break
-            u, v = pairs[draws.integers(len(pairs))]
-            connect(u, v)
+            else:
+                ordered = sorted(cands)
+                pairs = [
+                    (u, v)
+                    for ii, u in enumerate(ordered)
+                    for v in ordered[ii + 1 :]
+                    if v not in adj[u]
+                ]
+                if not pairs:
+                    break
+                u, v = pairs[draws.integers(len(pairs))]
+                connect(u, v)
 
     # every edge joins two distinct nodes both ways
     g = _unchecked(n, False, tuple(tuple(sorted(s)) for s in adj))
@@ -503,15 +495,17 @@ def _decide(queries, points, K: int, first: int | None, cand):
 # Text formats
 
 
-def save_graph(g: Graph, path, values: ValueTable | None = None) -> None:
+def save_graph(g: Graph, path, values: ValueTable | Sequence[float] | None = None) -> None:
     """Header ``n <n> directed <0|1>`` then one ``u v`` line per edge.
 
     Undirected edges appear once with u < v; lines are sorted ascending,
-    so output is byte-stable for a given graph. When ``values`` is given
-    they are written alongside, to ``<path>.values``;
-    a table whose length is not ``g.n`` raises ValueError before any write.
+    so output is byte-stable for a given graph. ``values``, when given,
+    become a ValueTable and go to ``<path>.values``; a table whose length
+    is not ``g.n`` raises ValueError before any write.
     """
     if values is not None:
+        if not isinstance(values, ValueTable):
+            values = ValueTable(values)
         if values.n != g.n:
             raise ValueError(f"{values.n} values for a graph of {g.n} nodes")
         save_values(values, f"{path}.values")

@@ -60,10 +60,10 @@ class ExperimentConfig:
     numbers (4.0 is taken as 4).
 
     Every setting is checked here, once, and ``params`` is replaced by the
-    resolved values with defaults filled in. The value table needs one
-    value per graph node, the oracle settings are checked by building a
-    NoisyOracle, and ed and sa need a neighbour at every node. A bad
-    setting raises ValueError before any trial runs.
+    resolved values with defaults filled in. The values become a ValueTable
+    with one value per graph node, the oracle settings are checked by
+    building a NoisyOracle, and ed and sa need a neighbour at every node.
+    A bad setting raises ValueError before any trial runs.
     """
 
     graph: Graph
@@ -80,6 +80,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
+        if not isinstance(self.values, ValueTable):
+            object.__setattr__(self, "values", ValueTable(self.values))
         if self.values.n != self.graph.n:
             raise ValueError(f"{self.values.n} values for a graph of {self.graph.n} nodes")
         object.__setattr__(self, "budgets", tuple(_whole("budget", b, 1) for b in self.budgets))

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph, _Draws, _nearest, _point_side, random_walk
-from .oracle import _whole
+from .oracle import _node, _whole
 
 TAU_FLOOR = 1e-9
 
@@ -105,8 +105,10 @@ class DistanceCache:
         self._dist: dict[int, float] = {}
 
     def evaluate(self, node: int) -> float:
+        """Distance from ``node`` to the query; its id is checked on a miss."""
         d = self._dist.get(node)
         if d is None:
+            node = _node("node", node, len(self._rows))
             d = self._dist[node] = math.dist(self._rows[node], self._query)
         return d
 
@@ -135,10 +137,8 @@ def smoothed_sa_search(
     """
     J = _whole("J", J, 0)
     T = _whole("T", T, 0)
-    if not 0 <= start < g.n:
-        raise ValueError(f"start node {start} out of range")
+    x = _node("start node", start, g.n)
     memo, rows, query, adjacency = cache._dist, cache._rows, cache._query, g.adjacency
-    x = start
     for j in range(1, J + 1):
         tau = max(1.0 - j / J, TAU_FLOOR)
         end = random_walk(g, x, T, rng)

@@ -31,6 +31,16 @@ def _whole(name: str, value, lo: int | None = None) -> int:
     raise ValueError(f"{name} must be a whole number{rule}, got {value}")
 
 
+def _node(name: str, x, n: int) -> int:
+    """``x`` as a node id in 0..n-1: an int as it is, else through ``_whole``
+    (4.0 is node 4); ValueError naming ``name`` unless it is one."""
+    if type(x) is not int:
+        x = _whole(name, x)
+    if not 0 <= x < n:
+        raise ValueError(f"{name} {x} out of range")
+    return x
+
+
 def _finite(name: str, value, lo=None, strict: bool = False, hi=None):
     """``value`` itself; ValueError naming ``name`` unless it is a finite
     real number, at least ``lo`` (above it when ``strict``) and below ``hi``
@@ -74,7 +84,7 @@ class BudgetExhaustedError(RuntimeError):
 
 @dataclass
 class NoisyOracle:
-    """Observation source over a value table.
+    """Observation source over a value table (other values become one).
 
     noise="bernoulli" returns 0/1 draws with success probability f(x)
     (values must then lie in [0, 1]); noise="gaussian" returns
@@ -94,6 +104,8 @@ class NoisyOracle:
     used: int = field(default=0, init=False)
 
     def __post_init__(self):
+        if not isinstance(self.values, ValueTable):
+            self.values = ValueTable(self.values)
         if self.noise not in ("bernoulli", "gaussian"):
             raise ValueError(f"unknown noise kind {self.noise!r}")
         if self.noise == "bernoulli":
@@ -132,10 +144,8 @@ class NoisyOracle:
         floats. ``xs`` may be any sequence of node ids, an int64 array
         included; ``taken`` is always a list.
         """
-        if type(count) is not int:
+        if type(count) is not int or count < 1:
             count = _whole("count", count, 1)
-        if count <= 0:
-            raise ValueError("count must be >= 1")
         if len(xs) == 0:
             return [], []
         want = len(xs) * count

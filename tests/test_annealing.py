@@ -211,6 +211,14 @@ def test_nearly_convex_bound_quiet_when_informative():
     assert b.final_bound <= 3000.0
 
 
+def test_nearly_convex_bound_needs_no_rounds_where_F_alpha_gamma_is_at_most_1():
+    # F * alpha * gamma = 0.6, and 1e-300 * 0.3 * 1e-300, which underflows
+    # to 0.0 where log() would fail
+    for c, F in ((0.5, 1.0), (1e300, 1e-300)):
+        with pytest.warns(UserWarning):
+            assert sa_round_bound_nearly(alpha=0.3, c=c, r=1, d=2, F=F).t_min == 0
+
+
 def test_nearly_convex_bound_refuses_a_huge_r_without_the_power():
     # 9 ** (10**15 + 1) would take terabytes; (r+1) ln d > 40 refuses it first
     with pytest.raises(ValueError, match=r"r=1000000000000000 and d=9 make the bound vacuous"):

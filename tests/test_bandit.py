@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -8,14 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphopt import (
+    DistanceCache,
     ExperimentConfig,
     Graph,
     GridSpec,
     NoisyOracle,
+    Path,
     PointSet,
     QueryResult,
     SAConfig,
     ValueTable,
+    best_improvement,
     budget_schedule,
     certify_nearly_convex,
     certify_strongly_convex,
@@ -34,8 +38,10 @@ from graphopt import (
     recall_at_k,
     sa_round_bound_convex,
     sa_round_bound_nearly,
+    sa_transition_probs,
     sgnn_query,
     simulated_annealing,
+    smoothed_sa_search,
     sr_bound_loose,
     sr_error_bound,
     successive_reject,
@@ -354,6 +360,8 @@ def test_successive_reject_matches_keyed_min_reference(case):
 
 @settings(max_examples=100, deadline=None)
 @given(case=sr_cases(small_budget=True))
+# the one-phase call raises at once: arm 0 wins and nothing is drawn
+@example(case=dict(handoff_case(5), B=3, oracle_budget=0))
 def test_successive_reject_small_budget_matches_per_arm_reference(case):
     reference = one_arm(per_arm_small_budget)
     assert run_case(case, successive_reject) == run_case(case, reference)
@@ -455,6 +463,10 @@ def test_loose_bound_formula():
     want = (n * (n - 1) / 2) * math.exp(-(B - n) * d1 * d1 / (n * log_bar(n)))
     assert sr_bound_loose(n, d1, B) == pytest.approx(min(1.0, want))
     assert sr_bound_loose(10, 0.3, 500) == 1.0  # clamped
+    # B <= n is vacuous, also where the formula would take its 0.0 limit or
+    # overflow math.exp
+    assert sr_bound_loose(10, 1e200, 10) == 1.0
+    assert sr_bound_loose(10, 1e100, 5) == 1.0
 
 
 def test_loose_bound_takes_its_limit_where_delta1_squared_leaves_a_float():
@@ -693,3 +705,51 @@ def test_counts_refuse_fractions(fn, args, name):
     # or fail deep inside with a TypeError
     with pytest.raises(ValueError, match=rf"\b{name} must be a whole number"):
         fn(*args)
+
+
+# each entry that takes a node once per call, called at node x, with the
+# name its refusal gives and its graph's node count (PATH3 3, KNN 30); with
+# J = 0 no walk runs, so smoothed_sa_search's own check must refuse
+NODE_ENTRIES = {
+    "descent_oracle": ("node", 3, lambda x, o, rng: descent_oracle(PATH3, o, x, 40, rng)),
+    "explore_descend": ("start node", 3, lambda x, o, rng: explore_descend(PATH3, o, x, (40,), rng)),
+    "simulated_annealing": (
+        "start node", 3, lambda x, o, rng: simulated_annealing(PATH3, o, x, SAConfig(gamma=1.0, s=1, steps=1), rng)
+    ),
+    "smoothed_sa_search": (
+        "start node", 30, lambda x, o, rng: smoothed_sa_search(KNN, DistanceCache(CLOUD, (0.0, 0.0)), x, 0, 1, rng)
+    ),
+    "DistanceCache.evaluate": ("node", 30, lambda x, o, rng: DistanceCache(CLOUD, (0.0, 0.0)).evaluate(x)),
+    "Path": ("path node", 3, lambda x, o, rng: Path(PATH3, (x,))),
+    "sa_transition_probs": ("node", 3, lambda x, o, rng: sa_transition_probs(PATH3, [0.0, 0.5, 1.0], x, 1.0)),
+    "best_improvement": ("node", 3, lambda x, o, rng: best_improvement(PATH3, [0.0, 0.5, 1.0], x)),
+}
+
+
+@pytest.mark.parametrize("x", [-1, "n", 2.5])
+@pytest.mark.parametrize("entry", sorted(NODE_ENTRIES))
+def test_node_entries_refuse_a_node_outside_the_graph(entry, x):
+    # by name and before any draw: -1 used to index from the end (evaluate
+    # scored the last point), and 2.5 went through as a float or failed
+    # with a bare TypeError
+    name, n, call = NODE_ENTRIES[entry]
+    x = n if x == "n" else x
+    rule = f"must be a whole number, got {x}" if x == 2.5 else f"{x} out of range"
+    o = NoisyOracle(ValueTable(np.array([0.0, 0.5, 1.0])))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(rule)}$"):
+        call(x, o, rng)
+    assert o.used == 0
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+def test_node_entries_take_a_whole_node_of_another_type_as_its_int():
+    # 2.0 and np.int64(2) are node 2: the same result and the same draws
+    for entry, (_, n, call) in NODE_ENTRIES.items():
+        seen = []
+        for x in (2, 2.0, np.int64(2)):
+            o = NoisyOracle(ValueTable(np.array([0.0, 0.5, 1.0])))
+            rng = np.random.default_rng(0)
+            got = call(x, o, rng)
+            seen.append((repr(got), o.used, rng.random()))
+        assert seen[0] == seen[1] == seen[2], entry

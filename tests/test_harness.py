@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from graphopt import (
     ExperimentConfig,
     Graph,
+    NoisyOracle,
     TrialRecord,
     ValueTable,
     gap_statistics,
@@ -67,6 +68,35 @@ def test_config_refuses_a_value_table_that_does_not_fit_the_graph(algo, k):
     values = ValueTable(np.linspace(0.0, 0.95, k))
     with pytest.raises(ValueError, match=f"^{k} values for a graph of 25 nodes$"):
         ExperimentConfig(g, values, algo, (200,), 2, 0, maximize=True, params={"gamma": 1.0} if algo == "sa" else {})
+
+
+def _saved_values(g, values, tmp):
+    save_graph(g, tmp / "g.txt", values=values)
+    return (tmp / "g.txt.values").read_bytes()
+
+
+# each entry that takes a value table, run on (graph, values, directory);
+# what it kept of the values comes back
+VALUE_ENTRIES = {
+    "NoisyOracle": lambda g, values, tmp: NoisyOracle(values).values.floats,
+    "ExperimentConfig": lambda g, values, tmp: ExperimentConfig(g, values, "sr", (100,), 1, 0).values.floats,
+    "save_graph": _saved_values,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VALUE_ENTRIES))
+def test_a_list_of_values_is_taken_as_its_value_table(entry, tmp_path):
+    # a list used to fail with an AttributeError (no '_bounds', no 'n'); a
+    # bad one is refused by ValueTable before anything is written
+    g, table = small_instance()
+    run = VALUE_ENTRIES[entry]
+    assert run(g, table.means.tolist(), tmp_path) == run(g, table, tmp_path)
+    refused = tmp_path / "refused"
+    refused.mkdir()
+    for bad, message in (([], "non-empty"), ([0.5, math.nan, 0.9, 0.0, 0.1], "finite")):
+        with pytest.raises(ValueError, match=message):
+            run(g, bad, refused)
+    assert not any(refused.iterdir())
 
 
 def test_non_finite_settings_rejected_up_front():

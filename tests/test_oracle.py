@@ -94,7 +94,7 @@ def test_partial_batch_at_the_cap():
         o.sample_means([0], 1, rng)
 
 
-@pytest.mark.parametrize("count", [2.5, 0.0, math.nan, math.inf, "3", None])
+@pytest.mark.parametrize("count", [2.5, 0.0, math.nan, math.inf, "3", None, 0, -1])
 def test_sample_means_refuses_a_count_that_is_not_whole(count):
     # 2.5 used to draw binomial(2), divide by 2.5 and meter 5.0
     o = make_oracle(budget=100)

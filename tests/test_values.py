@@ -469,6 +469,27 @@ def test_bulk_exact_pass_leaves_other_files_to_the_line_walk(table, mutation, da
     assert _outcome(lambda path: _exact(path, n), p) == _outcome(lambda path: _walk(path, n), p)
 
 
+# points where the bulk pass's arithmetic assumes none; without the tests
+# that catch them, it would misread the files marked *
+MISPLACED_POINTS = {
+    "two-in-a-value*": "0,0.5\n1,-1.25\n2,1.2.5\n",  # on the last line
+    "in-an-id": "0.5,1\n",
+    "in-an-id-that-still-reads-6*": "".join(f"{j},1\n" for j in range(6)) + "0.1,2\n",
+    "after-a-plus-exponent": "0,5e+1.5\n",
+    "after-a-minus-exponent*": "0,5e-1.5\n",
+}
+
+
+@pytest.mark.parametrize("case", MISPLACED_POINTS)
+def test_bulk_exact_pass_leaves_misplaced_points_to_the_line_walk(case, tmp_path):
+    text = MISPLACED_POINTS[case]
+    p = tmp_path / "v.txt"
+    p.write_text(text)
+    n = text.count("\n")
+    assert values._bulk_exact(p.read_bytes(), n) is None
+    assert _outcome(lambda path: _exact(path, n), p) == _outcome(lambda path: _walk(path, n), p)
+
+
 def test_a_written_file_takes_the_bulk_pass(tmp_path, monkeypatch):
     p = tmp_path / "v.txt"
     table = [0.0, -0.0, 0.031360000000000013, -1.5, 3.0, 1e-05, 2.5e+200, 0.00012345678901234567]
