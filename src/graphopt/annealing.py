@@ -13,7 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _finite, _node, _whole
+from .oracle import BudgetExhaustedError, NoisyOracle
+from .values import _as_float, _finite, _node, _whole
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,8 @@ def sa_step(g: Graph, oracle: NoisyOracle, x: int, cfg: SAConfig, rng: np.random
     covers only the samples still available; raises BudgetExhaustedError,
     leaving the state at x, when y cannot be estimated at all.
     """
-    if not 0 <= x < g.n:
-        raise ValueError(f"node {x} out of range")
+    if type(x) is not int or not 0 <= x < g.n:
+        x = _node("node", x, g.n)
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"node {x} has no neighbors")

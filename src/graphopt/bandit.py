@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .oracle import ARRAY_DRAW_MIN, BudgetExhaustedError, NoisyOracle, _as_float, _whole
+from .oracle import ARRAY_DRAW_MIN, BudgetExhaustedError, NoisyOracle
+from .values import _as_float, _whole
 
 Sampler = Callable[
     [Sequence[int], int, np.random.Generator], tuple[Sequence[float], Sequence[int]]
@@ -193,7 +194,13 @@ def hardness(gaps: Sequence[float]) -> float:
     if not deltas:
         raise ValueError("need at least one suboptimal arm gap")
     ranked = sorted([min(deltas)] + deltas)
-    return max((i + 1) / d**2 for i, d in enumerate(ranked))
+    try:
+        H = max((i + 1) / d**2 for i, d in enumerate(ranked))
+    except ZeroDivisionError:  # a gap's square underflows to 0.0
+        H = math.inf
+    if H == math.inf:
+        raise ValueError(f"gaps down to {ranked[0]} put H beyond a float")
+    return H
 
 
 def sr_error_bound(K: int, H: float, B: int) -> float:

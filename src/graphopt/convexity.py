@@ -24,8 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, Path
-from .oracle import _finite, _node
-from .values import ValueTable
+from .values import ValueTable, _finite, _node
 
 
 def _vals(values) -> tuple[Sequence, set]:

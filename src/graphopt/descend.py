@@ -11,7 +11,8 @@ import numpy as np
 
 from .bandit import _ARMS_MAX, log_bar, oracle_sampler, successive_reject
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _node, _whole
+from .oracle import BudgetExhaustedError, NoisyOracle
+from .values import _as_float, _node, _whole
 
 
 def descent_oracle(

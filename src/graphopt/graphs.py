@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .oracle import _node, _whole
-from .values import ValueTable, _digit_runs, load_values, save_values
+from .values import ValueTable, _digit_runs, _node, _whole, load_values, save_values
 
 
 class GraphFormatError(ValueError):
@@ -232,12 +231,13 @@ class _Draws:
 def random_walk(g: Graph, start: int, T: int, rng: np.random.Generator) -> int:
     """Walk T uniform-neighbor steps from start; return the end node.
 
-    A dead end (no out-neighbors) stops the walk early at that node.
+    A dead end (no out-neighbors) stops the walk early at that node. start
+    must be a node id and T a whole number >= 0 (else ValueError).
     """
-    if not 0 <= start < g.n:
-        raise ValueError(f"start node {start} out of range")
-    if T < 0:
-        raise ValueError("walk length must be >= 0")
+    if type(start) is not int or not 0 <= start < g.n:
+        start = _node("start node", start, g.n)
+    if type(T) is not int or T < 0:
+        T = _whole("walk length", T, 0)
     cur = start
     for _ in range(T):
         nbrs = g.adjacency[cur]

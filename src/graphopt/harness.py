@@ -16,8 +16,8 @@ from .annealing import SAConfig, simulated_annealing
 from .bandit import successive_reject
 from .descend import explore_descend_restarts
 from .graphs import Graph
-from .oracle import BudgetExhaustedError, NoisyOracle, _as_float, _whole
-from .values import ValueTable
+from .oracle import BudgetExhaustedError, NoisyOracle
+from .values import ValueTable, _as_float, _whole
 
 CSV_HEADER = "trial,algo,budget,node,gap,samples,time_ms"
 
@@ -95,7 +95,7 @@ class ExperimentConfig:
             raise ValueError("a master seed is required; no wall-clock seeding")
         object.__setattr__(self, "seed", _whole("seed", self.seed, 0))
         try:
-            NoisyOracle(self.values, noise=self.noise, R=self.noise_scale)
+            NoisyOracle(self.values, noise=self.noise, R=self.noise_scale, maximize=self.maximize)
         except ValueError as exc:
             raise ValueError(f"noise={self.noise!r}, noise_scale={self.noise_scale}: {exc}") from None
         if self.algo != "sr":

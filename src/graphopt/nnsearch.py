@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph, _Draws, _nearest, _point_side, random_walk
-from .oracle import _node, _whole
+from .values import _node, _whole
 
 TAU_FLOOR = 1e-9
 
@@ -359,8 +359,8 @@ def load_points(path) -> PointSet:
     ``save_points`` wrote. Blank rows are skipped, and every other row must
     have the same dimension. The labels file holds one label per line,
     stripped, with blank lines skipped, and must hold one label per point.
-    A field ``float()`` refuses or a row of another dimension raises
-    ValueError naming ``<path>:<line>``.
+    A field ``float()`` refuses or finds not finite, or a row of another
+    dimension, raises ValueError naming ``<path>:<line>``.
     """
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -375,6 +375,13 @@ def load_points(path) -> PointSet:
                 raise ValueError(f"{path}:{lineno}: inconsistent dimension")
     if not rows:
         raise ValueError(f"{path}: empty point file")
+    coords = np.array(rows)
+    if not np.isfinite(coords).all():
+        # only a faulty file is walked again, to find the line of its first bad field
+        r, c = np.argwhere(~np.isfinite(coords))[0]
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lineno, row = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row][r]
+        raise ValueError(f"{path}:{lineno}: coordinates must be finite, got {row[c]!r}")
     labels_file = f"{path}.labels"
     labels = None
     if os.path.exists(labels_file):
@@ -382,4 +389,4 @@ def load_points(path) -> PointSet:
             labels = tuple(line.strip() for line in fh if line.strip())
         if len(labels) != len(rows):
             raise ValueError(f"{labels_file}: expected {len(rows)} labels, got {len(labels)}")
-    return PointSet(np.array(rows), labels)
+    return PointSet(coords, labels)

@@ -1,4 +1,8 @@
-"""Noisy value oracles with a sample meter and optional hard budget."""
+"""Noisy value oracles with a sample meter and optional hard budget.
+
+Only the modules that draw noisy samples import this one; the argument
+checks it uses come from ``values``.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .values import ValueTable
+from .values import ValueTable, _as_float, _whole
 
 # Phases serving at least this many batches are drawn with one array call.
 # On a 2-CPU x86 host a narrow bernoulli phase costs about 0.45 us per batch
@@ -16,66 +20,6 @@ from .values import ValueTable
 # array call, so arrays win from about 16-20 batches (gaussian from about
 # 8); at 20, grid-sweep ran about 4% faster than at 12.
 ARRAY_DRAW_MIN = 20
-
-
-def _whole(name: str, value, lo: int | None = None) -> int:
-    """``value`` as an int (4.0 is taken as 4); ValueError naming ``name``
-    unless it is a whole number, and at least ``lo`` when that is given."""
-    try:
-        n = int(value)
-        if n == value and (lo is None or n >= lo):
-            return n
-    except (TypeError, ValueError, OverflowError):
-        pass
-    rule = "" if lo is None else f" >= {lo}"
-    raise ValueError(f"{name} must be a whole number{rule}, got {value}")
-
-
-def _node(name: str, x, n: int) -> int:
-    """``x`` as a node id in 0..n-1: an int as it is, else through ``_whole``
-    (4.0 is node 4); ValueError naming ``name`` unless it is one."""
-    if type(x) is not int:
-        x = _whole(name, x)
-    if not 0 <= x < n:
-        raise ValueError(f"{name} {x} out of range")
-    return x
-
-
-def _finite(name: str, value, lo=None, strict: bool = False, hi=None):
-    """``value`` itself; ValueError naming ``name`` unless it is a finite
-    real number, at least ``lo`` (above it when ``strict``) and below ``hi``
-    where those are given. NaN and +-inf always fail; a Fraction or a huge
-    int is compared exactly, never converted to a float."""
-    try:
-        if (
-            -math.inf < value < math.inf
-            and (lo is None or (lo < value if strict else lo <= value))
-            and (hi is None or value < hi)
-        ):
-            return value
-    except TypeError:
-        pass
-    raise ValueError(f"{name} must be finite{_rule(lo, strict, hi)}, got {value}")
-
-
-def _as_float(name: str, value, lo=None, strict: bool = False, hi=None) -> float:
-    """``value`` checked by ``_finite`` and returned as a float; ValueError
-    naming ``name`` also when no float holds it within the rule: beyond the
-    float range, or rounding onto a strict bound (Fraction(1, 10**400) > 0
-    becomes 0.0). An int that fits converts exactly."""
-    _finite(name, value, lo, strict, hi)
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf if value > 0 else -math.inf
-    if math.isfinite(x) and x != hi and not (strict and x == lo):
-        return x
-    raise ValueError(f"{name} must be finite{_rule(lo, strict, hi)} as a float; it converts to {x}")
-
-
-def _rule(lo, strict: bool, hi) -> str:
-    rule = "" if lo is None else f" and {'>' if strict else '>='} {lo}"
-    return rule + ("" if hi is None else f" and < {hi}")
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -94,6 +38,7 @@ class NoisyOracle:
     The optimizers minimize what they observe; with ``maximize`` set the
     oracle returns negated observations, so they climb f. The sign is
     applied after the draw and leaves the random stream unchanged.
+    ``maximize`` must equal True or False (0, 1 and numpy bools do).
     """
 
     values: ValueTable
@@ -115,6 +60,8 @@ class NoisyOracle:
         self.R = _as_float("R", self.R, 0 if self.noise == "gaussian" else None)
         if self.budget is not None:
             self.budget = _whole("budget", self.budget, 0)
+        if self.maximize not in (True, False):
+            raise ValueError(f"maximize must be True or False, got {self.maximize!r}")
 
     @property
     def remaining(self) -> int | None:

@@ -1,4 +1,9 @@
-"""Node value tables: the ground-truth means that noisy oracles observe."""
+"""Node value tables: the ground-truth means that noisy oracles observe.
+
+This module imports no other graphopt module, so it also holds the argument
+checks every layer shares: ``_whole``, ``_node`` (the one test of a node
+id), ``_finite`` and ``_as_float``.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,66 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+
+
+def _whole(name: str, value, lo: int | None = None) -> int:
+    """``value`` as an int (4.0 is taken as 4); ValueError naming ``name``
+    unless it is a whole number, and at least ``lo`` when that is given."""
+    try:
+        n = int(value)
+        if n == value and (lo is None or n >= lo):
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    rule = "" if lo is None else f" >= {lo}"
+    raise ValueError(f"{name} must be a whole number{rule}, got {value}")
+
+
+def _node(name: str, x, n: int) -> int:
+    """``x`` as a node id in 0..n-1: an int as it is, else through ``_whole``
+    (4.0 is node 4); ValueError naming ``name`` unless it is one."""
+    if type(x) is not int:
+        x = _whole(name, x)
+    if not 0 <= x < n:
+        raise ValueError(f"{name} {x} out of range")
+    return x
+
+
+def _finite(name: str, value, lo=None, strict: bool = False, hi=None):
+    """``value`` itself; ValueError naming ``name`` unless it is a finite
+    real number, at least ``lo`` (above it when ``strict``) and below ``hi``
+    where those are given. NaN and +-inf always fail; a Fraction or a huge
+    int is compared exactly, never converted to a float."""
+    try:
+        if (
+            -math.inf < value < math.inf
+            and (lo is None or (lo < value if strict else lo <= value))
+            and (hi is None or value < hi)
+        ):
+            return value
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be finite{_rule(lo, strict, hi)}, got {value}")
+
+
+def _as_float(name: str, value, lo=None, strict: bool = False, hi=None) -> float:
+    """``value`` checked by ``_finite`` and returned as a float; ValueError
+    naming ``name`` also when no float holds it within the rule: beyond the
+    float range, or rounding onto a strict bound (Fraction(1, 10**400) > 0
+    becomes 0.0). An int that fits converts exactly."""
+    _finite(name, value, lo, strict, hi)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if math.isfinite(x) and x != hi and not (strict and x == lo):
+        return x
+    raise ValueError(f"{name} must be finite{_rule(lo, strict, hi)} as a float; it converts to {x}")
+
+
+def _rule(lo, strict: bool, hi) -> str:
+    rule = "" if lo is None else f" and {'>' if strict else '>='} {lo}"
+    return rule + ("" if hi is None else f" and < {hi}")
 
 
 class ValueFormatError(ValueError):
@@ -40,9 +105,7 @@ class ValueTable:
         return int(self.means.shape[0])
 
     def value(self, x: int) -> float:
-        if not 0 <= x < self.n:
-            raise ValueError(f"node {x} out of range")
-        return float(self.means[x])
+        return float(self.means[_node("node", x, self.n)])
 
     @cached_property
     def floats(self) -> tuple[float, ...]:
@@ -72,8 +135,7 @@ class ValueTable:
     def gap_to_best(self, x: int, maximize: bool = False) -> float:
         """Suboptimality of node x: always >= 0 regardless of sense."""
         f = self.floats
-        if not 0 <= x < len(f):
-            raise ValueError(f"node {x} out of range")
+        x = _node("node", x, len(f))
         best = f[self.best(maximize)]
         return best - f[x] if maximize else f[x] - best
 

@@ -35,9 +35,11 @@ from graphopt import (
     make_knn_graph,
     make_plain_grid,
     oracle_sampler,
+    random_walk,
     recall_at_k,
     sa_round_bound_convex,
     sa_round_bound_nearly,
+    sa_step,
     sa_transition_probs,
     sgnn_query,
     simulated_annealing,
@@ -604,6 +606,15 @@ BEYOND_FLOAT_CASES = [
 ]
 
 
+def test_hardness_refuses_gaps_that_put_H_beyond_a_float():
+    # 1e-200 squared underflows to 0.0 (a ZeroDivisionError), and 1e-160
+    # made H inf, which sr_error_bound then refused as its own H
+    for gaps in ([1e-200], [1e-160, 0.5]):
+        with pytest.raises(ValueError, match=rf"^gaps down to {gaps[0]} put H beyond a float$"):
+            hardness(gaps)
+    assert hardness([1e-150]) == 2 / 1e-150**2
+
+
 @pytest.mark.parametrize(
     "fn, args, name",
     BEYOND_FLOAT_CASES,
@@ -692,6 +703,9 @@ FRACTIONAL_COUNT_CASES = [
     (descent_oracle, (PATH3, PATH3_ORACLE, 2.5, 40, RNG0), "node"),
     (explore_descend, (PATH3, PATH3_ORACLE, 2.5, (40,), RNG0), "start node"),
     (simulated_annealing, (PATH3, PATH3_ORACLE, 2.5, SAConfig(gamma=1.0, s=1, steps=1), RNG0), "start node"),
+    (random_walk, (PATH3, 0, 2.5, RNG0), "walk length"),
+    # a walk length below 0 is refused by the same rule
+    (random_walk, (PATH3, 0, -1, RNG0), "walk length"),
 ]
 
 
@@ -707,9 +721,9 @@ def test_counts_refuse_fractions(fn, args, name):
         fn(*args)
 
 
-# each entry that takes a node once per call, called at node x, with the
-# name its refusal gives and its graph's node count (PATH3 3, KNN 30); with
-# J = 0 no walk runs, so smoothed_sa_search's own check must refuse
+# each entry that takes a node, called at node x, with the name its refusal
+# gives and its graph's node count (PATH3 3, KNN 30); with J = 0 no walk
+# runs, so smoothed_sa_search's own check must refuse
 NODE_ENTRIES = {
     "descent_oracle": ("node", 3, lambda x, o, rng: descent_oracle(PATH3, o, x, 40, rng)),
     "explore_descend": ("start node", 3, lambda x, o, rng: explore_descend(PATH3, o, x, (40,), rng)),
@@ -723,6 +737,11 @@ NODE_ENTRIES = {
     "Path": ("path node", 3, lambda x, o, rng: Path(PATH3, (x,))),
     "sa_transition_probs": ("node", 3, lambda x, o, rng: sa_transition_probs(PATH3, [0.0, 0.5, 1.0], x, 1.0)),
     "best_improvement": ("node", 3, lambda x, o, rng: best_improvement(PATH3, [0.0, 0.5, 1.0], x)),
+    "ValueTable.value": ("node", 3, lambda x, o, rng: o.values.value(x)),
+    "ValueTable.gap_to_best": ("node", 3, lambda x, o, rng: o.values.gap_to_best(x)),
+    "random_walk-T0": ("start node", 3, lambda x, o, rng: random_walk(PATH3, x, 0, rng)),
+    "random_walk-T1": ("start node", 3, lambda x, o, rng: random_walk(PATH3, x, 1, rng)),
+    "sa_step": ("node", 3, lambda x, o, rng: sa_step(PATH3, o, x, SAConfig(gamma=1.0, s=1), rng)),
 }
 
 

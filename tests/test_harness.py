@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,24 @@ def test_a_list_of_values_is_taken_as_its_value_table(entry, tmp_path):
         with pytest.raises(ValueError, match=message):
             run(g, bad, refused)
     assert not any(refused.iterdir())
+
+
+def test_maximize_must_equal_true_or_false():
+    # "no" used to be kept and, being truthy, negated every observation;
+    # ExperimentConfig refuses it through the oracle it builds
+    g, t = small_instance()
+    makers = (
+        lambda m: NoisyOracle(t, maximize=m),
+        lambda m: ExperimentConfig(g, t, "sr", (100,), 1, 0, maximize=m),
+    )
+    for make in makers:
+        for bad in ("no", "", None, 2, 0.5):
+            with pytest.raises(ValueError, match=f"maximize must be True or False, got {re.escape(repr(bad))}$"):
+                make(bad)
+        for good in (True, False, 0, 1, np.bool_(True), np.bool_(False)):
+            make(good)
+    draws = [NoisyOracle(t, maximize=m).sample_means((0, 2), 5, np.random.default_rng(0))[0] for m in (True, 1, np.bool_(True))]
+    assert draws[0] == draws[1] == draws[2]
 
 
 def test_non_finite_settings_rejected_up_front():

@@ -516,8 +516,10 @@ def test_load_points_skips_a_blank_row(tmp_path):
         ("0.0,1.0\n\n2.0\n", r":3: inconsistent dimension$"),
         ("", r"pts\.csv: empty point file$"),
         ("\n\n", r"pts\.csv: empty point file$"),
+        ("0.0,1.0\n\n2.0,nan\n", r"pts\.csv:3: coordinates must be finite, got 'nan'$"),
+        ("0.0,1e400\n-inf,3.0\n", r"pts\.csv:1: coordinates must be finite, got '1e400'$"),
     ],
-    ids=["not-a-number", "wrong-dimension", "empty", "only-blank-rows"],
+    ids=["not-a-number", "wrong-dimension", "empty", "only-blank-rows", "nan-after-a-blank-row", "beyond-a-float"],
 )
 def test_load_points_refuses_a_malformed_file(text, message, tmp_path):
     p = tmp_path / "pts.csv"
