@@ -3,13 +3,15 @@
 Arms are indexed 0..K-1. A sampler serves one phase: any callable
 ``sampler(arms, count, rng) -> (means, taken)`` that pulls each listed arm
 up to ``count`` times, in order, and returns per arm served the empirical
-mean cost and the number of pulls taken. ``arms`` is a list, a range or,
-in a phase of at least ARRAY_DRAW_MIN arms, an ascending int64 array;
-``means`` may be any sequence of floats, a float array included, and the
-library's samplers return floats. Once an underlying budget runs dry it
-serves a prefix of the list (full batches, then at most one partial one),
-and it may raise BudgetExhaustedError, which counts as serving nothing.
-Means are costs: the lowest wins and an arm never pulled counts as +inf.
+mean cost and the number of pulls taken. ``arms`` is a list or, in a
+phase of at least ARRAY_DRAW_MIN arms, an ascending int64 array; ``means``
+may be any sequence of floats, a float array included, and the library's
+samplers return floats. Once an underlying budget runs dry it serves a
+prefix of the list (full batches, then at most one partial one), and it
+may raise BudgetExhaustedError, which counts as serving nothing. Means
+are costs: the lowest wins and an arm never pulled counts as +inf.
+``successive_reject`` calls its sampler once per phase that pulls, the one
+phase of a budget B <= K included, and never at B = 0.
 ``NoisyOracle.sample_means`` is a sampler whose arms are its nodes.
 """
 
@@ -70,56 +72,55 @@ def budget_schedule(K: int, B: int) -> tuple[int, ...]:
     return tuple(cumulative)
 
 
+@functools.lru_cache(maxsize=128)
+def _phases(K: int, B: int) -> tuple[tuple[int, int, int], ...]:
+    """The phases of successive rejects that pull, as (survivors, pulls each
+    holds, pulls each holds after): the one phase (min(K, B), 0, 1) when
+    K == 1 or B <= K (none at B = 0), else those of budget_schedule(K, B)."""
+    if K == 1 or B <= K:
+        return ((min(K, B), 0, 1),) if B else ()
+    c = budget_schedule(K, B)
+    return tuple((K - k + 1, c[k - 1], c[k]) for k in range(1, K) if c[k] > c[k - 1])
+
+
 def successive_reject(
     K: int, sampler: Sampler, B: int, rng: np.random.Generator
 ) -> int:
     """Best-arm guess among K arms within budget B, as an int.
 
-    With one arm, or a budget B <= K too small for eliminations, one phase
-    pulls arms 0..min(K, B)-1 once each and the lowest mean cost wins
-    (ties to the lowest id; arm 0 when the sampler serves nothing or raises).
+    One loop runs the phases that pull, one sampler call each. With one
+    arm, or a budget B <= K too small for eliminations, the only phase
+    pulls arms 0..min(K, B)-1 once each, and at B = 0 arm 0 wins with no
+    call. Otherwise they are the elimination phases of the schedule: each
+    tops every survivor up to its cumulative pull count, then rejects the
+    arm with the highest empirical mean (ties reject the higher index; an
+    arm never pulled counts as +inf). A phase that would pull nothing is
+    not visited: with the survivors ranked best first, its rejection only
+    shortens the head. The first phase that comes back short (the sampler
+    serves fewer arms or a partial last batch; a raise counts as serving
+    none) is the last, since later eliminations would only drop arms
+    ranked below its best. The head of the last ranking wins, ties to the
+    lowest id.
 
-    Otherwise K-1 elimination phases run. Each tops every surviving arm up
-    to the schedule's cumulative pull count, then rejects the arm with the
-    highest empirical mean (ties reject the higher index; an arm never
-    pulled counts as +inf). The first phase that comes back short (the
-    sampler serves fewer arms or a partial last batch; a raise counts as
-    serving none) ends the run: the best arm by the means collected so far
-    wins, since later eliminations would only drop arms ranked below it.
-
-    One loop runs the phases in turn and steps over a phase that pulls
-    nothing: with the survivors ranked best first, its rejection only
-    shortens the head. While at least ARRAY_DRAW_MIN arms survive, the
-    survivors, their sums and their means are numpy arrays, and the
-    sampler gets the survivors as an ascending int64 array and may return
-    its means as a float array. At the first narrower phase that pulls
-    they become lists, once; with K below ARRAY_DRAW_MIN they are lists
-    throughout. Both do the same float operations and rank alike, so the
-    winner and the draws do not depend on the switch.
+    While at least ARRAY_DRAW_MIN arms survive, the survivors, their sums
+    and their means are numpy arrays, and the sampler gets the survivors
+    as an ascending int64 array and may return its means as a float
+    array. At the first narrower phase, or a short one, they become lists;
+    with K below ARRAY_DRAW_MIN they are lists throughout. Both do the
+    same float operations and rank alike, so the winner and the draws do
+    not depend on the switch.
     """
     K = _whole("K", K, 1)
     B = _whole("B", B, 0)
-    if K == 1 or B <= K:
-        try:
-            phase_means, _ = sampler(range(min(K, B)), 1, rng)
-        except BudgetExhaustedError:
-            phase_means = ()
-        # argmin keeps the first of equal means
-        return int(np.argmin(phase_means)) if len(phase_means) else 0
-    cumulative = budget_schedule(K, B)
-    # Arms ranked by (mean, arm), best first: phase k keeps the first
-    # K - k + 1 of them, so rejecting an arm only shortens the head.
+    # Arms ranked by (mean, arm), best first: a phase of `alive` survivors
+    # keeps the first `alive` of them, so a rejection only shortens the head.
     wide = K >= ARRAY_DRAW_MIN
     if wide:
         ranked, sums, means = np.arange(K), np.zeros(K), np.full(K, math.inf)
     else:
         ranked, sums, means = list(range(K)), [0.0] * K, [math.inf] * K
-    for k in range(1, K):
+    for alive, done, total in _phases(K, B):
         # every earlier phase came back full, so each survivor holds done pulls
-        done, total = cumulative[k - 1], cumulative[k]
-        if done == total:
-            continue
-        alive = K - k + 1
         if wide and alive < ARRAY_DRAW_MIN:
             wide = False
             ranked, sums, means = ranked[:alive].tolist(), sums.tolist(), means.tolist()
@@ -130,29 +131,25 @@ def successive_reject(
         except BudgetExhaustedError:
             phase_means, taken = (), ()
         # only the last arm served may be short of its batch
-        if len(taken) != len(arms) or taken[-1] != pulls:
-            # each arm served adds its taken pulls to the done it held, and
-            # the lowest mean wins, ties to the lowest id
-            if wide:
-                arms, sums, means = arms.tolist(), sums.tolist(), means.tolist()
-            for arm, mean, t in zip(arms, phase_means, taken):
-                sums[arm] += mean * t
-                if done + t:
-                    means[arm] = sums[arm] / (done + t)
-            return min(arms, key=means.__getitem__)
-        # every arm got pulls and now holds total; a stable sort of
-        # ascending arms ranks ties by id
-        if wide:
+        short = len(taken) != len(arms) or taken[-1] != pulls
+        # a stable sort of ascending arms ranks ties by id
+        if wide and not short:
             s = sums[arms] + np.asarray(phase_means, dtype=float) * pulls
             sums[arms] = s
             s /= total
             means[arms] = s
             ranked = arms[np.argsort(s, kind="stable")]
         else:
-            for arm, mean in zip(arms, phase_means):
-                sums[arm] += mean * pulls
-                means[arm] = sums[arm] / total
+            if wide:
+                arms, sums, means = arms.tolist(), sums.tolist(), means.tolist()
+            # each arm served adds its taken pulls to the done it held
+            for arm, mean, t in zip(arms, phase_means, taken):
+                sums[arm] += mean * t
+                if done + t:
+                    means[arm] = sums[arm] / (done + t)
             ranked = sorted(arms, key=means.__getitem__)
+        if short:
+            break
     return int(ranked[0])
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .values import ValueTable, _digit_runs, _node, _whole, load_values, save_values
+from .values import ValueTable, _digit_runs, _flag, _node, _whole, load_values, save_values
 
 
 class GraphFormatError(ValueError):
@@ -27,7 +27,8 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable graph with sorted adjacency lists.
 
-    Invariants: node ids are integers in range, no self-loops, no duplicate
+    Invariants: ``directed`` equals True or False (0, 1 and numpy bools
+    do), node ids are integers in range, no self-loops, no duplicate
     edges, rows sorted, and symmetric adjacency when undirected. They are
     checked once, where a graph comes in from outside graphopt, by plain
     loops: ``Graph(...)`` checks every entry in turn and then every row,
@@ -42,6 +43,7 @@ class Graph:
 
     def __post_init__(self):
         n, adjacency = self.n, self.adjacency
+        _flag("directed", self.directed)
         if n <= 0:
             raise ValueError("graph must have at least one node")
         if len(adjacency) != n:
@@ -72,6 +74,7 @@ class Graph:
         """Graph on the set of ``edges``, each a pair of integers (numpy ones
         are stored as Python ints); a repeated edge is allowed."""
         n = _whole("n", n, 1)
+        _flag("directed", directed)
         adj = [set() for _ in range(n)]
         for edge in edges:
             try:

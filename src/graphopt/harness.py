@@ -17,7 +17,7 @@ from .bandit import successive_reject
 from .descend import explore_descend_restarts
 from .graphs import Graph
 from .oracle import BudgetExhaustedError, NoisyOracle
-from .values import ValueTable, _as_float, _whole
+from .values import ValueTable, _as_float, _flag, _whole
 
 CSV_HEADER = "trial,algo,budget,node,gap,samples,time_ms"
 
@@ -61,9 +61,11 @@ class ExperimentConfig:
 
     Every setting is checked here, once, and ``params`` is replaced by the
     resolved values with defaults filled in. The values become a ValueTable
-    with one value per graph node, the oracle settings are checked by
-    building a NoisyOracle, and ed and sa need a neighbour at every node.
-    A bad setting raises ValueError before any trial runs.
+    with one value per graph node, ``maximize`` is checked by the oracle's
+    rule, the noise settings by building a NoisyOracle (its errors are
+    prefixed with ``noise`` and ``noise_scale``), and ed and sa need a
+    neighbour at every node. A bad setting raises ValueError before any
+    trial runs.
     """
 
     graph: Graph
@@ -94,8 +96,9 @@ class ExperimentConfig:
         if self.seed is None:
             raise ValueError("a master seed is required; no wall-clock seeding")
         object.__setattr__(self, "seed", _whole("seed", self.seed, 0))
+        _flag("maximize", self.maximize)
         try:
-            NoisyOracle(self.values, noise=self.noise, R=self.noise_scale, maximize=self.maximize)
+            NoisyOracle(self.values, noise=self.noise, R=self.noise_scale)
         except ValueError as exc:
             raise ValueError(f"noise={self.noise!r}, noise_scale={self.noise_scale}: {exc}") from None
         if self.algo != "sr":

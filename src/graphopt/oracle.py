@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .values import ValueTable, _as_float, _whole
+from .values import ValueTable, _as_float, _flag, _whole
 
 # Phases serving at least this many batches are drawn with one array call.
 # On a 2-CPU x86 host a narrow bernoulli phase costs about 0.45 us per batch
@@ -60,8 +60,7 @@ class NoisyOracle:
         self.R = _as_float("R", self.R, 0 if self.noise == "gaussian" else None)
         if self.budget is not None:
             self.budget = _whole("budget", self.budget, 0)
-        if self.maximize not in (True, False):
-            raise ValueError(f"maximize must be True or False, got {self.maximize!r}")
+        _flag("maximize", self.maximize)
 
     @property
     def remaining(self) -> int | None:

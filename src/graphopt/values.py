@@ -2,7 +2,7 @@
 
 This module imports no other graphopt module, so it also holds the argument
 checks every layer shares: ``_whole``, ``_node`` (the one test of a node
-id), ``_finite`` and ``_as_float``.
+id), ``_flag``, ``_finite`` and ``_as_float``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ def _node(name: str, x, n: int) -> int:
     if not 0 <= x < n:
         raise ValueError(f"{name} {x} out of range")
     return x
+
+
+def _flag(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` equals True or False
+    (0, 1 and numpy bools do)."""
+    if value not in (True, False):
+        raise ValueError(f"{name} must be True or False, got {value!r}")
 
 
 def _finite(name: str, value, lo=None, strict: bool = False, hi=None):

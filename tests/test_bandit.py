@@ -364,9 +364,26 @@ def test_successive_reject_matches_keyed_min_reference(case):
 @given(case=sr_cases(small_budget=True))
 # the one-phase call raises at once: arm 0 wins and nothing is drawn
 @example(case=dict(handoff_case(5), B=3, oracle_budget=0))
+# K = 25 with the last arm served best: the one phase runs on arrays (B = 20,
+# arm 19), is handed to lists (B = 19, arm 18), or is wide and comes back
+# short after 15 arms (arm 14)
+@example(case=dict(handoff_case(25), values=[1 - i / 25 for i in range(25)], B=20))
+@example(case=dict(handoff_case(25), values=[1 - i / 25 for i in range(25)], B=19))
+@example(case=dict(handoff_case(25), values=[1 - i / 25 for i in range(25)], B=22, oracle_budget=15))
 def test_successive_reject_small_budget_matches_per_arm_reference(case):
     reference = one_arm(per_arm_small_budget)
     assert run_case(case, successive_reject) == run_case(case, reference)
+
+
+@pytest.mark.parametrize("K", [1, 30])
+def test_successive_reject_at_budget_zero_calls_no_sampler(K):
+    def sampler(arms, count, rng):
+        raise AssertionError(f"sampler called with {list(arms)}, {count}")
+
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert successive_reject(K, sampler, 0, rng) == 0
+    assert rng.bit_generator.state == state
 
 
 def spent_before_phases(K, B):

@@ -53,6 +53,20 @@ def test_validation_rejects_bad_adjacency():
             Graph.from_edges(n, [])
 
 
+def test_directed_must_equal_true_or_false():
+    # "no" used to be stored and, being truthy, built a directed graph
+    for bad in ("no", "", None, 2, 0.5):
+        message = f"^directed must be True or False, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(3, [(0, 1), (1, 2)], directed=bad)
+        with pytest.raises(ValueError, match=message):
+            Graph(2, bad, ((1,), (0,)))
+    for good in (True, False, 0, 1, np.bool_(True), np.bool_(False)):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)], directed=good)
+        assert g.adjacency == (((1,), (2,), ()) if good else ((1,), (0, 2), (1,)))
+        assert Graph(2, good, ((1,), (0,))).directed is good
+
+
 def test_directed_graph_may_be_asymmetric():
     g = Graph(2, True, ((1,), ()))
     assert g.neighbors(0) == (1,)

@@ -102,7 +102,7 @@ def test_a_list_of_values_is_taken_as_its_value_table(entry, tmp_path):
 
 def test_maximize_must_equal_true_or_false():
     # "no" used to be kept and, being truthy, negated every observation;
-    # ExperimentConfig refuses it through the oracle it builds
+    # ExperimentConfig refuses it by the oracle's own rule
     g, t = small_instance()
     makers = (
         lambda m: NoisyOracle(t, maximize=m),
@@ -116,6 +116,15 @@ def test_maximize_must_equal_true_or_false():
             make(good)
     draws = [NoisyOracle(t, maximize=m).sample_means((0, 2), 5, np.random.default_rng(0))[0] for m in (True, 1, np.bool_(True))]
     assert draws[0] == draws[1] == draws[2]
+
+
+def test_a_bad_maximize_is_not_blamed_on_the_noise_settings():
+    # the noise prefix used to come before every oracle error, maximize's too
+    g, t = make_plain_grid(1)
+    with pytest.raises(ValueError, match=r"^maximize must be True or False, got 'no'$"):
+        ExperimentConfig(g, t, "sr", (20,), 2, 3, maximize="no")
+    with pytest.raises(ValueError, match=r"^noise='gaussian', noise_scale=nan: R must be finite"):
+        ExperimentConfig(g, t, "sr", (20,), 2, 3, noise="gaussian", noise_scale=math.nan)
 
 
 def test_non_finite_settings_rejected_up_front():
