@@ -65,8 +65,10 @@ def _restarts(text: str) -> int | None:
 
 
 def _fraction(text: str) -> Fraction:
+    """``text`` read as the value reader reads a value (``exact_ratio``): a
+    nonzero value beyond the float range is refused."""
     try:
-        return Fraction(text)
+        return Fraction(*exact_ratio(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"expected a rational like 0.2 or 2/17: {exc}")
 

@@ -27,14 +27,15 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable graph with sorted adjacency lists.
 
-    Invariants: ``directed`` equals True or False (0, 1 and numpy bools
-    do), node ids are integers in range, no self-loops, no duplicate
-    edges, rows sorted, and symmetric adjacency when undirected. They are
-    checked once, where a graph comes in from outside graphopt, by plain
-    loops: ``Graph(...)`` checks every entry in turn and then every row,
-    and ``from_edges`` and ``load_graph`` check the edges they are given.
-    The grid and kNN builders make graphs that hold them by construction,
-    and those are not checked again.
+    Invariants: ``n`` is a whole number >= 1, stored as an int (2.0 and
+    numpy.int64(2) are taken as 2), ``directed`` equals True or False (0,
+    1 and numpy bools do), node ids are integers in range, no self-loops,
+    no duplicate edges, rows sorted, and symmetric adjacency when
+    undirected. They are checked once, where a graph comes in from outside
+    graphopt, by plain loops: ``Graph(...)`` checks every entry in turn and
+    then every row, and ``from_edges`` and ``load_graph`` check the edges
+    they are given. The grid and kNN builders make graphs that hold them
+    by construction, and those are not checked again.
     """
 
     n: int
@@ -42,8 +43,10 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __post_init__(self):
-        n, adjacency = self.n, self.adjacency
+        adjacency = self.adjacency
         _flag("directed", self.directed)
+        n = _whole("n", self.n)
+        object.__setattr__(self, "n", n)
         if n <= 0:
             raise ValueError("graph must have at least one node")
         if len(adjacency) != n:

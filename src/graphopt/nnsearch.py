@@ -360,7 +360,9 @@ def load_points(path) -> PointSet:
     have the same dimension. The labels file holds one label per line,
     stripped, with blank lines skipped, and must hold one label per point.
     A field ``float()`` refuses or finds not finite, or a row of another
-    dimension, raises ValueError naming ``<path>:<line>``.
+    dimension, raises ValueError naming ``<path>:<line>`` of the first
+    faulty row. Each row is checked as it is read: its fields parse, then
+    its dimension, then finiteness.
     """
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -368,20 +370,18 @@ def load_points(path) -> PointSet:
             if not row:
                 continue
             try:
-                rows.append([float(v) for v in row])
+                point = [float(v) for v in row]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if len(rows[-1]) != len(rows[0]):
+            if rows and len(point) != len(rows[0]):
                 raise ValueError(f"{path}:{lineno}: inconsistent dimension")
+            if not all(map(math.isfinite, point)):
+                bad = next(v for v, x in zip(row, point) if not math.isfinite(x))
+                raise ValueError(f"{path}:{lineno}: coordinates must be finite, got {bad!r}")
+            rows.append(point)
     if not rows:
         raise ValueError(f"{path}: empty point file")
     coords = np.array(rows)
-    if not np.isfinite(coords).all():
-        # only a faulty file is walked again, to find the line of its first bad field
-        r, c = np.argwhere(~np.isfinite(coords))[0]
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lineno, row = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row][r]
-        raise ValueError(f"{path}:{lineno}: coordinates must be finite, got {row[c]!r}")
     labels_file = f"{path}.labels"
     labels = None
     if os.path.exists(labels_file):

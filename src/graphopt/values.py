@@ -8,6 +8,7 @@ id), ``_flag``, ``_finite`` and ``_as_float``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import _RATIONAL_FORMAT, Fraction
 from functools import cached_property
@@ -285,23 +286,11 @@ def parse_values(path, n: int | None = None, number: Callable = float) -> list:
     return vals
 
 
-# the byte classes of the bulk pass (0 for a byte save_values never writes),
-# and which class may follow which in `<id>,[-]<m>[.<m>][e(-|+)<m>]\n`
-_DIGIT, _COMMA, _NEWLINE, _MINUS, _PLUS, _POINT, _EXP = range(1, 8)
-_VALUE_CLASS = np.zeros(256, dtype=np.uint8)
-for _k, _chars in enumerate(("0123456789", ",", "\n", "-", "+", ".", "e"), start=1):
-    _VALUE_CLASS[list(_chars.encode())] = _k
-_VALUE_PAIR = np.zeros(64, dtype=bool)
-for _k, _next in {
-    _DIGIT: (_DIGIT, _COMMA, _POINT, _EXP, _NEWLINE),
-    _COMMA: (_DIGIT, _MINUS),
-    _NEWLINE: (_DIGIT,),
-    _MINUS: (_DIGIT,),
-    _PLUS: (_DIGIT,),
-    _POINT: (_DIGIT,),
-    _EXP: (_MINUS, _PLUS),
-}.items():
-    _VALUE_PAIR[[8 * _k + j for j in _next]] = True
+# the line shape of the bulk pass; its numpy steps rely on what this states:
+# the file ends in a newline, each line has one comma and at most one point
+# and one e, both after the comma and the point first, and the byte after a
+# comma or an e is a sign or a digit
+_BULK_LINE = re.compile(rb"(?:\d+,-?\d+(?:\.\d+)?(?:e[-+]\d+)?\n)+")
 
 # the bulk passes read a number of at most 21 digits ('%.17g' writes up to
 # '0.000' and 17 more), of which only the last 18 may be nonzero: 10**18 - 1
@@ -311,7 +300,7 @@ _BULK_WIDTH, _BULK_DIGITS = 21, 18
 
 def _bulk_exact(data: bytes, n: int | None) -> list[tuple[int, int]] | None:
     """``exact_ratio`` of each value of a file in the form ``save_values``
-    writes, in one numpy pass; None for any other file.
+    writes, by one pattern match and one numpy pass; None for any other file.
 
     Every line is ``<id>,[-]<digits>[.<digits>][e(-|+)<digits>]`` in ASCII,
     with ids 0, 1, ... (n lines when n is given) and a final newline. Each
@@ -320,38 +309,28 @@ def _bulk_exact(data: bytes, n: int | None) -> list[tuple[int, int]] | None:
     value is ``m / 10**k`` with ``len(digits) - 300 <= k <= 300``, where
     ``exact_ratio`` makes no far-range test.
     """
+    if not _BULK_LINE.fullmatch(data):
+        return None
     b = np.frombuffer(data, dtype=np.uint8)
-    if not len(b) or b[-1] != ord("\n"):
-        return None
-    cls = np.take(_VALUE_CLASS, b)
-    if cls[0] != _DIGIT or not np.take(_VALUE_PAIR, cls[:-1] * 8 + cls[1:]).all():
-        return None
-    nl = np.flatnonzero(cls == _NEWLINE)
+    nl = np.flatnonzero(b == ord("\n"))
     lines = len(nl)
-    comma = np.flatnonzero(cls == _COMMA)
-    if (n is not None and lines != n) or not np.array_equal(np.searchsorted(nl, comma), np.arange(lines)):
+    if n is not None and lines != n:
         return None
-    # at most one point and one exponent per line, after its comma; the
-    # mantissa ends at the exponent, or at the newline where there is none
+    comma = np.flatnonzero(b == ord(","))
+    # the mantissa ends at the exponent, or at the newline where there is none
     point = np.full(lines, -1)
     mend = nl.copy()
-    for c, into in ((_POINT, point), (_EXP, mend)):
-        at = np.flatnonzero(cls == c)
-        line = np.searchsorted(nl, at)
-        if (np.diff(line) <= 0).any() or (at < comma[line]).any():
-            return None
-        into[line] = at
-    if (point >= mend).any():
-        return None
-    # the byte after a comma or an e is the sign; after a newline, a digit
-    minus = np.append(cls == _MINUS, False)
+    for c, into in ((".", point), ("e", mend)):
+        at = np.flatnonzero(b == ord(c))
+        into[np.searchsorted(nl, at)] = at
+    minus = np.append(b == ord("-"), False)
     negative, negative_power = minus[comma + 1], minus[mend + 1]
     # without its point a mantissa is one run of digits; the places of the
     # comma, e and newline move back by the points before them
     has_point, has_power = point >= 0, mend < nl
     frac = np.where(has_point, mend - point - 1, 0)
     shift = np.cumsum(has_point)
-    b = b[cls != _POINT]
+    b = b[b != ord(".")]
     comma, mend, nl = comma - (shift - has_point), mend - shift, nl - shift
     lo = comma + 1 + negative
     ids, m, power = (

@@ -175,6 +175,28 @@ def test_certify_names_the_line_of_a_bad_value(tmp_path, capsys, token, message)
     assert (code, stdout, stderr) == (1, "", f"error: {values}:2: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["--m", "1e-5000"], "--m", "1e-5000"),
+        (["--nearly", "--alpha", "1e-20000", "--c", "0.1"], "--alpha", "1e-20000"),
+        (["--nearly", "--alpha", "0.3", "--c", "1e-20000"], "--c", "1e-20000"),
+        (["--nearly", "--alpha", "0.3", "--c", "1e-2000"], "--c", "1e-2000"),
+    ],
+)
+def test_certify_options_follow_the_value_reader_range_rule(tmp_path, capsys, argv, option, value):
+    # such a token used to run the certificate and then fail formatting the
+    # summary, or put every value over a 10**2000 denominator
+    out = tmp_path / "grid.txt"
+    run_cli(capsys, "gen-grid", "--D", "2", "--target-degree", "8", "--seed", "3", "--out", str(out))
+    with pytest.raises(SystemExit) as exc:
+        cli(["certify", "--graph", str(out), "--negate", *argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {option}: " in captured.err
+    assert f"nonzero value {value} is below the least float" in captured.err
+
+
 def test_certify_needs_parameters(tmp_path, capsys):
     out = tmp_path / "grid.txt"
     run_cli(capsys, "gen-grid", "--D", "2", "--target-degree", "8", "--seed", "3", "--out", str(out))

@@ -67,6 +67,29 @@ def test_directed_must_equal_true_or_false():
         assert Graph(2, good, ((1,), (0,))).directed is good
 
 
+@pytest.mark.parametrize(
+    "n, adjacency",
+    [(2.0, ((1,), (0,))), (np.int64(2), ((1,), (0,))), (True, ((),))],
+    ids=["float", "numpy-int", "bool"],
+)
+def test_n_is_stored_as_an_int(n, adjacency, tmp_path):
+    # n was stored as given: save_graph then raised TypeError on 2.0 and
+    # wrote a header 'n True' that load_graph refuses
+    g = Graph(n, False, adjacency)
+    assert type(g.n) is int
+    save_graph(g, tmp_path / "g.txt")
+    back, _ = load_graph(tmp_path / "g.txt")
+    assert back == g and type(back.n) is int
+
+
+def test_n_must_be_a_whole_number():
+    with pytest.raises(ValueError, match=r"^n must be a whole number, got 2\.5$"):
+        Graph(2.5, False, ((1,), (0,)))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^graph must have at least one node$"):
+            Graph(n, False, ())
+
+
 def test_directed_graph_may_be_asymmetric():
     g = Graph(2, True, ((1,), ()))
     assert g.neighbors(0) == (1,)

@@ -518,8 +518,14 @@ def test_load_points_skips_a_blank_row(tmp_path):
         ("\n\n", r"pts\.csv: empty point file$"),
         ("0.0,1.0\n\n2.0,nan\n", r"pts\.csv:3: coordinates must be finite, got 'nan'$"),
         ("0.0,1e400\n-inf,3.0\n", r"pts\.csv:1: coordinates must be finite, got '1e400'$"),
+        # the first faulty line is named, whatever fault a later line has
+        ("1,2\nnan,3\n4,5\n6,abc\n", r"pts\.csv:2: coordinates must be finite, got 'nan'$"),
+        ("1,2\ninf,3\n4,5,6\n", r"pts\.csv:2: coordinates must be finite, got 'inf'$"),
     ],
-    ids=["not-a-number", "wrong-dimension", "empty", "only-blank-rows", "nan-after-a-blank-row", "beyond-a-float"],
+    ids=[
+        "not-a-number", "wrong-dimension", "empty", "only-blank-rows", "nan-after-a-blank-row", "beyond-a-float",
+        "nan-before-a-parse-fault", "inf-before-a-dimension-fault",
+    ],
 )
 def test_load_points_refuses_a_malformed_file(text, message, tmp_path):
     p = tmp_path / "pts.csv"
