@@ -357,8 +357,8 @@ def make_grid_graph(spec: GridSpec) -> tuple[Graph, ValueTable]:
 # k-nearest-neighbor graphs over point clouds
 
 # rows per kNN block: neither the (rows, n) estimate buffer, which one
-# product fills and every block reuses, nor the gathered (rows, width, dim)
-# differences of the exact recheck hold more than this many floats (2 MB)
+# product fills and every block reuses, nor the gathered (rows, candidates,
+# dim) differences of the exact recheck hold more than this many floats (2 MB)
 _KNN_BLOCK_FLOATS = 1 << 18
 
 
@@ -405,8 +405,13 @@ def _nearest(queries: np.ndarray, points: np.ndarray, side, K: int, skip_self: b
     points and row i never takes point i. An estimate only proposes the
     candidates: one BLAS product of augmented rows ``[-2q, 1, |q|^2] .
     [p, |p|^2, 1]`` per block of queries, written into one block buffer
-    that every block reuses. It never decides, so its rounding (the BLAS
-    build, its kernels and thread count) cannot change the result.
+    that every block reuses. A point is a candidate when its estimate lies
+    within the rounding bound of an upper bound on the K-th smallest
+    estimate: the K-th smallest of the minima of about n/16 interleaved
+    column groups. Ties aside, that admits about K * 16 candidates a row at
+    worst, where each point's nearest share its group. The estimate never decides, so
+    its rounding (the BLAS build, its kernels and thread count) cannot
+    change the result.
     ``side`` is ``_point_side(points)``, which a caller may keep.
     """
     m, dim = queries.shape
@@ -440,10 +445,22 @@ def _nearest(queries: np.ndarray, points: np.ndarray, side, K: int, skip_self: b
     # about 1e153 and up) takes every point as a candidate, as a full scan.
     # Every term of a bounded row's product lies below 2**1021, and -2q
     # overflows only where sq_i is already inf, in an unbounded row.
+    # In place of the K-th smallest estimate, each row takes the K-th
+    # smallest of the minima of `groups` disjoint column groups (column j in
+    # group j mod groups; the last n mod width columns are in none). Those K
+    # minima are estimates of K distinct points, so this bound is at least
+    # the K-th smallest estimate, and every point that the K-th estimate
+    # would make a candidate is still one. A point whose estimate is at
+    # most the bound lies in a group whose minimum is at most the bound (K
+    # groups, ties aside) or among the ungrouped columns: about K width
+    # points before the 2 max_j E slack, where the K-th estimate admits K.
+    width = max(1, min(16, n // K))
+    groups = n // width
     ids = np.empty((m, K), dtype=np.intp)
     d2 = np.empty((m, K))
     rows = max(1, _KNN_BLOCK_FLOATS // n)
     est = np.empty((min(rows, m), n))
+    gmin = np.empty((len(est), groups))
     # overflow only ever makes a row unbounded, and NaN estimates stay in those rows
     with np.errstate(over="ignore", invalid="ignore"):
         sq_max = float(sq.max())
@@ -455,11 +472,10 @@ def _nearest(queries: np.ndarray, points: np.ndarray, side, K: int, skip_self: b
             block = np.matmul(left[lo:hi], right, out=est[: hi - lo])
             if skip_self:
                 block[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-            # a view of the partitioned copy, which goes with it before _decide
-            kth = np.partition(block, K - 1, axis=1)[:, K - 1]
-            cand = block <= (kth + 2 * err[lo:hi])[:, None]
+            low = block[:, : groups * width].reshape(hi - lo, width, groups).min(axis=1, out=gmin[: hi - lo])
+            low.partition(K - 1, axis=1)
+            cand = block <= (low[:, K - 1] + 2 * err[lo:hi])[:, None]
             cand[unbounded[lo:hi]] = True
-            del kth
             first = lo if skip_self else None
             ids[lo:hi], d2[lo:hi] = _decide(queries[lo:hi], points, K, first, cand)
     return ids, d2
@@ -470,23 +486,29 @@ def _decide(queries, points, K: int, first: int | None, cand):
     chosen by their exact squared distances; ``cand[r, j]`` marks point j
     as a candidate of query r. When ``first`` is not None, query r is
     point ``first + r`` and may not take itself.
+
+    A row has about K * 16 candidates at worst under ``_nearest``'s group
+    bound, and all n where every estimate ties. The rows are rechecked in
+    slices whose gathered differences hold at most ``_KNN_BLOCK_FLOATS``
+    floats, one slice's at a time.
     """
     ids = np.empty((len(queries), K), dtype=np.intp)
     d2 = np.empty((len(queries), K))
-    flat = np.flatnonzero(cand)  # ascending, so row r's run starts at r * n
     n = cand.shape[1]
-    starts = np.searchsorted(flat, np.arange(0, (len(queries) + 1) * n, n))
-    counts = np.diff(starts)
+    # per row, so no index array spans the block; a 32-bit sum holds any
+    # row and runs about twice as fast as a native-int one
+    counts = cand.sum(axis=1, dtype=np.uint32)
     step = max(1, _KNN_BLOCK_FLOATS // (int(counts.max()) * max(queries.shape[1], 1)))
     for a in range(0, len(queries), step):
         b = min(len(queries), a + step)
         # each row's candidates, ascending, padded to the widest row
         fill = np.arange(counts[a:b].max()) < counts[a:b, None]
         idx = np.zeros(fill.shape, dtype=np.intp)
-        idx[fill] = flat[starts[a] : starts[b]] % n
+        idx[fill] = np.flatnonzero(cand[a:b]) % n
         diff = points[idx]
         np.subtract(queries[a:b, None, :], diff, out=diff)
         d = np.einsum("ijk,ijk->ij", diff, diff)
+        del diff  # so the next slice's gather does not sit beside it
         d[~fill] = np.inf
         if first is not None:
             d[idx == np.arange(first + a, first + b)[:, None]] = np.inf

@@ -8,7 +8,9 @@ import csv
 import heapq
 import math
 
-from graphopt.graphs import random_walk
+import numpy as np
+
+from graphopt.graphs import Graph, random_walk
 from graphopt.nnsearch import TAU_FLOOR, DistanceCache, QueryResult
 
 
@@ -97,3 +99,36 @@ def save_points_reference(ps, path) -> None:
         with open(f"{path}.labels", "w", encoding="utf-8") as fh:
             for lab in ps.labels:
                 fh.write(f"{lab}\n")
+
+
+def argsort_knn(coords, N):
+    """The per-row stable-argsort selection the block selection replaced;
+    it refuses a row whose N nearest include an infinite squared distance."""
+    n = coords.shape[0]
+    adjacency = []
+    chunk = max(1, min(n, 2_000_000 // n))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        diff = coords[lo:hi, None, :] - coords[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        for row in range(hi - lo):
+            d2[row, lo + row] = np.inf
+            order = np.argsort(d2[row], kind="stable")[:N]
+            if np.isinf(d2[row, order]).any():
+                raise ValueError(
+                    f"squared distance from point {lo + row} to a nearest neighbour overflows a float"
+                )
+            adjacency.append(tuple(sorted(int(v) for v in order)))
+    return Graph(n, True, tuple(adjacency))
+
+
+def grouped_cloud(n: int, dim: int, K: int, seed: int):
+    """The worst (n, dim) cloud for the kNN group bound at K: point j at
+    ``centers[j % groups]`` plus unit normal noise, where ``groups`` is the
+    number of column groups the bound takes (``n // width``, width
+    ``min(16, n // K)`` and at least 1). Each point's nearest then share
+    its group, so the K-th smallest group minimum lies in a far cluster."""
+    groups = n // max(1, min(16, n // K))
+    rng = np.random.default_rng(seed)
+    centers = 10 * rng.normal(size=(groups, dim))
+    return centers[np.arange(n) % groups] + rng.normal(size=(n, dim))

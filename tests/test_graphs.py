@@ -22,7 +22,7 @@ from graphopt import (
     random_walk,
     save_graph,
 )
-from references import grid_coords, grid_node_id
+from references import argsort_knn, grid_coords, grid_node_id, grouped_cloud
 
 
 def triangle():
@@ -242,27 +242,6 @@ def test_knn_graph_tie_prefers_lower_id():
     assert g.neighbors(0) == (1,)
 
 
-def argsort_knn(coords, N):
-    """The per-row stable-argsort selection the block selection replaced;
-    it refuses a row whose N nearest include an infinite squared distance."""
-    n = coords.shape[0]
-    adjacency = []
-    chunk = max(1, min(n, 2_000_000 // n))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        diff = coords[lo:hi, None, :] - coords[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        for row in range(hi - lo):
-            d2[row, lo + row] = np.inf
-            order = np.argsort(d2[row], kind="stable")[:N]
-            if np.isinf(d2[row, order]).any():
-                raise ValueError(
-                    f"squared distance from point {lo + row} to a nearest neighbour overflows a float"
-                )
-            adjacency.append(tuple(sorted(int(v) for v in order)))
-    return Graph(n, True, tuple(adjacency))
-
-
 @st.composite
 def point_clouds(draw):
     kind = draw(st.sampled_from(["gaussian", "lattice", "line", "wide"]))
@@ -362,6 +341,34 @@ def test_knn_graph_memory_when_every_point_is_a_candidate():
 
     generic = peak(np.random.default_rng(3).normal(size=(1500, 10)))
     assert peak(np.full((1500, 10), 2.5)) <= 2 * generic
+
+
+def test_knn_graph_memory_stays_within_two_estimate_blocks():
+    # one (rows, n) estimate buffer, and at most one block-sized temporary
+    # beside it: the group minima and the recheck's gather are smaller
+    coords = np.random.default_rng(3).normal(size=(1500, 10))
+    make_knn_graph(coords, 10)
+    tracemalloc.start()
+    try:
+        make_knn_graph(coords, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * graphs._KNN_BLOCK_FLOATS * 8
+
+
+# the group width is min(16, n // N): n = 16N - 1 takes width 15, 16N and
+# 16N + 1 take 16, and n < 2N takes 1; at N = 1 the edges are 15, 16 and 17
+@pytest.mark.parametrize("n", [15, 16, 17, 19, 159, 160, 161])
+@pytest.mark.parametrize("kind", ["gaussian", "grouped"])
+@pytest.mark.parametrize("N", [1, 10, "n-1"])
+def test_knn_group_bound_matches_stable_argsort_at_width_edges(n, kind, N):
+    N = n - 1 if N == "n-1" else N
+    if kind == "grouped":
+        coords = grouped_cloud(n, 4, N, seed=n)
+    else:
+        coords = np.random.default_rng(n).normal(size=(n, 4))
+    assert make_knn_graph(coords, N).adjacency == argsort_knn(coords, N).adjacency
 
 
 def test_knn_graph_refuses_a_cloud_whose_distances_overflow():

@@ -21,7 +21,7 @@ from graphopt import (
     smoothed_sa_search,
 )
 from graphopt.nnsearch import _expand_best_first
-from references import save_points_reference, sgnn_query_reference
+from references import grouped_cloud, save_points_reference, sgnn_query_reference
 
 
 def test_pointset_shape_and_labels():
@@ -119,6 +119,23 @@ def test_exact_nn_matches_the_per_query_scan_across_query_blocks():
     for q, res in zip(queries, results):
         assert (res.candidates, res.distances) == scan_nn(points, q, 50)
     assert exact_nn_all(ps, np.zeros((0, 4)), 50) == []
+
+
+# the group width is min(16, n // K): at K = 50, n = 799 takes width 15, 800
+# and 801 take 16, and n = 99 takes 1; at K = 1 the edges are 15, 16 and 17
+@pytest.mark.parametrize("n", [15, 16, 17, 99, 799, 800, 801])
+@pytest.mark.parametrize("kind", ["gaussian", "grouped"])
+@pytest.mark.parametrize("K", [1, 50, "n"])
+def test_exact_nn_group_bound_matches_the_per_query_scan_at_width_edges(n, kind, K):
+    K = n if K == "n" else min(K, n)
+    if kind == "grouped":
+        coords = grouped_cloud(n, 4, K, seed=n)
+    else:
+        coords = np.random.default_rng(n).normal(size=(n, 4))
+    # queries on points put their nearest in their own group
+    queries = np.vstack([coords[:20], np.random.default_rng(n + 1).normal(size=(10, 4))])
+    results = exact_nn_all(PointSet(coords), queries, K)
+    assert [(r.candidates, r.distances) for r in results] == [scan_nn(coords, q, K) for q in queries]
 
 
 def test_exact_nn_refuses_a_query_whose_distances_overflow():
