@@ -29,11 +29,8 @@ from .bandit import (
 from .convexity import (
     NearConvexityReport,
     StrongConvexityCertificate,
-    best_improvement,
     certify_nearly_convex,
     certify_strongly_convex,
-    is_strongly_convex_path,
-    lemma1_gap_bound,
 )
 from .descend import (
     descent_oracle,

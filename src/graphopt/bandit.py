@@ -167,19 +167,6 @@ def oracle_sampler(oracle: NoisyOracle, arms: Sequence[int]) -> Sampler:
     return pull
 
 
-def bernoulli_sampler(means: Sequence[float]) -> Sampler:
-    """Unmetered Bernoulli arms with success probabilities ``means``, a
-    non-empty 1-d sequence in [0, 1]; an arm's cost is its negated rate."""
-    p = np.asarray(means, dtype=float)
-    if p.ndim != 1 or p.size == 0 or not np.all((p >= 0) & (p <= 1)):
-        raise ValueError("means must be a non-empty 1-d sequence of values in [0, 1]")
-
-    def pull(phase: Sequence[int], count: int, rng: np.random.Generator):
-        return [-(float(rng.binomial(count, p[a])) / count) for a in phase], [count] * len(phase)
-
-    return pull
-
-
 def hardness(gaps: Sequence[float]) -> float:
     """Problem hardness H = max_i i * Delta_(i)^(-2).
 

@@ -61,7 +61,12 @@ def _float_list(text: str) -> list[float]:
 
 def _restarts(text: str) -> int | None:
     """'auto' (None, the 1 + budget/1000 rule) or a restart count."""
-    return None if text == "auto" else int(text)
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a whole number, got {text!r}")
 
 
 def _fraction(text: str) -> Fraction:
@@ -96,6 +101,18 @@ def _cmd_gen_knn(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    # each mode refuses the other's options, before any file is read
+    if args.nearly:
+        if args.m is not None:
+            raise UsageError("--nearly takes no --m")
+        if args.alpha is None or args.c is None:
+            raise UsageError("--nearly needs --alpha and --c")
+    else:
+        for flag in ("alpha", "c"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} needs --nearly")
+        if args.m is None:
+            raise UsageError("strong certification needs --m")
     g, _ = load_graph(args.graph, with_values=False)
     # the values and --c (a value too) as integer numerators over one common
     # denominator L, so knife-edge instances certify exactly on ints; --m and
@@ -107,8 +124,6 @@ def _cmd_certify(args) -> int:
         vals = [-v for v in vals]
     lines = []
     if args.nearly:
-        if args.alpha is None or args.c is None:
-            raise UsageError("--nearly needs --alpha and --c")
         report = certify_nearly_convex(g, vals, args.alpha, c)
         lines.append("node,in_C,r\n")
         for x in range(g.n):
@@ -126,8 +141,6 @@ def _cmd_certify(args) -> int:
             else f"not nearly convex: {len(report.infeasible)} nodes cannot reach the core"
         )
     else:
-        if args.m is None:
-            raise UsageError("strong certification needs --m")
         cert = certify_strongly_convex(g, vals, args.m)
         lines.append("node,M\n")
         for x in range(g.n):

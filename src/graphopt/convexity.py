@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, Path
-from .values import ValueTable, _finite, _node
+from .values import ValueTable, _finite
 
 
 def _vals(values) -> tuple[Sequence, set]:
@@ -53,36 +53,6 @@ def _split(ratio, types):
     if isinstance(ratio, Rational) and all(issubclass(t, Rational) for t in types):
         return int(ratio.numerator), int(ratio.denominator)
     return ratio, 1
-
-
-def best_improvement(g: Graph, values, x: int):
-    """Largest one-step improvement from x (negative at a local minimum):
-    the paper's core test, kept for test_convexity's ``reference_near``."""
-    x = _node("node", x, g.n)
-    nbrs = g.neighbors(x)
-    if not nbrs:
-        raise ValueError(f"node {x} has no neighbors")
-    vals, _ = _vals(values)
-    return max(vals[x] - vals[z] for z in nbrs)
-
-
-def is_strongly_convex_path(values, p: Path, m) -> bool:
-    """Check the m-strong convexity of a concrete path.
-
-    Every step must strictly improve and consecutive improvements must
-    shrink geometrically: delta_{i-1} >= (1+m) * delta_i. A single edge
-    only needs a strict improvement. The paper's definition, kept for
-    ``test_dp_matches_exhaustive_enumeration``.
-    """
-    _finite("m", m, 0, strict=True)
-    if len(p.nodes) < 2:
-        raise ValueError("path must contain at least one edge")
-    vals, _ = _vals(values)
-    deltas = [vals[a] - vals[b] for a, b in zip(p.nodes, p.nodes[1:])]
-    if any(d <= 0 for d in deltas):
-        return False
-    one_plus_m = 1 + m
-    return all(prev >= one_plus_m * nxt for prev, nxt in zip(deltas, deltas[1:]))
 
 
 @dataclass(frozen=True)
@@ -200,11 +170,12 @@ class NearConvexityReport:
 def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
     """Find the improvement core and low-elevation escape paths into it.
 
-    Core membership: best_improvement(x) >= alpha * (f(x) - f(x*)). Each
-    node outside it needs a path into the core, of minimal hop count,
-    never climbing more than c above the node's own value (checked on
-    every path node, endpoints included); nodes without one are reported
-    infeasible.
+    Core membership, the paper's core test: the best one-step improvement
+    max_z f(x) - f(z) over the neighbours z of x is at least
+    alpha * (f(x) - f(x*)). Each node outside the core needs a path into it,
+    of minimal hop count, never climbing more than c above the node's own
+    value (checked on every path node, endpoints included); nodes without
+    one are reported infeasible.
     """
     _finite("alpha", alpha, 0, strict=True)
     _finite("c", c, 0)
@@ -267,11 +238,3 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
     return NearConvexityReport(
         g, alpha, c, x_star, frozenset(core), hops, elevation, witness, tuple(infeasible)
     )
-
-
-def lemma1_gap_bound(m, delta):
-    """Optimality-gap bound (m+1)/m * delta from a first-step improvement:
-    the paper's Lemma 1, kept for ``test_lemma1_gap_bound``."""
-    _finite("m", m, 0, strict=True)
-    _finite("delta", delta)
-    return (m + 1) / m * delta

@@ -1,17 +1,23 @@
 """Test-side references: small helpers that only tests call.
 
 The grid's node numbering is the one ``make_plain_grid`` and
-``make_grid_graph`` build, so tests can name nodes by coordinate.
+``make_grid_graph`` build, so tests can name nodes by coordinate. The
+paper's path definitions and Lemma 1 bound live here beside the
+certificates they check, and so does an unmetered Bernoulli sampler.
 """
 
 import csv
 import heapq
 import math
+from typing import Sequence
 
 import numpy as np
 
-from graphopt.graphs import Graph, random_walk
+from graphopt.bandit import Sampler
+from graphopt.convexity import _vals
+from graphopt.graphs import Graph, Path, random_walk
 from graphopt.nnsearch import TAU_FLOOR, DistanceCache, QueryResult
+from graphopt.values import _finite, _node
 
 
 def grid_node_id(x: int, y: int, D: int) -> int:
@@ -34,6 +40,58 @@ def improvement_delta(g, values, x: int, z: int):
     if not g.has_edge(x, z):
         raise ValueError(f"{z} is not a neighbor of {x}")
     return values[x] - values[z]
+
+
+def best_improvement(g: Graph, values, x: int):
+    """Largest one-step improvement from x (negative at a local minimum):
+    the paper's core test, which ``reference_near`` applies node by node."""
+    x = _node("node", x, g.n)
+    nbrs = g.neighbors(x)
+    if not nbrs:
+        raise ValueError(f"node {x} has no neighbors")
+    vals, _ = _vals(values)
+    return max(vals[x] - vals[z] for z in nbrs)
+
+
+def is_strongly_convex_path(values, p: Path, m) -> bool:
+    """Check the m-strong convexity of a concrete path.
+
+    Every step must strictly improve and consecutive improvements must
+    shrink geometrically: delta_{i-1} >= (1+m) * delta_i. A single edge
+    only needs a strict improvement. The paper's definition, which the
+    strong certificate's witness paths must meet.
+    """
+    _finite("m", m, 0, strict=True)
+    if len(p.nodes) < 2:
+        raise ValueError("path must contain at least one edge")
+    vals, _ = _vals(values)
+    deltas = [vals[a] - vals[b] for a, b in zip(p.nodes, p.nodes[1:])]
+    if any(d <= 0 for d in deltas):
+        return False
+    one_plus_m = 1 + m
+    return all(prev >= one_plus_m * nxt for prev, nxt in zip(deltas, deltas[1:]))
+
+
+def lemma1_gap_bound(m, delta):
+    """Optimality-gap bound (m+1)/m * delta from a first-step improvement:
+    the paper's Lemma 1. Along an m-strongly convex path the steps shrink
+    by 1+m, so they sum to at most (m+1)/m times the first."""
+    _finite("m", m, 0, strict=True)
+    _finite("delta", delta)
+    return (m + 1) / m * delta
+
+
+def bernoulli_sampler(means: Sequence[float]) -> Sampler:
+    """Unmetered Bernoulli arms with success probabilities ``means``, a
+    non-empty 1-d sequence in [0, 1]; an arm's cost is its negated rate."""
+    p = np.asarray(means, dtype=float)
+    if p.ndim != 1 or p.size == 0 or not np.all((p >= 0) & (p <= 1)):
+        raise ValueError("means must be a non-empty 1-d sequence of values in [0, 1]")
+
+    def pull(phase: Sequence[int], count: int, rng: np.random.Generator):
+        return [-(float(rng.binomial(count, p[a])) / count) for a in phase], [count] * len(phase)
+
+    return pull
 
 
 def sgnn_query_reference(g, points, query, I: int, J: int, T: int, K: int, rng):

@@ -12,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 import graphopt as go
-from graphopt.bandit import bernoulli_sampler
-from references import grid_coords
+from references import bernoulli_sampler, grid_coords
 
 GRID_SPEC = go.GridSpec(D=10, target_degree=15, seed=0)
 _cache = {}

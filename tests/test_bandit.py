@@ -19,7 +19,6 @@ from graphopt import (
     QueryResult,
     SAConfig,
     ValueTable,
-    best_improvement,
     budget_schedule,
     certify_nearly_convex,
     certify_strongly_convex,
@@ -30,7 +29,6 @@ from graphopt import (
     explore_descend,
     explore_descend_restarts,
     hardness,
-    lemma1_gap_bound,
     log_bar,
     make_knn_graph,
     make_plain_grid,
@@ -49,8 +47,9 @@ from graphopt import (
     successive_reject,
     theory_sample_size,
 )
-from graphopt.bandit import LOG_BAR_LOOP_MAX, bernoulli_sampler
+from graphopt.bandit import LOG_BAR_LOOP_MAX
 from graphopt.oracle import ARRAY_DRAW_MIN, BudgetExhaustedError
+from references import bernoulli_sampler, lemma1_gap_bound
 
 
 def test_log_bar_values():
@@ -520,7 +519,6 @@ NAN_BOUND_CASES = [
     (sr_bound_loose, (3, math.nan, 10), "delta1"),
     (ed_error_bound, (3, [10], [math.nan]), "gaps"),
     (hardness, ([math.nan, 0.1],), "gaps"),
-    (lemma1_gap_bound, (math.nan, 1.0), "m"),
     (theory_sample_size, (2, math.nan, 0.5), "gamma"),
     (theory_sample_size, (2, 10.0, math.nan), "R"),
     (sa_round_bound_convex, (0.3, 9, math.nan, 0.8), "eps"),
@@ -531,7 +529,6 @@ NAN_BOUND_CASES = [
     (sr_error_bound, (math.nan, 50.0, 200), "K"),
     (sr_bound_loose, (3, 0.5, math.nan), "B"),
     (ed_error_bound, (math.nan, [10], [0.5]), "d"),
-    (lemma1_gap_bound, (0.5, math.nan), "delta"),
     (explore_descend_restarts, (PATH3, PATH3_ORACLE, math.nan, RNG0), "budget"),
     (sa_round_bound_convex, (0.3, math.nan, 0.001, 0.8), "d"),
     (sa_round_bound_nearly, (0.3, 0.05, math.nan, 9, 0.8), "r"),
@@ -556,14 +553,12 @@ INF_BOUND_CASES = [
     (theory_sample_size, (1, math.inf, 0.0), "gamma"),
     (sa_round_bound_nearly, (0.3, math.inf, 2, 9, 0.8), "c"),
     (sa_round_bound_convex, (0.3, 9, math.inf, 0.05), "eps"),
-    (lemma1_gap_bound, (math.inf, 0.1), "m"),
     (sa_round_bound_convex, (0.3, 9, 0.001, math.inf), "initial_gap"),
     (sa_round_bound_nearly, (0.3, 0.05, 2, 9, math.inf), "F"),
     (sr_error_bound, (3, math.inf, 10), "H"),
     (sr_bound_loose, (3, math.inf, 10), "delta1"),
     (ed_error_bound, (3, [10], [math.inf]), "gaps"),
     (hardness, ([math.inf, 0.1],), "gaps"),
-    (lemma1_gap_bound, (0.5, math.inf), "delta"),
     (sa_round_bound_convex, (math.inf, 9, 0.001, 0.05), "alpha"),
     (certify_strongly_convex, (PATH3, [0, 3, 5], math.inf), "m"),
     (certify_nearly_convex, (PATH3, [0, 3, 5], math.inf, 0.1), "alpha"),
@@ -753,7 +748,6 @@ NODE_ENTRIES = {
     "DistanceCache.evaluate": ("node", 30, lambda x, o, rng: DistanceCache(CLOUD, (0.0, 0.0)).evaluate(x)),
     "Path": ("path node", 3, lambda x, o, rng: Path(PATH3, (x,))),
     "sa_transition_probs": ("node", 3, lambda x, o, rng: sa_transition_probs(PATH3, [0.0, 0.5, 1.0], x, 1.0)),
-    "best_improvement": ("node", 3, lambda x, o, rng: best_improvement(PATH3, [0.0, 0.5, 1.0], x)),
     "ValueTable.value": ("node", 3, lambda x, o, rng: o.values.value(x)),
     "ValueTable.gap_to_best": ("node", 3, lambda x, o, rng: o.values.gap_to_best(x)),
     "random_walk-T0": ("start node", 3, lambda x, o, rng: random_walk(PATH3, x, 0, rng)),

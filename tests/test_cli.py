@@ -207,6 +207,26 @@ def test_certify_needs_parameters(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--nearly", "--m", "1/1000", "--alpha", "0.3", "--c", "0.1"], "--nearly takes no --m"),
+        (["--m", "1/1000", "--alpha", "0.3", "--c", "0.1"], "--alpha needs --nearly"),
+        (["--m", "1/1000", "--c", "1e-300"], "--c needs --nearly"),
+        (["--nearly"], "--nearly needs --alpha and --c"),
+        ([], "strong certification needs --m"),
+    ],
+    ids=["nearly-m", "strong-alpha", "strong-c", "nearly-alone", "strong-alone"],
+)
+def test_certify_refuses_the_other_modes_options_before_reading_a_file(tmp_path, capsys, argv, message):
+    # a strong run with --alpha and --c used to ignore them, with --c a
+    # value that joined the common denominator; the graph file does not
+    # exist, so each refusal must come before any file is read
+    missing = tmp_path / "missing.txt"
+    code, stdout, stderr = run_cli(capsys, "certify", "--graph", str(missing), *argv)
+    assert (code, stdout, stderr) == (2, "", f"usage error: {message}\n")
+
+
 def test_run_emits_rows_and_aggregate(tmp_path, capsys):
     out = tmp_path / "grid.txt"
     run_cli(capsys, "gen-grid", "--D", "3", "--target-degree", "8", "--seed", "4", "--out", str(out))
@@ -258,6 +278,19 @@ def test_run_refuses_options_the_algorithm_does_not_take(tmp_path, capsys, extra
     assert code == 1
     assert err.startswith("error: ") and "takes no parameter" in err
     assert stdout == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5"])
+def test_run_says_what_restarts_takes(capsys, value):
+    # the message used to name the private parser, "invalid _restarts value"
+    with pytest.raises(SystemExit) as exc:
+        cli(["run", "--algo", "ed", "--graph", "g.txt", "--budget", "100", "--seed", "1",
+             "--restarts", value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(
+        f"argument --restarts: expected 'auto' or a whole number, got {value!r}\n"
+    )
 
 
 def test_run_rejects_non_finite_settings(tmp_path, capsys):

@@ -8,16 +8,25 @@ from hypothesis import strategies as st
 
 from graphopt import (
     Graph,
+    GridSpec,
     Path,
     ValueTable,
-    best_improvement,
     certify_nearly_convex,
     certify_strongly_convex,
+    common_denominator,
+    exact_ratio,
+    make_grid_graph,
+    make_plain_grid,
+    parse_values,
+    save_graph,
+)
+from references import (
+    best_improvement,
+    grid_coords,
+    improvement_delta,
     is_strongly_convex_path,
     lemma1_gap_bound,
-    make_plain_grid,
 )
-from references import grid_coords, improvement_delta
 
 
 def exists_convex_path(g, vals, x, target, m):
@@ -182,6 +191,24 @@ def test_lemma1_gap_bound():
     assert lemma1_gap_bound(2.0, 1.0) == pytest.approx(1.5)
     with pytest.raises(ValueError):
         lemma1_gap_bound(0.0, 0.1)
+
+
+@pytest.mark.parametrize("m", [Fraction(2, 17), Fraction(1, 1000)], ids=["2/17", "1/1000"])
+def test_lemma1_bounds_every_gap_of_the_readme_certificate(tmp_path, m):
+    # the README's certify instance, read as certify reads it: the negated
+    # values as ints over one common denominator; by the paper's Lemma 1 an
+    # m-strongly convex path from x whose first step is M(x) descends at
+    # most (m+1)/m * M(x) in all, so the bound holds exactly at every node
+    graph = tmp_path / "grid.txt"
+    g, table = make_grid_graph(GridSpec(D=10, seed=0))
+    save_graph(g, graph, values=table)
+    exact = parse_values(f"{graph}.values", g.n, number=exact_ratio)
+    vals = [-v for v in common_denominator(exact)[0]]
+    cert = certify_strongly_convex(g, vals, m)
+    assert cert.certified
+    best = vals[cert.minimizer]
+    for x in range(g.n):
+        assert vals[x] - best <= lemma1_gap_bound(m, cert.first_step[x]), x
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +456,3 @@ def test_certifiers_refuse_non_finite_values_by_node(bad):
             certify_nearly_convex(g, vals, 0.3, 0.1)
         with pytest.raises(ValueError, match="value of node 3 must be finite"):
             certify_strongly_convex(g, vals, 0.001)
-        with pytest.raises(ValueError, match="value of node 3 must be finite"):
-            best_improvement(g, vals, 0)
-        with pytest.raises(ValueError, match="value of node 3 must be finite"):
-            is_strongly_convex_path(vals, Path(g, (0, 1)), 0.5)
