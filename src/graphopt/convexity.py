@@ -107,29 +107,36 @@ def certify_strongly_convex(g: Graph, values, m) -> StrongConvexityCertificate:
     tied = tuple(x for x in range(n) if vals[x] == best_value)
     x_star = tied[0]
 
-    order = sorted(range(n), key=lambda x: (vals[x], x))
+    # a stable sort orders equal values by id
+    order = sorted(range(n), key=vals.__getitem__)
+    adjacency = g.adjacency
     first_step: dict = {x_star: 0}
     next_node: dict = {}
+    # bound[z] is p * M(z), set once when M(z) is fixed and None while it is
+    # undefined: an edge reads one list entry and multiplies by p never
+    bound = [None] * n
+    bound[x_star] = p * 0
     for x in order:
         if x == x_star:
             continue
         vx = vals[x]
         best = None
         best_z = None
-        for z in g.adjacency[x]:
+        for z in adjacency[x]:
+            pz = bound[z]
+            if pz is None:
+                continue
             delta = vx - vals[z]
             if delta <= 0:
                 continue
-            mz = first_step.get(z)
-            if mz is None:
-                continue
-            if p * mz <= q * delta and (best is None or delta < best):
+            if pz <= q * delta and (best is None or delta < best):
                 best = delta
                 best_z = z
         if best is not None:
             first_step[x] = best
             next_node[x] = best_z
-    uncertifiable = tuple(x for x in range(n) if x not in first_step)
+            bound[x] = p * best
+    uncertifiable = tuple(x for x in range(n) if bound[x] is None)
     return StrongConvexityCertificate(
         g, m, x_star, tied, first_step, next_node, uncertifiable
     )
@@ -172,10 +179,19 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
 
     Core membership, the paper's core test: the best one-step improvement
     max_z f(x) - f(z) over the neighbours z of x is at least
-    alpha * (f(x) - f(x*)). Each node outside the core needs a path into it,
-    of minimal hop count, never climbing more than c above the node's own
-    value (checked on every path node, endpoints included); nodes without
-    one are reported infeasible.
+    alpha * (f(x) - f(x*)). It is tested in the min form f(x) - min_z f(z),
+    the same number for ints, Fractions and floats alike: each subtracts
+    exactly or with one monotone rounding, so the smallest f(z) gives the
+    largest step (a tie of 0.0 and -0.0 can flip the sign of a zero step,
+    which no comparison sees). A list mixing floats with ints or Fractions
+    can put an exact step above a rounded one, so there the min form may
+    fall short of the max form, never above it: a node it leaves out is
+    tested in the max form, which decides.
+
+    Each node outside the core needs a path into it, of minimal hop count,
+    never climbing more than c above the node's own value (checked on every
+    path node, endpoints included); nodes without one are reported
+    infeasible.
     """
     _finite("alpha", alpha, 0, strict=True)
     _finite("c", c, 0)
@@ -189,13 +205,17 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
     x_star = min(x for x in range(n) if vals[x] == best_value)
     v_star = vals[x_star]
 
+    adjacency = g.adjacency
     core = {x_star}
     for x in range(n):
-        nbrs = g.adjacency[x]
+        nbrs = adjacency[x]
         if x == x_star or not nbrs:
             continue
         vx = vals[x]
-        if den * max(vx - vals[z] for z in nbrs) >= num * (vx - v_star):
+        need = num * (vx - v_star)
+        # the min form, and the max form for a node it leaves out (mixed lists)
+        if (den * (vx - min(map(vals.__getitem__, nbrs))) >= need
+                or den * max(vx - vals[z] for z in nbrs) >= need):
             core.add(x)
 
     hops: dict = {}
@@ -214,7 +234,7 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
             depth += 1
             nxt = []
             for u in frontier:
-                for z in g.adjacency[u]:
+                for z in adjacency[u]:
                     if z in parent or vals[z] > cap:
                         continue
                     parent[z] = u

@@ -13,6 +13,7 @@ import heapq
 import math
 import os
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -296,15 +297,23 @@ def recall_at_k(result: QueryResult, exact: QueryResult, K: int) -> float:
 
 def classify_majority(candidates, labels):
     """Modal label among the candidates (assumed sorted nearest first);
-    label ties go to the label of the nearest tied candidate."""
+    label ties go to the label of the nearest tied candidate. ``labels`` is
+    a sequence indexed by id or a mapping from id; a candidate without a
+    label raises ValueError."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError("need at least one candidate")
     if labels is None:
         raise ValueError("labels are required for classification")
+    if not isinstance(labels, Mapping):
+        # a negative id would index from the end
+        n = len(labels)
+        for c in candidates:
+            if not 0 <= c < n:
+                raise ValueError(f"label missing for candidate {c}: {n} labels")
     try:
         cand_labels = [labels[c] for c in candidates]
-    except (IndexError, KeyError) as exc:
+    except KeyError as exc:
         raise ValueError(f"label missing for candidate: {exc}") from exc
     counts = Counter(cand_labels)
     top = max(counts.values())
@@ -365,16 +374,19 @@ def load_points(path) -> PointSet:
     its dimension, then finiteness.
     """
     rows: list[list[float]] = []
+    dim = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
             try:
-                point = [float(v) for v in row]
+                point = list(map(float, row))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if rows and len(point) != len(rows[0]):
-                raise ValueError(f"{path}:{lineno}: inconsistent dimension")
+            if len(point) != dim:
+                if rows:
+                    raise ValueError(f"{path}:{lineno}: inconsistent dimension")
+                dim = len(point)
             if not all(map(math.isfinite, point)):
                 bad = next(v for v, x in zip(row, point) if not math.isfinite(x))
                 raise ValueError(f"{path}:{lineno}: coordinates must be finite, got {bad!r}")

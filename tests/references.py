@@ -3,7 +3,8 @@
 The grid's node numbering is the one ``make_plain_grid`` and
 ``make_grid_graph`` build, so tests can name nodes by coordinate. The
 paper's path definitions and Lemma 1 bound live here beside the
-certificates they check, and so does an unmetered Bernoulli sampler.
+certificates they check, and so do plain reference certifiers and an
+unmetered Bernoulli sampler.
 """
 
 import csv
@@ -79,6 +80,74 @@ def lemma1_gap_bound(m, delta):
     _finite("m", m, 0, strict=True)
     _finite("delta", delta)
     return (m + 1) / m * delta
+
+
+def reference_strong(g, vals, m):
+    best_value = min(vals)
+    tied = tuple(x for x in range(g.n) if vals[x] == best_value)
+    x_star = tied[0]
+    first_step, next_node = {x_star: 0}, {}
+    for x in sorted(range(g.n), key=lambda x: (vals[x], x)):
+        if x == x_star:
+            continue
+        best = best_z = None
+        for z in g.neighbors(x):
+            delta = vals[x] - vals[z]
+            if delta <= 0 or z not in first_step:
+                continue
+            if (1 + m) * first_step[z] <= delta and (best is None or delta < best):
+                best, best_z = delta, z
+        if best is not None:
+            first_step[x], next_node[x] = best, best_z
+    uncertifiable = tuple(x for x in range(g.n) if x not in first_step)
+    return dict(
+        certified=not uncertifiable, minimizer=x_star, tied_minima=tied,
+        first_step=first_step, next_node=next_node, uncertifiable=uncertifiable,
+    )
+
+
+def reference_near(g, vals, alpha, c):
+    best_value = min(vals)
+    x_star = min(x for x in range(g.n) if vals[x] == best_value)
+    core = {x_star}
+    for x in range(g.n):
+        if x != x_star and g.neighbors(x):
+            if best_improvement(g, vals, x) >= alpha * (vals[x] - vals[x_star]):
+                core.add(x)
+    hops, elevation, witness, infeasible = {}, {}, {}, []
+    for x in range(g.n):
+        if x in core:
+            continue
+        parent, frontier, found, depth = {x: None}, [x], None, 0
+        while frontier and found is None:
+            depth += 1
+            nxt = []
+            for u in frontier:
+                for z in g.neighbors(u):
+                    if z in parent or vals[z] > vals[x] + c:
+                        continue
+                    parent[z] = u
+                    if z in core:
+                        found = z
+                        break
+                    nxt.append(z)
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is None:
+            infeasible.append(x)
+            continue
+        nodes = [found]
+        while parent[nodes[-1]] is not None:
+            nodes.append(parent[nodes[-1]])
+        nodes.reverse()
+        hops[x] = depth
+        elevation[x] = max(vals[z] for z in nodes) - vals[x]
+        witness[x] = tuple(nodes)
+    return dict(
+        certified=not infeasible, minimizer=x_star, core=frozenset(core), hops=hops,
+        elevation=elevation, witness=witness, infeasible=tuple(infeasible),
+    )
 
 
 def bernoulli_sampler(means: Sequence[float]) -> Sampler:

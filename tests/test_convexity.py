@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,8 @@ from references import (
     improvement_delta,
     is_strongly_convex_path,
     lemma1_gap_bound,
+    reference_near,
+    reference_strong,
 )
 
 
@@ -215,75 +218,8 @@ def test_lemma1_bounds_every_gap_of_the_readme_certificate(tmp_path, m):
 # Equivalence with the direct Fraction-arithmetic certificates.
 #
 # The certificates compute in the inputs' own arithmetic, splitting a
-# Rational ratio into ints; the references below do every step plainly.
-
-
-def reference_strong(g, vals, m):
-    best_value = min(vals)
-    tied = tuple(x for x in range(g.n) if vals[x] == best_value)
-    x_star = tied[0]
-    first_step, next_node = {x_star: 0}, {}
-    for x in sorted(range(g.n), key=lambda x: (vals[x], x)):
-        if x == x_star:
-            continue
-        best = best_z = None
-        for z in g.neighbors(x):
-            delta = vals[x] - vals[z]
-            if delta <= 0 or z not in first_step:
-                continue
-            if (1 + m) * first_step[z] <= delta and (best is None or delta < best):
-                best, best_z = delta, z
-        if best is not None:
-            first_step[x], next_node[x] = best, best_z
-    uncertifiable = tuple(x for x in range(g.n) if x not in first_step)
-    return dict(
-        certified=not uncertifiable, minimizer=x_star, tied_minima=tied,
-        first_step=first_step, next_node=next_node, uncertifiable=uncertifiable,
-    )
-
-
-def reference_near(g, vals, alpha, c):
-    best_value = min(vals)
-    x_star = min(x for x in range(g.n) if vals[x] == best_value)
-    core = {x_star}
-    for x in range(g.n):
-        if x != x_star and g.neighbors(x):
-            if best_improvement(g, vals, x) >= alpha * (vals[x] - vals[x_star]):
-                core.add(x)
-    hops, elevation, witness, infeasible = {}, {}, {}, []
-    for x in range(g.n):
-        if x in core:
-            continue
-        parent, frontier, found, depth = {x: None}, [x], None, 0
-        while frontier and found is None:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for z in g.neighbors(u):
-                    if z in parent or vals[z] > vals[x] + c:
-                        continue
-                    parent[z] = u
-                    if z in core:
-                        found = z
-                        break
-                    nxt.append(z)
-                if found is not None:
-                    break
-            frontier = nxt
-        if found is None:
-            infeasible.append(x)
-            continue
-        nodes = [found]
-        while parent[nodes[-1]] is not None:
-            nodes.append(parent[nodes[-1]])
-        nodes.reverse()
-        hops[x] = depth
-        elevation[x] = max(vals[z] for z in nodes) - vals[x]
-        witness[x] = tuple(nodes)
-    return dict(
-        certified=not infeasible, minimizer=x_star, core=frozenset(core), hops=hops,
-        elevation=elevation, witness=witness, infeasible=tuple(infeasible),
-    )
+# Rational ratio into ints; the references in references.py do every step
+# plainly.
 
 
 def assert_same_certificates(g, vals, m, alpha, c, same_types=False):
@@ -340,6 +276,48 @@ def rational_instances(draw):
 @given(case=rational_instances())
 def test_integer_certificates_match_fraction_reference(case):
     assert_same_certificates(*case)
+
+
+# corners of the float range: signed zeros, the smallest subnormal and
+# normal, and magnitudes whose difference overflows to inf
+FLOAT_CORNERS = (0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1.0, -1.0,
+                 1e308, -1e308, sys.float_info.max, -sys.float_info.max)
+
+
+@st.composite
+def float_instances(draw):
+    g = draw(rational_instances())[0]
+    value = st.one_of(st.sampled_from(FLOAT_CORNERS), st.floats(allow_nan=False, allow_infinity=False))
+    if draw(st.booleans()):
+        vals = draw(st.lists(value, min_size=g.n, max_size=g.n))
+    else:  # a small pool of values: tied minima and equal steps
+        pool = draw(st.lists(value, min_size=1, max_size=3))
+        vals = draw(st.lists(st.sampled_from(pool), min_size=g.n, max_size=g.n))
+    ratio = st.one_of(st.sampled_from((5e-324, 1e-300, 0.5, 1.0, 1e300)),
+                      st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+    c = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, 1e308)),
+                  st.floats(min_value=0, allow_infinity=False))
+    return g, vals, draw(ratio), draw(ratio), draw(c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=float_instances())
+def test_float_certificates_match_reference(case):
+    # the near certifier tests the core in the min form f(x) - min f(z);
+    # the reference takes the max form max f(x) - f(z), step by step
+    assert_same_certificates(*case, same_types=True)
+
+
+def test_mixed_lists_decide_the_core_in_the_max_form():
+    # node 0 steps exactly by 1/10 to node 1 and by float(1/10) - 0.0, just
+    # above 1/10, to node 2: the min form sees only the exact step, which
+    # misses alpha * gap = 1/10 + 1e-21, and the max form's rounded one clears it
+    g = Graph.from_edges(3, [(0, 1), (0, 2)])
+    vals = [Fraction(1, 10), Fraction(0), 0.0]
+    alpha = 1 + Fraction(1, 10**20)
+    assert vals[0] - min(vals[1:]) < alpha * vals[0] <= best_improvement(g, vals, 0)
+    assert 0 in certify_nearly_convex(g, vals, alpha, 0).core
+    assert_same_certificates(g, vals, Fraction(1, 2), alpha, 0, same_types=True)
 
 
 def test_integer_certificates_match_reference_at_the_knife_edge():

@@ -187,6 +187,18 @@ def test_classify_majority_and_ties():
         classify_majority([0], None)
 
 
+def test_classify_majority_names_a_candidate_without_a_label():
+    # a negative id used to index from the end: ("a", "b", "c")[-1] voted "c"
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=f"^label missing for candidate {bad}: 3 labels$"):
+            classify_majority([0, bad, bad], ("a", "b", "c"))
+    # a mapping keeps its KeyError path, which names the missing id, and may
+    # hold a label for a negative id
+    with pytest.raises(ValueError, match="^label missing for candidate: 3$"):
+        classify_majority([0, 3], {0: "a", 1: "b"})
+    assert classify_majority([0, -1, -1], {0: "a", -1: "z"}) == "z"
+
+
 def test_default_rounds_log2():
     assert default_rounds(2000) == 11
     assert default_rounds(1024) == 10

@@ -105,7 +105,7 @@ REFUSALS = {
     ),
     "classify_majority-label": (
         lambda _: classify_majority([0, 5], POINTS.labels),
-        "label missing for candidate: tuple index out of range",
+        "label missing for candidate 5: 3 labels",
     ),
     "_finite-str": (lambda _: _finite("x", "abc"), "x must be finite, got abc"),
     "_finite-None": (lambda _: _finite("x", None), "x must be finite, got None"),
