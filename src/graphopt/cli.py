@@ -8,7 +8,9 @@ go to stdout unless --out names a file.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import math
 import sys
 import time
@@ -28,7 +30,7 @@ from .nnsearch import (
     recall_at_k,
     sgnn_query,
 )
-from .values import common_denominator, exact_ratio, parse_values
+from .values import _whole, common_denominator, exact_ratio, parse_values
 
 
 class UsageError(Exception):
@@ -187,14 +189,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_nn(args) -> int:
+    # the seed is checked before any file is read, as run and gen-grid check theirs
+    if args.algo == "sgnn" and args.seed is None:
+        raise UsageError("--algo sgnn needs --seed")
+    if args.seed is not None:
+        _whole("seed", args.seed, 0)
     points = load_points(args.points)
     queries = load_points(args.queries)
     if queries.dim != points.dim:
         raise UsageError("queries and points must share a dimension")
-    if args.algo == "sgnn" and args.seed is None:
-        raise UsageError("--algo sgnn needs --seed")
     K = args.K
-    lines = ["query_id,algo,predicted_label,recall_at_K,distance_evals,time_ms\n"]
+    buf = io.StringIO()
+    # csv quotes a label only where it holds a comma, a quote or a line break
+    rows = csv.writer(buf, lineterminator="\n")
+    rows.writerow(("query_id", "algo", "predicted_label", "recall_at_K", "distance_evals", "time_ms"))
     g = make_knn_graph(points, args.N) if args.algo == "sgnn" else None
     I = args.I if args.I is not None else default_rounds(points.n)
     J = args.J if args.J is not None else default_rounds(points.n)
@@ -214,10 +222,8 @@ def _cmd_nn(args) -> int:
         label = ""
         if points.labels is not None and result.candidates:
             label = str(classify_majority(result.candidates, points.labels))
-        lines.append(
-            f"{qi},{args.algo},{label},{recall!r},{result.distance_evals},{elapsed:.3f}\n"
-        )
-    _emit("".join(lines), args.out)
+        rows.writerow((qi, args.algo, label, repr(recall), result.distance_evals, f"{elapsed:.3f}"))
+    _emit(buf.getvalue(), args.out)
     return 0
 
 

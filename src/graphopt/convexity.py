@@ -8,7 +8,8 @@ is split once into an integer numerator and denominator, so int values are
 compared on ints alone; put Fractions on one denominator first with
 ``values.common_denominator``, as ``certify`` does, to get that speed.
 ValueTable, numpy array and numpy scalar inputs become Python numbers,
-and a NaN or infinite float value is refused by node.
+and a NaN or infinite float value is refused by node. Both certifiers
+take their values through one input step, ``_vals``, which does all this.
 
 All definitions are oriented toward minimization: a step x -> z improves
 when f(x) - f(z) > 0. Negate the values to reason about maximization.
@@ -27,11 +28,14 @@ from .graphs import Graph, Path
 from .values import ValueTable, _finite
 
 
-def _vals(values) -> tuple[Sequence, set]:
-    """The values as Python numbers, and the set of their types. A
-    ValueTable, a numpy array and numpy scalars are unwrapped, so an int64
-    cannot overflow in p * M(z); a list holding no numpy scalar is kept.
-    A float value that is NaN or +-inf raises ValueError naming its node."""
+def _vals(g: Graph, values, ratio) -> tuple[Sequence, tuple[int, ...], object, object]:
+    """The values as Python numbers, the nodes at the least value in
+    ascending order, and ``(p, q)`` with p/q == ratio: ints when ratio and
+    every value type are Rational, so exact comparisons multiply ints, and
+    ``(ratio, 1)`` otherwise. A ValueTable, a numpy array and numpy scalars
+    are unwrapped, so an int64 cannot overflow in p * M(z); a list holding
+    no numpy scalar is kept. A NaN or +-inf float value raises ValueError
+    naming its node, and a table whose size is not ``g.n`` raises ValueError."""
     if isinstance(values, ValueTable):
         values = values.means
     if isinstance(values, np.ndarray):
@@ -44,15 +48,13 @@ def _vals(values) -> tuple[Sequence, set]:
         for x, v in enumerate(values):
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"value of node {x} must be finite, got {v}")
-    return values, types
-
-
-def _split(ratio, types):
-    """``(p, q)`` with p/q == ratio: ints when ratio and every value type
-    are Rational, so exact comparisons multiply ints; otherwise ``(ratio, 1)``."""
+    if len(values) != g.n:
+        raise ValueError("value table size does not match graph")
+    best_value = min(values)
+    tied = tuple(x for x, v in enumerate(values) if v == best_value)
     if isinstance(ratio, Rational) and all(issubclass(t, Rational) for t in types):
-        return int(ratio.numerator), int(ratio.denominator)
-    return ratio, 1
+        return values, tied, int(ratio.numerator), int(ratio.denominator)
+    return values, tied, ratio, 1
 
 
 @dataclass(frozen=True)
@@ -97,24 +99,18 @@ def certify_strongly_convex(g: Graph, values, m) -> StrongConvexityCertificate:
     minimum (certification targets the lowest-id minimizer).
     """
     _finite("m", m, 0, strict=True)
-    vals, types = _vals(values)
-    n = g.n
-    if len(vals) != n:
-        raise ValueError("value table size does not match graph")
     # (1+m) * M(z) <= delta is tested as p * M(z) <= q * delta, p/q = 1+m
-    p, q = _split(1 + m, types)
-    best_value = min(vals)
-    tied = tuple(x for x in range(n) if vals[x] == best_value)
+    vals, tied, p, q = _vals(g, values, 1 + m)
     x_star = tied[0]
 
     # a stable sort orders equal values by id
-    order = sorted(range(n), key=vals.__getitem__)
+    order = sorted(range(g.n), key=vals.__getitem__)
     adjacency = g.adjacency
     first_step: dict = {x_star: 0}
     next_node: dict = {}
     # bound[z] is p * M(z), set once when M(z) is fixed and None while it is
     # undefined: an edge reads one list entry and multiplies by p never
-    bound = [None] * n
+    bound = [None] * g.n
     bound[x_star] = p * 0
     for x in order:
         if x == x_star:
@@ -136,7 +132,7 @@ def certify_strongly_convex(g: Graph, values, m) -> StrongConvexityCertificate:
             first_step[x] = best
             next_node[x] = best_z
             bound[x] = p * best
-    uncertifiable = tuple(x for x in range(n) if bound[x] is None)
+    uncertifiable = tuple(x for x in range(g.n) if bound[x] is None)
     return StrongConvexityCertificate(
         g, m, x_star, tied, first_step, next_node, uncertifiable
     )
@@ -195,19 +191,14 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
     """
     _finite("alpha", alpha, 0, strict=True)
     _finite("c", c, 0)
-    vals, types = _vals(values)
-    n = g.n
-    if len(vals) != n:
-        raise ValueError("value table size does not match graph")
     # best >= alpha * gap is tested as den * best >= num * gap
-    num, den = _split(alpha, types)
-    best_value = min(vals)
-    x_star = min(x for x in range(n) if vals[x] == best_value)
+    vals, tied, num, den = _vals(g, values, alpha)
+    x_star = tied[0]
     v_star = vals[x_star]
 
     adjacency = g.adjacency
     core = {x_star}
-    for x in range(n):
+    for x in range(g.n):
         nbrs = adjacency[x]
         if x == x_star or not nbrs:
             continue
@@ -222,7 +213,7 @@ def certify_nearly_convex(g: Graph, values, alpha, c) -> NearConvexityReport:
     elevation: dict = {}
     witness: dict = {}
     infeasible = []
-    for x in range(n):
+    for x in range(g.n):
         if x in core:
             continue
         cap = vals[x] + c

@@ -50,7 +50,7 @@ def best_improvement(g: Graph, values, x: int):
     nbrs = g.neighbors(x)
     if not nbrs:
         raise ValueError(f"node {x} has no neighbors")
-    vals, _ = _vals(values)
+    vals = _vals(g, values, 1)[0]
     return max(vals[x] - vals[z] for z in nbrs)
 
 
@@ -65,7 +65,7 @@ def is_strongly_convex_path(values, p: Path, m) -> bool:
     _finite("m", m, 0, strict=True)
     if len(p.nodes) < 2:
         raise ValueError("path must contain at least one edge")
-    vals, _ = _vals(values)
+    vals = _vals(p.graph, values, 1)[0]
     deltas = [vals[a] - vals[b] for a, b in zip(p.nodes, p.nodes[1:])]
     if any(d <= 0 for d in deltas):
         return False

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -412,6 +414,39 @@ def test_nn_sgnn_requires_seed(tmp_path, capsys):
     )
     assert code == 2
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "seed, code, err",
+    [
+        ((), 2, "usage error: --algo sgnn needs --seed\n"),
+        (("--seed", "-1"), 1, "error: seed must be a whole number >= 0, got -1\n"),
+    ],
+    ids=["missing", "negative"],
+)
+def test_nn_checks_the_seed_before_it_reads_a_file(tmp_path, capsys, seed, code, err):
+    missing = str(tmp_path / "missing.csv")
+    argv = ("nn", "--points", missing, "--queries", missing, "--algo", "sgnn", *seed)
+    assert run_cli(capsys, *argv) == (code, "", err)
+
+
+def test_nn_quotes_a_label_that_holds_a_comma_or_a_quote(tmp_path, capsys):
+    # each query sits on one point of its own label, so K = 1 predicts that label
+    labels = ("x,y", 'say "hi"', "plain")
+    ppath, qpath = tmp_path / "pts.csv", tmp_path / "qs.csv"
+    save_points(PointSet(np.eye(3), labels), ppath)
+    save_points(PointSet(np.eye(3)), qpath)
+    code, stdout, _ = run_cli(
+        capsys, "nn", "--points", str(ppath), "--queries", str(qpath), "--algo", "exact", "--K", "1"
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(stdout)))
+    assert [r["predicted_label"] for r in rows] == list(labels)
+    assert [r["recall_at_K"] for r in rows] == ["1.0"] * 3
+    lines = stdout.split("\n")
+    assert lines[1].startswith('0,exact,"x,y",1.0,')
+    assert lines[2].startswith('1,exact,"say ""hi""",1.0,')
+    assert lines[3].startswith("2,exact,plain,1.0,")
 
 
 def test_nn_is_seed_deterministic(tmp_path, capsys):

@@ -434,3 +434,34 @@ def test_certifiers_refuse_non_finite_values_by_node(bad):
             certify_nearly_convex(g, vals, 0.3, 0.1)
         with pytest.raises(ValueError, match="value of node 3 must be finite"):
             certify_strongly_convex(g, vals, 0.001)
+
+
+# Both certifiers take their values through one input step. Each runs here
+# with a Fraction ratio (m or alpha) and returns the value-typed results it
+# certifies: the strong first steps or the near elevations.
+CERTIFIERS = {
+    "strong": (lambda g, vals: certify_strongly_convex(g, vals, Fraction(1, 2)), lambda r: r.first_step),
+    "near": (lambda g, vals: certify_nearly_convex(g, vals, Fraction(1, 2), 2), lambda r: r.elevation),
+}
+
+
+@pytest.mark.parametrize("certify, results", CERTIFIERS.values(), ids=CERTIFIERS.keys())
+def test_both_certifiers_share_one_input_step(certify, results):
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    # a wrong size as an array or a ValueTable (test_refusals gives the list)
+    for vals in (np.zeros(3), ValueTable(np.zeros(5))):
+        with pytest.raises(ValueError, match="^value table size does not match graph$"):
+            certify(path, vals)
+    # a NaN is named by node before the size is checked
+    floats = [0.0, 1.0, math.nan]
+    for vals in (floats, np.array(floats), [np.float64(v) for v in floats]):
+        with pytest.raises(ValueError, match="^value of node 2 must be finite, got nan$"):
+            certify(path, vals)
+    # tied minima: both target the lowest id
+    assert certify(path, [1, 0, 5, 0]).minimizer == 1
+    # int values, plain or from numpy, give Python int results
+    ints = [0, 5, 3, 4]
+    for vals in (ints, np.array(ints), [np.int64(v) for v in ints]):
+        got = results(certify(path, vals))
+        assert got == results(certify(path, ints)) and len(got) == 2
+        assert all(type(v) is int for v in got.values())
