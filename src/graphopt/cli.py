@@ -30,7 +30,7 @@ from .nnsearch import (
     recall_at_k,
     sgnn_query,
 )
-from .values import _whole, common_denominator, exact_ratio, parse_values
+from .values import _finite, _whole, common_denominator, exact_ratio, parse_values
 
 
 class UsageError(Exception):
@@ -103,18 +103,22 @@ def _cmd_gen_knn(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    # each mode refuses the other's options, before any file is read
+    # each mode refuses the other's options, and then applies its
+    # certifier's rules to its own, before any file is read and with --c as given
     if args.nearly:
         if args.m is not None:
             raise UsageError("--nearly takes no --m")
         if args.alpha is None or args.c is None:
             raise UsageError("--nearly needs --alpha and --c")
+        _finite("alpha", args.alpha, 0, strict=True)
+        _finite("c", args.c, 0)
     else:
         for flag in ("alpha", "c"):
             if getattr(args, flag) is not None:
                 raise UsageError(f"--{flag} needs --nearly")
         if args.m is None:
             raise UsageError("strong certification needs --m")
+        _finite("m", args.m, 0, strict=True)
     g, _ = load_graph(args.graph, with_values=False)
     # the values and --c (a value too) as integer numerators over one common
     # denominator L, so knife-edge instances certify exactly on ints; --m and
@@ -189,16 +193,24 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_nn(args) -> int:
-    # the seed is checked before any file is read, as run and gen-grid check theirs
+    # the seed, and sgnn's --I, --J and --T by sgnn_query's rules, are
+    # checked before any file is read; --K, whose range is the point count,
+    # before the kNN graph and the exact scan are built
     if args.algo == "sgnn" and args.seed is None:
         raise UsageError("--algo sgnn needs --seed")
     if args.seed is not None:
         _whole("seed", args.seed, 0)
+    if args.algo == "sgnn":
+        for name, value, lo in (("I", args.I, 1), ("J", args.J, 0), ("T", args.T, 0)):
+            if value is not None:
+                _whole(name, value, lo)
     points = load_points(args.points)
     queries = load_points(args.queries)
     if queries.dim != points.dim:
         raise UsageError("queries and points must share a dimension")
     K = args.K
+    if not 1 <= K <= points.n:
+        raise ValueError(f"K must be in 1..{points.n}")
     buf = io.StringIO()
     # csv quotes a label only where it holds a comma, a quote or a line break
     rows = csv.writer(buf, lineterminator="\n")

@@ -379,7 +379,7 @@ def make_knn_graph(points, N: int) -> Graph:
     N = _whole("N", N)
     if not 0 < N < n:
         raise ValueError(f"N must be in 1..{n - 1}")
-    ids, d2 = _nearest(coords, coords, _point_side(coords), N, skip_self=True)
+    ids, d2 = _nearest(coords, coords, N, skip_self=True)
     overflow = np.isinf(d2).any(axis=1)
     if overflow.any():
         i = int(np.argmax(overflow))
@@ -388,14 +388,7 @@ def make_knn_graph(points, N: int) -> Graph:
     return _unchecked(n, True, tuple(map(tuple, ids.tolist())))
 
 
-def _point_side(points: np.ndarray):
-    """``(sq, right)`` of the points for ``_nearest``: their squared norms,
-    and the (dim+2, n) augmented points ``[p, |p|^2, 1]`` of its estimate."""
-    sq = np.einsum("ij,ij->i", points, points)
-    return sq, np.hstack([points, sq[:, None], np.ones((len(points), 1))]).T
-
-
-def _nearest(queries: np.ndarray, points: np.ndarray, side, K: int, skip_self: bool):
+def _nearest(queries: np.ndarray, points: np.ndarray, K: int, skip_self: bool):
     """The K nearest points to each query: ``(ids, d2)``, both (m, K), ids
     ascending along each row with their squared distances.
 
@@ -409,14 +402,17 @@ def _nearest(queries: np.ndarray, points: np.ndarray, side, K: int, skip_self: b
     within the rounding bound of an upper bound on the K-th smallest
     estimate: the K-th smallest of the minima of about n/16 interleaved
     column groups. Ties aside, that admits about K * 16 candidates a row at
-    worst, where each point's nearest share its group. The estimate never decides, so
-    its rounding (the BLAS build, its kernels and thread count) cannot
-    change the result.
-    ``side`` is ``_point_side(points)``, which a caller may keep.
+    worst, where each point's nearest share its group, and all n where
+    every estimate ties. The estimate never decides, so its rounding (the
+    BLAS build, its kernels and thread count) cannot change the result.
+    Each block's candidates are rechecked in slices whose gathered
+    differences hold at most ``_KNN_BLOCK_FLOATS`` floats, one slice's at
+    a time.
     """
     m, dim = queries.shape
     n = points.shape[0]
-    sq, right = side
+    sq = np.einsum("ij,ij->i", points, points)
+    right = np.hstack([points, sq[:, None], np.ones((n, 1))]).T
     sq_q = sq if skip_self else np.einsum("ij,ij->i", queries, queries)
     # The estimate e = -2 q.p + sq_j + sq_i, a dot product of dim+2 terms
     # whose last two (1 * sq_j, sq_i * 1) are exact, is within E = 3 (dim+2)
@@ -476,46 +472,28 @@ def _nearest(queries: np.ndarray, points: np.ndarray, side, K: int, skip_self: b
             low.partition(K - 1, axis=1)
             cand = block <= (low[:, K - 1] + 2 * err[lo:hi])[:, None]
             cand[unbounded[lo:hi]] = True
-            first = lo if skip_self else None
-            ids[lo:hi], d2[lo:hi] = _decide(queries[lo:hi], points, K, first, cand)
-    return ids, d2
-
-
-def _decide(queries, points, K: int, first: int | None, cand):
-    """``(ids, d2)`` of each query's K nearest candidates, ids ascending,
-    chosen by their exact squared distances; ``cand[r, j]`` marks point j
-    as a candidate of query r. When ``first`` is not None, query r is
-    point ``first + r`` and may not take itself.
-
-    A row has about K * 16 candidates at worst under ``_nearest``'s group
-    bound, and all n where every estimate ties. The rows are rechecked in
-    slices whose gathered differences hold at most ``_KNN_BLOCK_FLOATS``
-    floats, one slice's at a time.
-    """
-    ids = np.empty((len(queries), K), dtype=np.intp)
-    d2 = np.empty((len(queries), K))
-    n = cand.shape[1]
-    # per row, so no index array spans the block; a 32-bit sum holds any
-    # row and runs about twice as fast as a native-int one
-    counts = cand.sum(axis=1, dtype=np.uint32)
-    step = max(1, _KNN_BLOCK_FLOATS // (int(counts.max()) * max(queries.shape[1], 1)))
-    for a in range(0, len(queries), step):
-        b = min(len(queries), a + step)
-        # each row's candidates, ascending, padded to the widest row
-        fill = np.arange(counts[a:b].max()) < counts[a:b, None]
-        idx = np.zeros(fill.shape, dtype=np.intp)
-        idx[fill] = np.flatnonzero(cand[a:b]) % n
-        diff = points[idx]
-        np.subtract(queries[a:b, None, :], diff, out=diff)
-        d = np.einsum("ijk,ijk->ij", diff, diff)
-        del diff  # so the next slice's gather does not sit beside it
-        d[~fill] = np.inf
-        if first is not None:
-            d[idx == np.arange(first + a, first + b)[:, None]] = np.inf
-        # a stable sort ranks ties lowest id first; the K taken go back to id order
-        take = np.sort(np.argsort(d, axis=1, kind="stable")[:, :K], axis=1)
-        ids[a:b] = np.take_along_axis(idx, take, axis=1)
-        d2[a:b] = np.take_along_axis(d, take, axis=1)
+            # per row, so no index array spans the block; a 32-bit sum holds
+            # any row and runs about twice as fast as a native-int one
+            counts = cand.sum(axis=1, dtype=np.uint32)
+            step = max(1, _KNN_BLOCK_FLOATS // (int(counts.max()) * max(dim, 1)))
+            for a in range(lo, hi, step):
+                b = min(hi, a + step)
+                c = counts[a - lo : b - lo]
+                # each row's candidates, ascending, padded to the widest row
+                fill = np.arange(c.max()) < c[:, None]
+                idx = np.zeros(fill.shape, dtype=np.intp)
+                idx[fill] = np.flatnonzero(cand[a - lo : b - lo]) % n
+                diff = points[idx]
+                np.subtract(queries[a:b, None, :], diff, out=diff)
+                d = np.einsum("ijk,ijk->ij", diff, diff)
+                del diff  # so the next slice's gather does not sit beside it
+                d[~fill] = np.inf
+                if skip_self:
+                    d[idx == np.arange(a, b)[:, None]] = np.inf
+                # a stable sort ranks ties lowest id first; the K taken go back to id order
+                take = np.sort(np.argsort(d, axis=1, kind="stable")[:, :K], axis=1)
+                ids[a:b] = np.take_along_axis(idx, take, axis=1)
+                d2[a:b] = np.take_along_axis(d, take, axis=1)
     return ids, d2
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, _Draws, _nearest, _point_side, random_walk
+from .graphs import Graph, _Draws, _nearest, random_walk
 from .values import _node, _whole
 
 TAU_FLOOR = 1e-9
@@ -60,12 +60,6 @@ class PointSet:
         """The coordinates as tuples of Python floats, built once; scalar
         ``math.dist`` on these is several times faster than numpy per point."""
         return tuple(map(tuple, self.coords.tolist()))
-
-    @cached_property
-    def _side(self):
-        """The points' side of the exact scan's estimate, built once, so a
-        one-query ``exact_nn`` does not build it on every call."""
-        return _point_side(self.coords)
 
 
 @dataclass(frozen=True)
@@ -258,7 +252,9 @@ def _expand_best_first(g: Graph, cache: DistanceCache, K: int) -> list[tuple[flo
 
 
 def exact_nn(points: PointSet, query, K: int) -> QueryResult:
-    """Exhaustive scan baseline; always evaluates all n points."""
+    """Exhaustive scan baseline for one query; always evaluates all n
+    points. Each call builds the points' side of the scan anew, so many
+    queries are served faster by ``exact_nn_all``, from one scan."""
     return exact_nn_all(points, _query(points, query)[None, :], K)[0]
 
 
@@ -275,7 +271,7 @@ def exact_nn_all(points: PointSet, queries, K: int) -> list[QueryResult]:
         raise ValueError(f"queries must be an (m, {points.dim}) array")
     if not np.all(np.isfinite(qs)):
         raise ValueError("query coordinates must be finite")
-    ids, d2 = _nearest(qs, points.coords, points._side, K, skip_self=False)
+    ids, d2 = _nearest(qs, points.coords, K, skip_self=False)
     overflow = np.isinf(d2).any(axis=1)
     if overflow.any():
         i = int(np.argmax(overflow))

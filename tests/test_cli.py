@@ -229,6 +229,23 @@ def test_certify_refuses_the_other_modes_options_before_reading_a_file(tmp_path,
     assert (code, stdout, stderr) == (2, "", f"usage error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--m", "0"], "m must be finite and > 0, got 0"),
+        (["--nearly", "--alpha", "0", "--c", "1/10"], "alpha must be finite and > 0, got 0"),
+        (["--nearly", "--alpha", "3/10", "--c", "-1"], "c must be finite and >= 0, got -1"),
+    ],
+    ids=["m", "alpha", "c"],
+)
+def test_certify_checks_its_options_before_reading_a_file(tmp_path, capsys, argv, message):
+    # these used to be refused only after both files were read, so a missing
+    # graph hid them, and --c was reported times the values' common denominator
+    missing = tmp_path / "missing.txt"
+    code, stdout, stderr = run_cli(capsys, "certify", "--graph", str(missing), *argv)
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+
+
 def test_run_emits_rows_and_aggregate(tmp_path, capsys):
     out = tmp_path / "grid.txt"
     run_cli(capsys, "gen-grid", "--D", "3", "--target-degree", "8", "--seed", "4", "--out", str(out))
@@ -428,6 +445,36 @@ def test_nn_checks_the_seed_before_it_reads_a_file(tmp_path, capsys, seed, code,
     missing = str(tmp_path / "missing.csv")
     argv = ("nn", "--points", missing, "--queries", missing, "--algo", "sgnn", *seed)
     assert run_cli(capsys, *argv) == (code, "", err)
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (("--T", "-1"), "T must be a whole number >= 0, got -1"),
+        (("--J", "-1"), "J must be a whole number >= 0, got -1"),
+        (("--I", "0"), "I must be a whole number >= 1, got 0"),
+    ],
+    ids=["T", "J", "I"],
+)
+def test_nn_checks_the_sgnn_options_before_it_reads_a_file(tmp_path, capsys, option, message):
+    missing = str(tmp_path / "missing.csv")
+    argv = ("nn", "--points", missing, "--queries", missing, "--algo", "sgnn", "--seed", "0", *option)
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+    # the exact scan takes none of the three, so it ignores them as before
+    ppath, qpath = write_cloud(tmp_path)
+    argv = ("nn", "--points", str(ppath), "--queries", str(qpath), "--algo", "exact", "--K", "5", *option)
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_nn_checks_k_before_the_knn_graph_and_the_exact_scan(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --K was checked")
+
+    monkeypatch.setattr(graphopt.cli, "make_knn_graph", never)
+    monkeypatch.setattr(graphopt.cli, "exact_nn_all", never)
+    ppath, qpath = write_cloud(tmp_path)
+    argv = ("nn", "--points", str(ppath), "--queries", str(qpath), "--algo", "sgnn", "--seed", "0", "--K", "0")
+    assert run_cli(capsys, *argv) == (1, "", "error: K must be in 1..80\n")
 
 
 def test_nn_quotes_a_label_that_holds_a_comma_or_a_quote(tmp_path, capsys):
